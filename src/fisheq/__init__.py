@@ -2,12 +2,7 @@
 (capped linear) utilities."""
 
 from .descend import EventRecord, SolveResult, solve_max_revenue
-from .errors import (
-    ConvergenceError,
-    FormatError,
-    InvalidMarketError,
-    InvariantError,
-)
+from .errors import FormatError, InvalidMarketError, InvariantError
 from .exact import INF, format_rational, parse_rational
 from .flow import (
     Flow,
@@ -15,7 +10,6 @@ from .flow import (
     balanced_flow,
     is_balanced,
     max_flow,
-    min_cut,
     residual_reach,
     tight_set_scale,
 )
@@ -24,18 +18,18 @@ from .market import (
     Market,
     NormalizedMarket,
     active_budget,
+    bundle_value,
+    capped_utility,
     equality_graph,
     mbb_ratio,
     normalize,
     strip_trivial,
 )
 from .minrev import min_revenue
-from .oracle import balanced_surplus_levels, equalize_balanced, solve_eg_numeric
 from .verify import Equilibrium, VerificationReport, equilibrium_from_allocation, verify
 
 __all__ = [
     "INF",
-    "ConvergenceError",
     "Equilibrium",
     "EventRecord",
     "Flow",
@@ -50,9 +44,9 @@ __all__ = [
     "VerificationReport",
     "active_budget",
     "balanced_flow",
-    "balanced_surplus_levels",
+    "bundle_value",
+    "capped_utility",
     "equality_graph",
-    "equalize_balanced",
     "equilibrium_from_allocation",
     "format_rational",
     "is_balanced",
@@ -60,13 +54,11 @@ __all__ = [
     "max_flow",
     "mbb_ratio",
     "meet",
-    "min_cut",
     "min_revenue",
     "normalize",
     "parse_rational",
     "partition",
     "residual_reach",
-    "solve_eg_numeric",
     "solve_max_revenue",
     "strip_trivial",
     "tight_set_scale",

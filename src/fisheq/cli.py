@@ -74,7 +74,10 @@ def _cmd_solve(args):
     result = solve_max_revenue(market)
     equilibrium = result.equilibrium
     if args.objective == "min-revenue":
-        equilibrium = min_revenue(market, equilibrium)
+        try:
+            equilibrium = min_revenue(market, equilibrium)
+        except ValueError as bad:  # the solver's own output was rejected
+            raise InvariantError(f"maximum-revenue result rejected: {bad}") from None
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(trace_to_ndjson(result.trace))

@@ -18,7 +18,15 @@ from fractions import Fraction
 
 from .errors import InvariantError
 from .flow import FlowNetwork, balanced_flow, residual_reach, tight_set_scale
-from .market import active_budget, equality_graph, mbb_ratio, normalize, strip_trivial
+from .market import (
+    active_budget,
+    bundle_value,
+    capped_utility,
+    equality_graph,
+    mbb_ratio,
+    normalize,
+    strip_trivial,
+)
 from .verify import equilibrium_from_allocation
 
 CAP = "cap"
@@ -63,9 +71,8 @@ class SolveResult:
 class SolverState:
     """Mutable working state over the stripped, normalized market."""
 
-    def __init__(self, market, epsilon):
+    def __init__(self, market):
         self.market = market
-        self.epsilon = epsilon
         self.prices = []
         self.budgets = []  # active budgets M^a
         self.capped = []
@@ -88,12 +95,10 @@ class SolverState:
 
 def initialize(market):
     """Fresh state: every price at the total money supply."""
-    n, m, U = market.n, market.m, market.U
-    epsilon = Fraction(1, (m + n) * U ** (4 * (m + n)))
-    state = SolverState(market, epsilon)
+    state = SolverState(market)
     total = sum(market.budgets, Fraction(0))
-    state.prices = [total] * m
-    for i in range(n):
+    state.prices = [total] * market.m
+    for i in range(market.n):
         money, is_capped = active_budget(market, state.prices, i)
         state.budgets.append(money)
         state.capped.append(is_capped)
@@ -133,28 +138,23 @@ def _recompute_flow(state):
 
 def _booked_utilities(state):
     market = state.market
-    values = []
-    for i in range(market.n):
-        raw = sum(
-            (u * x for u, x in zip(market.utilities[i], state.alloc[i])), Fraction(0)
-        )
-        cap = market.caps[i]
-        values.append(raw if cap is None or raw <= cap else cap)
-    return tuple(values)
+    return tuple(
+        capped_utility(market, i, bundle_value(market, i, state.alloc[i]))
+        for i in range(market.n)
+    )
 
 
 def start_phase(state):
     """Recompute the balanced flow; pick the next phase's good set.
 
-    Returns False (phase not started) once the total surplus is within the
-    termination threshold."""
+    Returns False (phase not started) once the total surplus is zero."""
     _recompute_flow(state)
     if state.phases and state.phases[-1].norm2_end is None:
         state.phases[-1].norm2_end = sum(
             (r * r for r in state.surpluses), Fraction(0)
         )
     total = sum(state.surpluses, Fraction(0))
-    if total <= state.epsilon:
+    if total == 0:
         return False
     state.phase += 1
     if state.phase > state.max_phases:
@@ -176,25 +176,19 @@ def start_phase(state):
     return True
 
 
-def _partition_bprime(state):
-    edges = {
-        (i, j)
-        for i, j in equality_graph(state.market, state.prices)
-        if i in state.live_buyers and j in state.live_goods
-    }
-    bprime = {i for i, j in edges if j in state.S}
-    b_c = {i for i in bprime if state.capped[i]}
-    return edges, bprime, b_c, bprime - b_c
-
-
 def next_event(state):
     """Largest scale x at which one of the three events fires.
 
-    Ties resolve tight-set over cap over new-edge: a tight set must end the
-    phase even when a capping or new-edge event lands on the same scale.
+    Ties resolve tight-set over new-edge over cap: a tight set must end the
+    phase even when another event lands on the same scale, and a new edge
+    must extend S before a capping buyer's money is counted as fixed, or an
+    uncapped buyer of B' can be left spending outside S.
     """
     market = state.market
-    edges, bprime, b_c, b_u = _partition_bprime(state)
+    network = _live_network(state)
+    bprime = {i for j in state.S for i in network.good_buyers[j]}
+    b_c = {i for i in bprime if state.capped[i]}
+    b_u = bprime - b_c
     money_u = sum((state.budgets[i] for i in b_u), Fraction(0))
     money_c = sum((state.budgets[i] for i in b_c), Fraction(0))
     price_sum = sum((state.prices[j] for j in state.S), Fraction(0))
@@ -215,15 +209,12 @@ def next_event(state):
         elif x == best_cap:
             cap_buyers.append(i)
     if best_cap is not None:
-        candidates.append((best_cap, 1, CAP, tuple(cap_buyers)))
+        candidates.append((best_cap, 0, CAP, tuple(cap_buyers)))
 
     best_eq, eq_buyers = None, []
+    outside = state.live_goods - state.S
     for h in sorted(state.live_buyers - bprime):
-        alpha_out = Fraction(0)
-        for j in state.live_goods - state.S:
-            u = market.utilities[h][j]
-            if u > 0 and u / state.prices[j] > alpha_out:
-                alpha_out = u / state.prices[j]
+        alpha_out = mbb_ratio(market, state.prices, h, outside)
         if alpha_out == 0:
             raise InvariantError(f"buyer {h} outside B' values nothing outside S")
         for j in state.S:
@@ -236,9 +227,9 @@ def next_event(state):
             elif x == best_eq and h not in eq_buyers:
                 eq_buyers.append(h)
     if best_eq is not None:
-        candidates.append((best_eq, 0, NEW_EDGE, tuple(eq_buyers)))
+        candidates.append((best_eq, 1, NEW_EDGE, tuple(eq_buyers)))
 
-    x_ts, witness = tight_set_scale(_live_network(state), state.S, b_u, b_c)
+    x_ts, witness = tight_set_scale(network, state.S, b_u, b_c)
     if x_ts > 0:
         candidates.append((x_ts, 2, TIGHT_SET, tuple(sorted(witness))))
 
@@ -335,7 +326,7 @@ def solve_max_revenue(market):
                     raise InvariantError("iteration guard exceeded within a phase")
             commit_event(state, event)
     if any(r != 0 for r in state.surpluses):
-        raise InvariantError("epsilon loop exited with nonzero surplus")
+        raise InvariantError("descent ended with nonzero surplus")
 
     # Embed the stripped solution back into the original index space and
     # de-scale prices to the input's units.

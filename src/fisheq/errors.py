@@ -13,7 +13,3 @@ class FormatError(ValueError):
 class InvariantError(RuntimeError):
     """An internal invariant or guard tripped.  This signals an
     implementation bug, not a bad input."""
-
-
-class ConvergenceError(RuntimeError):
-    """The numeric oracle did not converge within its iteration budget."""

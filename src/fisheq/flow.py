@@ -203,24 +203,6 @@ def _residual_source_side(network, flow):
     return buyers, goods
 
 
-def min_cut(network, flow):
-    """Canonical minimum cut: the residual-reachable set from the source.
-
-    Node labels: "s", "t", ("buyer", i), ("good", j).
-    """
-    buyers, goods = _residual_source_side(network, flow)
-    for j in goods:
-        if flow.good_in(j) < network.prices[j]:
-            raise ValueError("flow is not maximum")
-    source_side = {"s"}
-    source_side.update(("buyer", i) for i in buyers)
-    source_side.update(("good", j) for j in goods)
-    sink_side = {"t"}
-    sink_side.update(("buyer", i) for i in range(network.n) if i not in buyers)
-    sink_side.update(("good", j) for j in range(network.m) if j not in goods)
-    return frozenset(source_side), frozenset(sink_side)
-
-
 def residual_reach(network, flow, targets):
     """Goods with a residual path to some target good, avoiding s and t.
 

@@ -151,15 +151,16 @@ def strip_trivial(market):
     return reduced, buyers, goods
 
 
-def mbb_ratio(market, prices, buyer):
-    """Maximum bang-per-buck ratio max_j u_ij / p_j.
+def mbb_ratio(market, prices, buyer, goods=None):
+    """Maximum bang-per-buck ratio max_j u_ij / p_j, over ``goods`` if
+    given, else over every good.
 
     Conventions: 0/0 = 0, and a positive utility at price zero makes the
     ratio INF (the buyer can grab value for free).
     """
     best = Fraction(0)
     unbounded = False
-    for j in range(market.m):
+    for j in range(market.m) if goods is None else goods:
         u = market.utilities[buyer][j]
         if u == 0:
             continue
@@ -175,20 +176,17 @@ def mbb_ratio(market, prices, buyer):
 def active_budget(market, prices, buyer):
     """min(M_i, c_i / alpha_i) and whether the cap binds.
 
-    The cap counts as binding on equality (c_i/alpha_i == M_i).  Callers
-    must not pass buyers that value nothing; zero-price states (alpha INF)
-    only occur for finitely capped buyers on the deletion path.
+    The cap counts as binding on equality (c_i/alpha_i == M_i).  Total on
+    every input: a buyer that values nothing gets (0, False), an uncapped
+    buyer gets (M_i, False) even at alpha = INF, and a capped buyer at
+    alpha = INF gets (0, True).
     """
     alpha = mbb_ratio(market, prices, buyer)
     if alpha == 0:
-        raise InvalidMarketError(f"buyer {buyer} values no good")
+        return Fraction(0), False
     money = market.budgets[buyer]
     cap = market.caps[buyer]
     if cap is None:
-        if alpha is INF:
-            raise InvalidMarketError(
-                f"buyer {buyer}: unbounded cap with a free valued good"
-            )
         return money, False
     if alpha is INF:
         return Fraction(0), True
@@ -196,6 +194,17 @@ def active_budget(market, prices, buyer):
     if needed <= money:
         return needed, True
     return money, False
+
+
+def bundle_value(market, buyer, bundle):
+    """Linear value sum_j u_ij x_ij of a bundle to a buyer."""
+    return sum((u * x for u, x in zip(market.utilities[buyer], bundle)), Fraction(0))
+
+
+def capped_utility(market, buyer, value):
+    """min(c_i, value): the utility a buyer gets from linear value ``value``."""
+    cap = market.caps[buyer]
+    return value if cap is None or value <= cap else cap
 
 
 def equality_graph(market, prices):

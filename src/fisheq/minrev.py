@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .errors import InvariantError
 from .exact import INF
-from .market import equality_graph, mbb_ratio
-from .verify import _buyer_meta, equilibrium_from_allocation, verify
+from .market import active_budget, equality_graph, mbb_ratio
+from .verify import equilibrium_from_allocation, verify
 
 
 def _scalable_set(market, prices, alloc, edges, capped):
@@ -57,7 +57,7 @@ def min_revenue(market, equilibrium):
         if loops > guard:
             raise InvariantError("minimum-revenue loop guard exceeded")
         edges = equality_graph(market, prices)
-        capped = [_buyer_meta(market, prices, i)[1] for i in range(market.n)]
+        capped = [active_budget(market, prices, i)[1] for i in range(market.n)]
         S, bprime = _scalable_set(market, prices, alloc, edges, capped)
         if not S:
             break

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import INF, format_rational
-from .market import mbb_ratio
+from .market import active_budget, bundle_value, capped_utility, mbb_ratio
 
 
 @dataclass(frozen=True)
@@ -48,24 +48,6 @@ class Equilibrium:
         )
 
 
-def _buyer_meta(market, prices, buyer):
-    """(active budget, capped flag) without the strict preconditions of
-    market.active_budget, for metadata reconstruction on arbitrary input."""
-    alpha = mbb_ratio(market, prices, buyer)
-    money = market.budgets[buyer]
-    cap = market.caps[buyer]
-    if alpha == 0:
-        return Fraction(0), False
-    if cap is None:
-        return money, False
-    if alpha is INF:
-        return Fraction(0), True
-    needed = cap / alpha
-    if needed <= money:
-        return needed, True
-    return money, False
-
-
 def equilibrium_from_allocation(market, prices, allocation):
     """Build a full Equilibrium record from prices and allocation, deriving
     utilities, active budgets and capped flags from the market."""
@@ -75,20 +57,16 @@ def equilibrium_from_allocation(market, prices, allocation):
         len(row) != market.m for row in allocation
     ):
         raise ValueError("allocation and prices dimensionally inconsistent with market")
-    metas = [_buyer_meta(market, prices, i) for i in range(market.n)]
-    utilities = []
-    for i in range(market.n):
-        raw = sum(
-            (u * x for u, x in zip(market.utilities[i], allocation[i])), Fraction(0)
-        )
-        cap = market.caps[i]
-        utilities.append(raw if cap is None or raw <= cap else cap)
+    metas = [active_budget(market, prices, i) for i in range(market.n)]
     return Equilibrium(
         prices=prices,
         allocation=allocation,
         active_budgets=tuple(meta[0] for meta in metas),
         capped=tuple(meta[1] for meta in metas),
-        utilities=tuple(utilities),
+        utilities=tuple(
+            capped_utility(market, i, bundle_value(market, i, allocation[i]))
+            for i in range(market.n)
+        ),
     )
 
 
@@ -166,15 +144,14 @@ def verify(market, equilibrium):
         if prices[j] > 0 and prices[j] * (1 - sold) != 0:
             flag("walras", j, prices[j] * (1 - sold), Fraction(0))
 
+    priced = [j for j in range(market.m) if prices[j] > 0]
     for i in range(market.n):
         money = market.budgets[i]
         cap = market.caps[i]
         alpha = mbb_ratio(market, prices, i)
         spend = equilibrium.spending(i)
-        raw_utility = sum(
-            (u * x for u, x in zip(market.utilities[i], alloc[i])), Fraction(0)
-        )
-        utility = raw_utility if cap is None or raw_utility <= cap else cap
+        raw_utility = bundle_value(market, i, alloc[i])
+        utility = capped_utility(market, i, raw_utility)
 
         if spend > money:
             flag("budget", i, spend, money)
@@ -191,15 +168,8 @@ def verify(market, equilibrium):
             ),
             Fraction(0),
         )
-        finite_alpha = Fraction(0)
-        for j in range(market.m):
-            if prices[j] > 0 and market.utilities[i][j] > 0:
-                ratio = market.utilities[i][j] / prices[j]
-                if ratio > finite_alpha:
-                    finite_alpha = ratio
-        optimal = free + finite_alpha * money
-        if cap is not None and optimal > cap:
-            optimal = cap
+        finite_alpha = mbb_ratio(market, prices, i, priced)
+        optimal = capped_utility(market, i, free + finite_alpha * money)
         if utility != optimal:
             flag("demand", i, utility, optimal)
 
@@ -218,11 +188,7 @@ def verify(market, equilibrium):
             if spend != 0:
                 flag("spending", i, spend, Fraction(0))
             continue
-        _, capped = _buyer_meta(market, prices, i)
-        if capped:
-            required = Fraction(0) if alpha is INF else cap / alpha
-        else:
-            required = money
+        required, _ = active_budget(market, prices, i)
         if spend != required:
             flag("spending", i, spend, required)
 

@@ -1,4 +1,4 @@
-"""Independent test oracles.
+"""Independent test oracles for fisheq; nothing in the package uses them.
 
 Two deliberately different routes to the same answers as the production
 code: the balanced-flow checker peels the unique surplus levels off by
@@ -6,7 +6,8 @@ exhaustive max-mean-surplus enumeration (no min cuts anywhere), and the
 equilibrium oracle drives the money-weighted log-utility program to a
 KKT point with a damped proportional-response iteration in floating point
 (no combinatorial flow machinery anywhere).  Neither is ever called by a
-solve path.
+solve path.  ``min_cut`` reads the canonical minimum cut off a maximum
+flow, as a strong-duality certificate for the exact max-flow.
 """
 
 from __future__ import annotations
@@ -15,10 +16,32 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError, InvariantError
-from .flow import Flow, FlowNetwork, is_balanced, max_flow
+from fisheq import Flow, FlowNetwork, InvariantError, is_balanced, max_flow
+from fisheq.flow import _residual_source_side
 
 _ENUMERATION_LIMIT = 14
+
+
+class ConvergenceError(RuntimeError):
+    """The numeric oracle did not converge within its iteration budget."""
+
+
+def min_cut(network, flow):
+    """Canonical minimum cut: the residual-reachable set from the source.
+
+    Node labels: "s", "t", ("buyer", i), ("good", j).
+    """
+    buyers, goods = _residual_source_side(network, flow)
+    for j in goods:
+        if flow.good_in(j) < network.prices[j]:
+            raise ValueError("flow is not maximum")
+    source_side = {"s"}
+    source_side.update(("buyer", i) for i in buyers)
+    source_side.update(("good", j) for j in goods)
+    sink_side = {"t"}
+    sink_side.update(("buyer", i) for i in range(network.n) if i not in buyers)
+    sink_side.update(("good", j) for j in range(network.m) if j not in goods)
+    return frozenset(source_side), frozenset(sink_side)
 
 
 def balanced_surplus_levels(network):

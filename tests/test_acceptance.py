@@ -13,19 +13,18 @@ import pytest
 from fisheq import (
     FlowNetwork,
     balanced_flow,
-    equalize_balanced,
     is_balanced,
     join,
     max_flow,
     meet,
     min_revenue,
     normalize,
-    solve_eg_numeric,
     solve_max_revenue,
     strip_trivial,
     verify,
 )
 from fisheq.cli import generate_market
+from oracle import equalize_balanced, solve_eg_numeric
 
 CORPUS_SIZE = 500
 ORACLE_SIZE = 100

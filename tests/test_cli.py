@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+import fisheq.cli
+from fisheq import solve_max_revenue
 from fisheq.cli import generate_market, main
 from fisheq.serialize import market_to_doc
 
@@ -47,6 +50,18 @@ def test_empty_instance_exits_2(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"buyers": []}))
     assert main(["solve", str(path)]) == 2
+
+
+def test_min_revenue_rejecting_solver_output_exits_3(ex1_path, monkeypatch, capsys):
+    def broken_solve(market):
+        result = solve_max_revenue(market)
+        prices = list(result.equilibrium.prices)
+        prices[0] *= 2
+        return replace(result, equilibrium=replace(result.equilibrium, prices=prices))
+
+    monkeypatch.setattr(fisheq.cli, "solve_max_revenue", broken_solve)
+    assert main(["solve", ex1_path, "--objective", "min-revenue"]) == 3
+    assert "internal invariant failure" in capsys.readouterr().err
 
 
 def test_verify_accepts_solver_output(ex1_path, tmp_path, capsys):

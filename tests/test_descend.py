@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
 
-from fisheq import Market, normalize, strip_trivial, verify
+import pytest
+
+from fisheq import Market, min_revenue, normalize, strip_trivial, verify
 from fisheq.descend import (
     NEW_EDGE,
     TIGHT_SET,
@@ -37,10 +39,6 @@ class TestInitialize:
         assert state.prices == [F(2), F(2)]
         assert state.budgets == [F(1), F(1)]
         assert state.capped == [False, False]
-
-    def test_epsilon_value(self, capped_market):
-        state, _ = _fresh_state(capped_market)
-        assert state.epsilon == F(1, 4 * 5**16)
 
 
 class TestStartPhase:
@@ -196,6 +194,27 @@ class TestSolveMaxRevenue:
     def test_final_surplus_exactly_zero(self, capped_market):
         result = solve_max_revenue(capped_market)
         assert all(r == 0 for r in result.final_surpluses)
+
+
+@pytest.mark.parametrize(
+    "n, m, seed",
+    [
+        (2, 4, 201013),
+        (3, 6, 100305),
+        (2, 5, 100027),
+        (3, 2, 100134),
+        (4, 6, 200703),
+        (6, 6, 300082),
+    ],
+)
+def test_new_edge_wins_tie_with_cap(n, m, seed):
+    # A cap event and a new-edge event land on the same scale in these
+    # markets; letting the cap win left an uncapped buyer of B' spending
+    # outside S, and the next event scale came out above 1.
+    market = generate_market(n, m, 20, seed)
+    eq = solve_max_revenue(market).equilibrium
+    assert verify(market, eq).ok
+    assert verify(market, min_revenue(market, eq)).ok
 
 
 def test_invariants_on_random_markets():

@@ -9,6 +9,8 @@ from fisheq import (
     InvalidMarketError,
     Market,
     active_budget,
+    bundle_value,
+    capped_utility,
     equality_graph,
     mbb_ratio,
     normalize,
@@ -70,6 +72,10 @@ class TestMbbRatio:
     def test_zero_price_positive_utility_is_infinite(self, capped_market):
         assert mbb_ratio(capped_market, (F(0), F(1)), 0) is INF
 
+    def test_good_subset(self, capped_market):
+        assert mbb_ratio(capped_market, (F(0), F(1)), 0, [1]) == F(1)
+        assert mbb_ratio(capped_market, (F(0), F(1)), 0, []) == 0
+
 
 class TestActiveBudget:
     def test_capped_at_initial_prices(self, capped_market):
@@ -82,10 +88,29 @@ class TestActiveBudget:
         m = Market((F(1),), (F(1),), ((F(1), F(1)),))
         assert active_budget(m, (F(1), F(1)), 0) == (F(1), True)
 
-    def test_valueless_buyer_rejected(self):
+    def test_valueless_buyer_gets_nothing(self):
         m = Market((F(1),), (None,), ((F(0),),))
-        with pytest.raises(InvalidMarketError):
-            active_budget(m, (F(1),), 0)
+        assert active_budget(m, (F(1),), 0) == (F(0), False)
+
+    def test_uncapped_buyer_at_free_good_keeps_budget(self, capped_market):
+        assert active_budget(capped_market, (F(0), F(1)), 1) == (F(1), False)
+
+    def test_capped_buyer_at_free_good_spends_nothing(self, capped_market):
+        assert active_budget(capped_market, (F(0), F(1)), 0) == (F(0), True)
+
+
+class TestCappedUtility:
+    def test_bundle_value_is_linear(self, capped_market):
+        assert bundle_value(capped_market, 0, (F(1, 5), F(1, 2))) == F(3, 2)
+
+    def test_cap_binds_above(self, capped_market):
+        assert capped_utility(capped_market, 0, F(3, 2)) == F(1)
+
+    def test_below_cap_unchanged(self, capped_market):
+        assert capped_utility(capped_market, 0, F(1, 2)) == F(1, 2)
+
+    def test_unbounded_cap_never_binds(self, capped_market):
+        assert capped_utility(capped_market, 1, F(10**9)) == F(10**9)
 
 
 class TestEqualityGraph:

@@ -77,14 +77,14 @@ def test_extremality_against_numeric_oracle_prices():
     import numpy as np
 
     from fisheq.cli import generate_market
-    from fisheq.oracle import _dual_estimate
+    from oracle import _dual_estimate, solve_eg_numeric
 
     for seed in range(12):
         market = generate_market(3, 3, 8, 4_000 + seed)
         result = solve_max_revenue(market)
         top = result.equilibrium
         low = min_revenue(market, top)
-        _, allocation = __import__("fisheq").solve_eg_numeric(market)
+        _, allocation = solve_eg_numeric(market)
         U = np.array([[float(u) for u in row] for row in market.utilities])
         money = np.array([float(b) for b in market.budgets])
         caps = np.array([float(c) if c is not None else np.inf for c in market.caps])

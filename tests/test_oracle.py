@@ -2,13 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from fisheq import (
+from fisheq import FlowNetwork, Market, is_balanced
+from oracle import (
     ConvergenceError,
-    FlowNetwork,
-    Market,
     balanced_surplus_levels,
     equalize_balanced,
-    is_balanced,
     solve_eg_numeric,
 )
 

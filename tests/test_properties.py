@@ -1,0 +1,74 @@
+"""Symmetries the paper implies, checked on small random markets.
+
+Both endpoints are unique (pointwise largest and smallest prices), and so
+are the buyers' utilities, so relabelling buyers or goods must relabel the
+output and scaling all budgets must scale the prices alone.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fisheq import Market, join, meet, min_revenue, solve_max_revenue
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def markets(draw, max_buyers=4, max_goods=4, max_value=20):
+    n = draw(st.integers(1, max_buyers))
+    m = draw(st.integers(1, max_goods))
+    values = st.integers(1, max_value)
+    budgets = draw(st.lists(values, min_size=n, max_size=n))
+    caps = draw(st.lists(st.none() | values, min_size=n, max_size=n))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, max_value), min_size=m, max_size=m),
+            min_size=n,
+            max_size=n,
+        ).filter(lambda rows: any(any(row) for row in rows))
+    )
+    return Market(tuple(budgets), tuple(caps), tuple(map(tuple, rows)))
+
+
+def _endpoints(market):
+    high = solve_max_revenue(market).equilibrium
+    return high, min_revenue(market, high)
+
+
+@SETTINGS
+@given(st.data())
+def test_permuting_buyers_and_goods_permutes_the_endpoints(data):
+    market = data.draw(markets())
+    sigma = data.draw(st.permutations(range(market.n)))  # new buyer k is old sigma[k]
+    tau = data.draw(st.permutations(range(market.m)))  # new good k is old tau[k]
+    permuted = Market(
+        tuple(market.budgets[i] for i in sigma),
+        tuple(market.caps[i] for i in sigma),
+        tuple(tuple(market.utilities[i][j] for j in tau) for i in sigma),
+    )
+    for eq, eq_p in zip(_endpoints(market), _endpoints(permuted)):
+        assert eq_p.prices == tuple(eq.prices[j] for j in tau)
+        assert eq_p.utilities == tuple(eq.utilities[i] for i in sigma)
+
+
+@SETTINGS
+@given(markets(), st.sampled_from([F(2), F(3), F(1, 2), F(7, 3)]))
+def test_scaling_budgets_scales_prices_only(market, k):
+    scaled = Market(
+        tuple(k * b for b in market.budgets), market.caps, market.utilities
+    )
+    for eq, eq_k in zip(_endpoints(market), _endpoints(scaled)):
+        assert eq_k.prices == tuple(k * p for p in eq.prices)
+        assert eq_k.allocation == eq.allocation
+
+
+@SETTINGS
+@given(markets())
+def test_meet_and_join_of_the_endpoints_are_the_endpoints(market):
+    high, low = _endpoints(market)
+    for first, second in ((high, low), (low, high)):
+        bottom, top = meet(market, first, second), join(market, first, second)
+        assert bottom.prices == low.prices and top.prices == high.prices
+        assert bottom.utilities == top.utilities == high.utilities
