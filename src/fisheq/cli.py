@@ -71,13 +71,15 @@ def _load_json(path):
 
 def _cmd_solve(args):
     market = market_from_doc(_load_json(args.instance))
-    result = solve_max_revenue(market)
-    equilibrium = result.equilibrium
-    if args.objective == "min-revenue":
-        try:
+    try:
+        result = solve_max_revenue(market)
+        equilibrium = result.equilibrium
+        if args.objective == "min-revenue":
             equilibrium = min_revenue(market, equilibrium)
-        except ValueError as bad:  # the solver's own output was rejected
-            raise InvariantError(f"maximum-revenue result rejected: {bad}") from None
+    except InvalidMarketError:
+        raise  # bad input, e.g. nothing left after strip_trivial
+    except ValueError as bad:  # a solver-internal check, or its own output rejected
+        raise InvariantError(f"solver raised ValueError: {bad}") from None
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(trace_to_ndjson(result.trace))

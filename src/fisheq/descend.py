@@ -69,7 +69,12 @@ class SolveResult:
 
 
 class SolverState:
-    """Mutable working state over the stripped, normalized market."""
+    """Mutable working state over the stripped, normalized market.
+
+    Invariant: ``network`` is the live network at the current prices,
+    budgets and live sets; only ``initialize`` and ``commit_event`` rebuild
+    it, and everything else reads it.
+    """
 
     def __init__(self, market):
         self.market = market
@@ -102,6 +107,7 @@ def initialize(market):
         money, is_capped = active_budget(market, state.prices, i)
         state.budgets.append(money)
         state.capped.append(is_capped)
+    state.network = _live_network(state)
     return state
 
 
@@ -124,7 +130,6 @@ def _live_network(state):
 
 
 def _recompute_flow(state):
-    state.network = _live_network(state)
     state.flow = balanced_flow(state.network)
     state.surpluses = state.flow.surpluses()
     for j in state.live_goods:
@@ -185,7 +190,7 @@ def next_event(state):
     uncapped buyer of B' can be left spending outside S.
     """
     market = state.market
-    network = _live_network(state)
+    network = state.network
     bprime = {i for j in state.S for i in network.good_buyers[j]}
     b_c = {i for i in bprime if state.capped[i]}
     b_u = bprime - b_c
@@ -254,7 +259,8 @@ def next_event(state):
 
 
 def commit_event(state, event):
-    """Apply an event: scale prices/budgets, then run its bookkeeping.
+    """Apply an event: scale prices/budgets, run its bookkeeping and
+    rebuild the live network.
 
     Returns the completed trace record."""
     market = state.market
@@ -270,9 +276,6 @@ def commit_event(state, event):
     if event.kind == CAP:
         for i in event.buyers:
             state.capped[i] = True
-    elif event.kind == NEW_EDGE:
-        _recompute_flow(state)
-        state.S |= set(residual_reach(state.network, state.flow, state.S))
     elif event.kind == TIGHT_SET:
         state.phase_over = True
     elif event.kind == ZERO_PRICE:
@@ -288,6 +291,10 @@ def commit_event(state, event):
             if any(market.utilities[i][j] > 0 for j in event.goods):
                 raise InvariantError("live buyer still values a deleted good")
         state.phase_over = True
+    state.network = _live_network(state)
+    if event.kind == NEW_EDGE:
+        _recompute_flow(state)
+        state.S |= set(residual_reach(state.network, state.flow, state.S))
 
     for j in state.live_goods:
         p = state.prices[j]

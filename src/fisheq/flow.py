@@ -29,25 +29,15 @@ class FlowNetwork:
         object.__setattr__(self, "edges", frozenset(self.edges))
         if any(b < 0 for b in self.budgets) or any(p < 0 for p in self.prices):
             raise ValueError("capacities must be nonnegative")
-        for i, j in self.edges:
+        buyer_goods = [[] for _ in range(self.n)]
+        good_buyers = [[] for _ in range(self.m)]
+        for i, j in sorted(self.edges):  # (i, j) order keeps both lists ascending
             if not (0 <= i < self.n and 0 <= j < self.m):
                 raise ValueError(f"edge ({i}, {j}) out of range")
-        object.__setattr__(
-            self,
-            "buyer_goods",
-            tuple(
-                tuple(sorted(j for i2, j in self.edges if i2 == i))
-                for i in range(self.n)
-            ),
-        )
-        object.__setattr__(
-            self,
-            "good_buyers",
-            tuple(
-                tuple(sorted(i for i, j2 in self.edges if j2 == j))
-                for j in range(self.m)
-            ),
-        )
+            buyer_goods[i].append(j)
+            good_buyers[j].append(i)
+        object.__setattr__(self, "buyer_goods", tuple(map(tuple, buyer_goods)))
+        object.__setattr__(self, "good_buyers", tuple(map(tuple, good_buyers)))
 
     @property
     def n(self):

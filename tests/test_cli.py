@@ -64,6 +64,23 @@ def test_min_revenue_rejecting_solver_output_exits_3(ex1_path, monkeypatch, caps
     assert "internal invariant failure" in capsys.readouterr().err
 
 
+def test_solver_internal_value_error_exits_3(ex1_path, monkeypatch, capsys):
+    def broken_solve(market):
+        raise ValueError("flow on non-edge (0, 1)")
+
+    monkeypatch.setattr(fisheq.cli, "solve_max_revenue", broken_solve)
+    assert main(["solve", ex1_path]) == 3
+    assert "internal invariant failure" in capsys.readouterr().err
+
+
+def test_all_zero_utilities_exit_2(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    buyers = [{"budget": "1", "cap": "inf", "utilities": ["0", "0"]}] * 2
+    path.write_text(json.dumps({"buyers": buyers}))
+    assert main(["solve", str(path)]) == 2
+    assert "empty after preprocessing" in capsys.readouterr().err
+
+
 def test_verify_accepts_solver_output(ex1_path, tmp_path, capsys):
     assert main(["solve", ex1_path]) == 0
     eq_path = tmp_path / "eq.json"

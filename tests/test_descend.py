@@ -3,11 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+import fisheq.descend
 from fisheq import Market, min_revenue, normalize, strip_trivial, verify
 from fisheq.descend import (
     NEW_EDGE,
     TIGHT_SET,
     ZERO_PRICE,
+    _live_network,
     commit_event,
     initialize,
     next_event,
@@ -15,6 +17,7 @@ from fisheq.descend import (
     start_phase,
 )
 from fisheq.cli import generate_market
+from fisheq.market import equality_graph
 
 
 def _fresh_state(market):
@@ -120,6 +123,7 @@ class TestCommitEvent:
         state.budgets = [F(1, 4), F(1)]
         state.capped = [True, False]
         state.S = {0, 1}
+        state.network = _live_network(state)
         event = next_event(state)
         assert event.kind == TIGHT_SET and event.x == F(8, 13)
         commit_event(state, event)
@@ -194,6 +198,38 @@ class TestSolveMaxRevenue:
     def test_final_surplus_exactly_zero(self, capped_market):
         result = solve_max_revenue(capped_market)
         assert all(r == 0 for r in result.final_surpluses)
+
+
+@pytest.mark.parametrize(
+    "market",
+    [
+        generate_market(3, 3, 20, 14),  # all four event kinds
+        generate_market(3, 5, 20, 26),  # all four event kinds
+        generate_market(2, 6, 20, 283),  # five zero-price events
+        generate_market(6, 6, 20, 179),
+        Market((F(5),), (F(1),), ((F(1), F(1)),)),  # one zero-price event
+    ],
+)
+def test_network_is_live_after_every_commit(market):
+    state, _ = _fresh_state(market)
+    assert state.network == _live_network(state)
+    while start_phase(state):
+        assert state.network == _live_network(state)
+        while not state.phase_over:
+            commit_event(state, next_event(state))
+            assert state.network == _live_network(state)
+
+
+def test_one_network_build_per_commit(monkeypatch):
+    calls = []
+
+    def counted(market, prices):
+        calls.append(prices)
+        return equality_graph(market, prices)
+
+    monkeypatch.setattr(fisheq.descend, "equality_graph", counted)
+    result = solve_max_revenue(generate_market(4, 4, 20, 129))
+    assert len(calls) == len(result.trace) + 1
 
 
 @pytest.mark.parametrize(

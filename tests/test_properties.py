@@ -2,7 +2,8 @@
 
 Both endpoints are unique (pointwise largest and smallest prices), and so
 are the buyers' utilities, so relabelling buyers or goods must relabel the
-output and scaling all budgets must scale the prices alone.
+output, scaling all budgets must scale the prices alone, and scaling one
+buyer's utilities and cap together must scale that buyer's utility alone.
 """
 
 from fractions import Fraction as F
@@ -62,6 +63,24 @@ def test_scaling_budgets_scales_prices_only(market, k):
     for eq, eq_k in zip(_endpoints(market), _endpoints(scaled)):
         assert eq_k.prices == tuple(k * p for p in eq.prices)
         assert eq_k.allocation == eq.allocation
+
+
+@SETTINGS
+@given(st.data())
+def test_rescaling_one_buyer_scales_its_utility_only(data):
+    market = data.draw(markets())
+    b = data.draw(st.integers(0, market.n - 1))
+    k = data.draw(st.sampled_from([F(2), F(1, 3), F(7, 2)]))
+    factor = [k if i == b else 1 for i in range(market.n)]
+    rescaled = Market(
+        market.budgets,
+        tuple(None if c is None else f * c for f, c in zip(factor, market.caps)),
+        tuple(tuple(f * u for u in row) for f, row in zip(factor, market.utilities)),
+    )
+    for eq, eq_k in zip(_endpoints(market), _endpoints(rescaled)):
+        assert eq_k.prices == eq.prices
+        assert eq_k.allocation == eq.allocation
+        assert eq_k.utilities == tuple(f * u for f, u in zip(factor, eq.utilities))
 
 
 @SETTINGS
