@@ -160,7 +160,13 @@ def main(argv=None):
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_MALFORMED
     except InvariantError as bug:
-        print(f"internal invariant failure: {bug}", file=sys.stderr)
+        where = ""
+        if bug.phase is not None:
+            where = (
+                f" (phase {bug.phase}, iteration {bug.iteration},"
+                f" S {list(bug.S)}, event {bug.event})"
+            )
+        print(f"internal invariant failure: {bug}{where}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -132,13 +132,15 @@ def _live_network(state):
 def _recompute_flow(state):
     state.flow = balanced_flow(state.network)
     state.surpluses = state.flow.surpluses()
+    zero = Fraction(0)
     for j in state.live_goods:
         if state.prices[j] <= 0:
             raise InvariantError(f"live good {j} has nonpositive price")
-        for i in range(state.market.n):
-            state.alloc[i][j] = (
-                state.flow.edge_flow.get((i, j), Fraction(0)) / state.prices[j]
-            )
+        for row in state.alloc:
+            row[j] = zero
+    # the live network only has edges into live goods
+    for (i, j), money in state.flow.edge_flow.items():
+        state.alloc[i][j] = money / state.prices[j]
 
 
 def _booked_utilities(state):
@@ -322,18 +324,26 @@ def solve_max_revenue(market):
     normalized = normalize(market)
     stripped, kept_buyers, kept_goods = strip_trivial(normalized)
     state = initialize(stripped)
-    while start_phase(state):
-        while not state.phase_over:
-            event = next_event(state)
-            if event.kind != ZERO_PRICE:
-                # The zero-price ending is not an evented iteration: the
-                # scale ran out without any of the three events firing.
-                state.iteration += 1
-                if state.iteration > 2 * stripped.n:
-                    raise InvariantError("iteration guard exceeded within a phase")
-            commit_event(state, event)
-    if any(r != 0 for r in state.surpluses):
-        raise InvariantError("descent ended with nonzero surplus")
+    pending = None  # kind of the event being committed
+    try:
+        while start_phase(state):
+            while not state.phase_over:
+                event = next_event(state)
+                if event.kind != ZERO_PRICE:
+                    # The zero-price ending is not an evented iteration: the
+                    # scale ran out without any of the three events firing.
+                    state.iteration += 1
+                    if state.iteration > 2 * stripped.n:
+                        raise InvariantError("iteration guard exceeded within a phase")
+                pending = event.kind
+                commit_event(state, event)
+                pending = None
+        if any(r != 0 for r in state.surpluses):
+            raise InvariantError("descent ended with nonzero surplus")
+    except InvariantError as bug:
+        bug.phase, bug.iteration = state.phase, state.iteration
+        bug.S, bug.event = tuple(sorted(state.S)), pending
+        raise
 
     # Embed the stripped solution back into the original index space and
     # de-scale prices to the input's units.

@@ -12,4 +12,14 @@ class FormatError(ValueError):
 
 class InvariantError(RuntimeError):
     """An internal invariant or guard tripped.  This signals an
-    implementation bug, not a bad input."""
+    implementation bug, not a bad input.
+
+    When raised out of ``solve_max_revenue`` it carries the solver state to
+    replay from: ``phase``, ``iteration``, the sorted good set ``S`` and
+    the kind of the ``event`` being committed (None between commits).
+    """
+
+    phase = None
+    iteration = None
+    S = None
+    event = None

@@ -3,8 +3,8 @@
 The network has a source feeding every buyer (capacity = active budget),
 uncapacitated buyer-to-good equality edges, and goods feeding a sink
 (capacity = price).  Flow is money; the surplus of a good is its unspent
-sink capacity.  Everything is exact: capacities are cleared to a common
-denominator and all augmentation happens on integers.
+sink capacity.  Everything is exact: a network clears its capacities to a
+common denominator once, and all augmentation happens on integers.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvariantError
 
@@ -47,6 +48,17 @@ class FlowNetwork:
     def m(self):
         return len(self.prices)
 
+    @cached_property
+    def _cleared(self):
+        """(D, budgets * D, prices * D): every capacity as an integer over
+        D, the lcm of their denominators."""
+        scale = math.lcm(*(c.denominator for c in self.budgets + self.prices))
+        return (
+            scale,
+            [b.numerator * (scale // b.denominator) for b in self.budgets],
+            [p.numerator * (scale // p.denominator) for p in self.prices],
+        )
+
 
 class Flow:
     """A feasible flow, stored as money per equality edge.  Source and sink
@@ -54,143 +66,122 @@ class Flow:
 
     def __init__(self, network, edge_flow):
         self.network = network
-        self.edge_flow = {e: Fraction(v) for e, v in edge_flow.items() if v}
-        for (i, j), v in self.edge_flow.items():
+        self.edge_flow = {}
+        out = [Fraction(0)] * network.n
+        into = [Fraction(0)] * network.m
+        for (i, j), v in edge_flow.items():
+            if not v:
+                continue
             if (i, j) not in network.edges:
                 raise ValueError(f"flow on non-edge ({i}, {j})")
+            v = Fraction(v)
             if v < 0:
                 raise ValueError("negative flow")
+            self.edge_flow[(i, j)] = v
+            out[i] += v
+            into[j] += v
+        self._out, self._into = out, into
 
     def buyer_out(self, i):
-        return sum(
-            (self.edge_flow.get((i, j), Fraction(0)) for j in self.network.buyer_goods[i]),
-            Fraction(0),
-        )
+        return self._out[i]
 
     def good_in(self, j):
-        return sum(
-            (self.edge_flow.get((i, j), Fraction(0)) for i in self.network.good_buyers[j]),
-            Fraction(0),
-        )
+        return self._into[j]
 
     @property
     def value(self):
-        return sum(self.edge_flow.values(), Fraction(0))
+        return sum(self._out, Fraction(0))
 
     def surpluses(self):
         """r_j = p_j - f_jt for every good."""
-        return tuple(
-            self.network.prices[j] - self.good_in(j) for j in range(self.network.m)
-        )
+        return tuple(p - f for p, f in zip(self.network.prices, self._into))
 
     def sources_saturated(self):
-        return all(
-            self.buyer_out(i) == self.network.budgets[i] for i in range(self.network.n)
-        )
+        return self._out == list(self.network.budgets)
 
     def is_feasible(self):
-        return all(
-            self.buyer_out(i) <= self.network.budgets[i] for i in range(self.network.n)
-        ) and all(
-            self.good_in(j) <= self.network.prices[j] for j in range(self.network.m)
+        return all(f <= b for f, b in zip(self._out, self.network.budgets)) and all(
+            f <= p for f, p in zip(self._into, self.network.prices)
         )
 
 
-def _clear_denominators(network):
-    dens = [b.denominator for b in network.budgets]
-    dens += [p.denominator for p in network.prices]
-    scale = math.lcm(*dens) if dens else 1
-    budgets = [int(b * scale) for b in network.budgets]
-    prices = [int(p * scale) for p in network.prices]
-    return scale, budgets, prices
+def _search(network, budgets, prices, flow, fsrc, fsink):
+    """Shortest augmenting path search on integer capacities.
+
+    Breadth first from every buyer with budget left, in ascending index
+    order; buyer -> good along any edge, good -> buyer only against flow.
+    Returns the first good reached with sink capacity left (None if there
+    is none) and the search tree: for each buyer the good it was reached
+    from (-1 for the source), for each good the buyer.  A buyer or good of
+    zero capacity is a dead end, so zeroing capacities masks the network
+    without changing which paths are found.
+    """
+    buyer_goods, good_buyers = network.buyer_goods, network.good_buyers
+    from_good = [None] * network.n
+    from_buyer = [None] * network.m
+    layer = [i for i in range(network.n) if fsrc[i] < budgets[i]]
+    for i in layer:
+        from_good[i] = -1
+    while layer:
+        goods = []
+        for i in layer:
+            for j in buyer_goods[i]:
+                if from_buyer[j] is None:
+                    from_buyer[j] = i
+                    if fsink[j] < prices[j]:
+                        return j, from_good, from_buyer
+                    goods.append(j)
+        layer = []
+        for j in goods:
+            for i in good_buyers[j]:
+                if from_good[i] is None and flow[i].get(j, 0) > 0:
+                    from_good[i] = j
+                    layer.append(i)
+    return None, from_good, from_buyer
 
 
-def _augment_int(network, budgets, prices, flow, fsrc, fsink):
-    """One round of shortest-augmenting-path search on integer capacities.
-    Returns False when no augmenting path remains.  Deterministic: BFS
-    visits buyers and goods in ascending index order."""
-    n, m = network.n, network.m
-    SRC, SNK = -1, -2
-    parent = {}
-    queue = deque()
-    for i in range(n):
-        if fsrc[i] < budgets[i]:
-            parent[("b", i)] = SRC
-            queue.append(("b", i))
-    reached = False
-    while queue and not reached:
-        node = queue.popleft()
-        kind, idx = node
-        if kind == "b":
-            for j in network.buyer_goods[idx]:
-                if ("g", j) not in parent:
-                    parent[("g", j)] = node
-                    queue.append(("g", j))
-        else:
-            if fsink[idx] < prices[idx]:
-                parent[("t", 0)] = node
-                reached = True
-                break
-            for i in network.good_buyers[idx]:
-                if ("b", i) not in parent and flow.get((i, idx), 0) > 0:
-                    parent[("b", i)] = node
-                    queue.append(("b", i))
-    if not reached:
-        return False
-    # Walk the path backwards to find the bottleneck, then push.
-    path = []
-    node = parent[("t", 0)]
-    while node != SRC:
-        path.append(node)
-        node = parent[node]
-    path.reverse()  # b, g, b, g, ..., g
-    bottleneck = budgets[path[0][1]] - fsrc[path[0][1]]
-    for prev, cur in zip(path, path[1:]):
-        if prev[0] == "g" and cur[0] == "b":  # backward arc, limited by flow
-            bottleneck = min(bottleneck, flow[(cur[1], prev[1])])
-    last_good = path[-1][1]
-    bottleneck = min(bottleneck, prices[last_good] - fsink[last_good])
-    fsrc[path[0][1]] += bottleneck
-    fsink[last_good] += bottleneck
-    for prev, cur in zip(path, path[1:]):
-        if prev[0] == "b":
-            key = (prev[1], cur[1])
-            flow[key] = flow.get(key, 0) + bottleneck
-        else:
-            flow[(cur[1], prev[1])] -= bottleneck
-    return True
+def _saturate(network, budgets, prices):
+    """Maximum flow on integer capacities over the network's edges.
+
+    Returns the flow (one {good: amount} dict per buyer), the money each
+    buyer sends, and the buyers and goods the last, failed search reached:
+    the source side of a minimum cut."""
+    flow = [{} for _ in range(network.n)]
+    fsrc, fsink = [0] * network.n, [0] * network.m
+    while True:
+        end, from_good, from_buyer = _search(network, budgets, prices, flow, fsrc, fsink)
+        if end is None:
+            return flow, fsrc, (
+                {i for i, g in enumerate(from_good) if g is not None},
+                {j for j, b in enumerate(from_buyer) if b is not None},
+            )
+        # Walk the path back to the source for the bottleneck, then push.
+        bottleneck = prices[end] - fsink[end]
+        i = from_buyer[end]
+        while from_good[i] != -1:
+            j = from_good[i]
+            bottleneck = min(bottleneck, flow[i][j])  # the arc j -> i cancels flow
+            i = from_buyer[j]
+        bottleneck = min(bottleneck, budgets[i] - fsrc[i])
+        fsrc[i] += bottleneck
+        fsink[end] += bottleneck
+        j = end
+        while j != -1:
+            i = from_buyer[j]
+            flow[i][j] = flow[i].get(j, 0) + bottleneck
+            j = from_good[i]
+            if j != -1:
+                flow[i][j] -= bottleneck
 
 
 def max_flow(network):
     """Deterministic exact maximum flow (shortest augmenting paths)."""
-    scale, budgets, prices = _clear_denominators(network)
-    flow, fsrc, fsink = {}, [0] * network.n, [0] * network.m
-    while _augment_int(network, budgets, prices, flow, fsrc, fsink):
-        pass
-    return Flow(network, {e: Fraction(v, scale) for e, v in flow.items() if v})
-
-
-def _residual_source_side(network, flow):
-    """Buyers and goods reachable from the source in the residual network."""
-    buyers, goods = set(), set()
-    queue = deque()
-    for i in range(network.n):
-        if flow.buyer_out(i) < network.budgets[i]:
-            buyers.add(i)
-            queue.append(("b", i))
-    while queue:
-        kind, idx = queue.popleft()
-        if kind == "b":
-            for j in network.buyer_goods[idx]:
-                if j not in goods:
-                    goods.add(j)
-                    queue.append(("g", j))
-        else:
-            for i in network.good_buyers[idx]:
-                if i not in buyers and flow.edge_flow.get((i, idx), 0) > 0:
-                    buyers.add(i)
-                    queue.append(("b", i))
-    return buyers, goods
+    scale, budgets, prices = network._cleared
+    flow, _, _ = _saturate(network, budgets, prices)
+    return Flow(
+        network,
+        {(i, j): Fraction(v, scale) for i, row in enumerate(flow) for j, v in row.items() if v},
+    )
 
 
 def residual_reach(network, flow, targets):
@@ -221,39 +212,41 @@ def residual_reach(network, flow, targets):
 
 
 def is_balanced(network, flow):
-    """Certificate for minimum-norm surplus: the flow is maximum, source
-    edges are saturated, and no residual good-to-good path leads from a
-    lower-surplus good to a higher-surplus one."""
-    if not flow.is_feasible() or not flow.sources_saturated():
+    """Certificate for minimum-norm surplus: source edges are saturated (so
+    the flow is maximum), no good is over its price, and no residual
+    good-to-good path leads from a lower-surplus good to a higher-surplus
+    one.
+
+    The last condition takes one sweep: searches start from the goods in
+    ascending surplus and enter only goods no earlier search reached, so
+    the search that first reaches a good starts at the lowest-surplus good
+    with a residual path to it.
+    """
+    if not flow.sources_saturated() or not flow.is_feasible():
         return False
-    buyers, goods = _residual_source_side(network, flow)
-    for j in goods:
-        if flow.good_in(j) < network.prices[j]:
-            return False  # augmenting path exists, not maximum
     r = flow.surpluses()
-    for k in range(network.m):
-        # goods j below are the sources of residual paths j -> k; pushing
-        # along such a path raises r_j and lowers r_k, an improvement
-        # exactly when r_j < r_k.
-        for j in residual_reach(network, flow, (k,)):
-            if r[j] < r[k]:
-                return False
+    reached_goods = [False] * network.m
+    reached_buyers = [False] * network.n
+    for start in sorted(range(network.m), key=r.__getitem__):
+        if reached_goods[start]:
+            continue
+        reached_goods[start] = True
+        stack = [start]
+        while stack:
+            j = stack.pop()
+            # pushing along j -> i -> k raises r_j and lowers r_k, an
+            # improvement exactly when r_start < r_k
+            for i in network.good_buyers[j]:
+                if reached_buyers[i] or (i, j) not in flow.edge_flow:
+                    continue
+                reached_buyers[i] = True
+                for k in network.buyer_goods[i]:
+                    if not reached_goods[k]:
+                        if r[start] < r[k]:
+                            return False
+                        reached_goods[k] = True
+                        stack.append(k)
     return True
-
-
-def _masked(network, buyers, goods, prices_override=None, budgets_override=None):
-    budgets = [Fraction(0)] * network.n
-    for i in buyers:
-        budgets[i] = (
-            budgets_override[i] if budgets_override is not None else network.budgets[i]
-        )
-    prices = [Fraction(0)] * network.m
-    for j in goods:
-        prices[j] = (
-            prices_override[j] if prices_override is not None else network.prices[j]
-        )
-    edges = frozenset((i, j) for i, j in network.edges if i in buyers and j in goods)
-    return FlowNetwork(tuple(budgets), tuple(prices), edges)
 
 
 def balanced_flow(network):
@@ -264,38 +257,47 @@ def balanced_flow(network):
     infeasible the min cut of the reduced network splits the block and the
     two sides are refined independently.  The result is certified by
     is_balanced before being returned.
+
+    A block of k goods is the network with capacities outside it zeroed and
+    all capacities times k (times D, see ``FlowNetwork._cleared``), so its
+    water level is an integer; scaling every capacity by one constant
+    leaves the augmenting paths, and hence the edge flows, unchanged.
     """
     probe = max_flow(network)
     if not probe.sources_saturated():
         raise InvariantError("source edges not saturable; solver invariant violated")
 
+    scale, B, P = network._cleared
     out = {}
 
     def refine(buyers, goods):
         if not goods:
-            if any(network.budgets[i] > 0 for i in buyers):
+            if any(B[i] > 0 for i in buyers):
                 raise InvariantError("money left with no goods to absorb it")
             return
-        total_p = sum((network.prices[j] for j in goods), Fraction(0))
-        total_a = sum((network.budgets[i] for i in buyers), Fraction(0))
-        delta = (total_p - total_a) / len(goods)
-        if delta < 0:
+        k = len(goods)
+        level = sum(P[j] for j in goods) - sum(B[i] for i in buyers)  # k * delta
+        if level < 0:
             raise InvariantError("negative water level; block not saturable")
-        reduced = [Fraction(0)] * network.m
+        budgets = [0] * network.n
+        for i in buyers:
+            budgets[i] = B[i] * k
+        prices = [0] * network.m
         for j in goods:
-            reduced[j] = max(network.prices[j] - delta, Fraction(0))
-        sub = _masked(network, buyers, goods, prices_override=reduced)
-        f = max_flow(sub)
-        if all(f.buyer_out(i) == network.budgets[i] for i in buyers):
-            clamped = {j for j in goods if network.prices[j] < delta}
+            prices[j] = max(P[j] * k - level, 0)
+        flow, fsrc, (reach_buyers, reach_goods) = _saturate(network, budgets, prices)
+        if all(fsrc[i] == budgets[i] for i in buyers):
+            clamped = {j for j in goods if P[j] * k < level}
             if not clamped:
-                out.update(f.edge_flow)
+                for i in buyers:
+                    for j, v in flow[i].items():
+                        if v:
+                            out[(i, j)] = Fraction(v, scale * k)
                 return
             # Clamped goods sit below the block level: they end with zero
             # flow at their own surplus p_j; refine the rest.
             refine(buyers, goods - clamped)
             return
-        reach_buyers, reach_goods = _residual_source_side(sub, f)
         b1, g1 = buyers & reach_buyers, goods & reach_goods
         b2, g2 = buyers - b1, goods - g1
         if not g1 or not g2:
@@ -318,42 +320,43 @@ def tight_set_scale(network, S, uncapped, capped):
     uncapped budgets stay fixed, so the candidate scale for a buyer set
     solves U + xV = Px.  Starting from the full set, an unsaturated test
     max-flow localizes the tight set on the source side of the minimum cut
-    and the candidate is recomputed there; at most |B'| max-flows.
+    and the candidate is recomputed there; at most |B'| max-flows, each on
+    the network's integer capacities times the denominator of x.
 
     Returns (x, witness buyer set); x = 0 with the full set as witness
     marks the all-capped (zero-price) case.
     """
     S = set(S)
     bu, bc = set(uncapped), set(capped)
-    U = sum((network.budgets[i] for i in bu), Fraction(0))
-    V = sum((network.budgets[i] for i in bc), Fraction(0))
-    P = sum((network.prices[j] for j in S), Fraction(0))
-    if U > 0 and P < U + V:
+    _, B, P = network._cleared
+    U = sum(B[i] for i in bu)
+    V = sum(B[i] for i in bc)
+    Q = sum(P[j] for j in S)
+    if U > 0 and Q < U + V:
         raise InvariantError("goods of S carry negative surplus at scale 1")
     if U == 0:
         return Fraction(0), frozenset(bu | bc)
     while True:
-        x = U / (P - V)
-        budgets = [Fraction(0)] * network.n
+        x = Fraction(U, Q - V)
+        a, b = x.numerator, x.denominator
+        budgets = [0] * network.n
         for i in bu:
-            budgets[i] = network.budgets[i]
+            budgets[i] = B[i] * b
         for i in bc:
-            budgets[i] = x * network.budgets[i]
-        prices = [x * network.prices[j] if j in S else Fraction(0) for j in range(network.m)]
-        test = _masked(
-            network, bu | bc, S, prices_override=prices, budgets_override=budgets
-        )
-        f = max_flow(test)
-        if all(f.buyer_out(i) == budgets[i] for i in bu | bc):
+            budgets[i] = B[i] * a
+        prices = [0] * network.m
+        for j in S:
+            prices[j] = P[j] * a
+        _, fsrc, (reach_buyers, reach_goods) = _saturate(network, budgets, prices)
+        if all(fsrc[i] == budgets[i] for i in bu | bc):
             return x, frozenset(bu | bc)
-        reach_buyers, reach_goods = _residual_source_side(test, f)
         new_bu, new_bc = bu & reach_buyers, bc & reach_buyers
         new_S = S & reach_goods
         if len(new_bu | new_bc) >= len(bu | bc):
             raise InvariantError("tight-set recursion failed to shrink")
         bu, bc, S = new_bu, new_bc, new_S
-        U = sum((network.budgets[i] for i in bu), Fraction(0))
-        V = sum((network.budgets[i] for i in bc), Fraction(0))
-        P = sum((network.prices[j] for j in S), Fraction(0))
+        U = sum(B[i] for i in bu)
+        V = sum(B[i] for i in bc)
+        Q = sum(P[j] for j in S)
         if U == 0:
             raise InvariantError("tight-set recursion lost every uncapped buyer")

@@ -12,18 +12,41 @@ flow, as a strong-duality certificate for the exact max-flow.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
 from fisheq import Flow, FlowNetwork, InvariantError, is_balanced, max_flow
-from fisheq.flow import _residual_source_side
 
 _ENUMERATION_LIMIT = 14
 
 
 class ConvergenceError(RuntimeError):
     """The numeric oracle did not converge within its iteration budget."""
+
+
+def _residual_source_side(network, flow):
+    """Buyers and goods reachable from the source in the residual network."""
+    buyers, goods = set(), set()
+    queue = deque()
+    for i in range(network.n):
+        if flow.buyer_out(i) < network.budgets[i]:
+            buyers.add(i)
+            queue.append(("b", i))
+    while queue:
+        kind, idx = queue.popleft()
+        if kind == "b":
+            for j in network.buyer_goods[idx]:
+                if j not in goods:
+                    goods.add(j)
+                    queue.append(("g", j))
+        else:
+            for i in network.good_buyers[idx]:
+                if i not in buyers and flow.edge_flow.get((i, idx), 0) > 0:
+                    buyers.add(i)
+                    queue.append(("b", i))
+    return buyers, goods
 
 
 def min_cut(network, flow):

@@ -4,7 +4,8 @@ from dataclasses import replace
 import pytest
 
 import fisheq.cli
-from fisheq import solve_max_revenue
+import fisheq.descend
+from fisheq import InvariantError, solve_max_revenue
 from fisheq.cli import generate_market, main
 from fisheq.serialize import market_to_doc
 
@@ -71,6 +72,17 @@ def test_solver_internal_value_error_exits_3(ex1_path, monkeypatch, capsys):
     monkeypatch.setattr(fisheq.cli, "solve_max_revenue", broken_solve)
     assert main(["solve", ex1_path]) == 3
     assert "internal invariant failure" in capsys.readouterr().err
+
+
+def test_solver_invariant_failure_prints_replay_state(ex1_path, monkeypatch, capsys):
+    def broken_search(*args):
+        raise InvariantError("tight-set recursion failed to shrink")
+
+    monkeypatch.setattr(fisheq.descend, "tight_set_scale", broken_search)
+    assert main(["solve", ex1_path]) == 3
+    err = capsys.readouterr().err
+    assert "tight-set recursion failed to shrink" in err
+    assert "(phase 1, iteration 0, S [1], event None)" in err
 
 
 def test_all_zero_utilities_exit_2(tmp_path, capsys):

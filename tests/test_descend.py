@@ -1,10 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import fisheq.descend
-from fisheq import Market, min_revenue, normalize, strip_trivial, verify
+from fisheq import InvariantError, Market, min_revenue, normalize, strip_trivial, verify
 from fisheq.descend import (
     NEW_EDGE,
     TIGHT_SET,
@@ -277,3 +278,80 @@ def test_invariants_on_random_markets():
         for earlier, later in zip(result.phases, result.phases[1:]):
             for a, b in zip(earlier.utilities, later.utilities):
                 assert b >= a
+
+
+# sha256 of the exact (prices, allocation) of solve_max_revenue.  The
+# digests predate the integer water-filling kernel, which reproduces them;
+# a later change to the flow kernel that moves any allocation fails here.
+PINNED_EQUILIBRIA = [
+    (8, 8, 100, 0, "6facae55f5b67bfba686c163544f8b80555a072f7f579f9d73a5c4ea3c6a77a1"),
+    (8, 8, 100, 1, "5603afb301a4909a1a8f0386b9d028a729da27c809efcecfbffd23b09423c97f"),
+    (8, 8, 100, 2, "420dfe51f9410e5b1adbf992b81662671328ef61774e424fc17d92a6028ac140"),
+    (8, 8, 100, 3, "dffeb827908a57fd5739654c7a40f463e52cac79e961270060473354697bd3f0"),
+    (8, 8, 100, 4, "201fbb0d54212a047c491e3fb5a3537deb0687a0a5cde27e1dc505cd90b6e1ae"),
+    (8, 8, 100, 5, "bf9f3de8f8a0b8515eccf858ff6ffb313485c3d71fbc35d20ee01fa0d3cfa3f6"),
+    (8, 8, 100, 6, "d65e5800849de366241c9b0f8388c0877423fa10642b5dac2cb5964f52314f26"),
+    (8, 8, 100, 7, "3db1c3b3176550295f99621a4586ca6e39f24b32e972861392a344e0cdd8939f"),
+    (8, 8, 100, 8, "7760d6f58208d84acc62063690ff1b50b51cfc9cd95685a39b15927960c5582e"),
+    (8, 8, 100, 9, "987dce914dc160e9ee3418fb3825b8cc6ce34d84fa5d0ac8796ca5af71f2efb2"),
+    (6, 6, 10**60, 0, "f6a716349725c62abe1c56228858c2e8b56dd9426f0056a7cb45a4ec3a3f6d77"),
+    (6, 6, 10**60, 1, "df6590d6ddfbd43e6d87c4a8ced947e969d09198e529e7ee29513be90a8351db"),
+    (6, 6, 10**60, 2, "31ad1ff6bec40062c62f0bb4f70e6349e94f7fce3f2d4061cfc993b2c2715836"),
+    (6, 6, 10**60, 3, "294d8ffc4b44e016d184d6ba34d6499323bc433fadae7ba1d8424b325e1be351"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, m, max_value, seed, digest",
+    PINNED_EQUILIBRIA,
+    ids=[f"{n}x{m}-U1e{len(str(u)) - 1}-{k}" for n, m, u, k, _ in PINNED_EQUILIBRIA],
+)
+def test_pinned_equilibria(n, m, max_value, seed, digest):
+    eq = solve_max_revenue(generate_market(n, m, max_value, seed)).equilibrium
+    text = repr(
+        (
+            tuple(str(p) for p in eq.prices),
+            tuple(tuple(str(x) for x in row) for row in eq.allocation),
+        )
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _fail_on_call(real, failing_call):
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise InvariantError("injected failure")
+        return real(*args, **kwargs)
+
+    return wrapped
+
+
+def test_invariant_error_carries_replay_state(capped_market, monkeypatch):
+    # The second tight-set search runs in phase 1's second next_event, after
+    # the new-edge commit grew S from {1} to {0, 1}; no event is pending.
+    monkeypatch.setattr(
+        fisheq.descend,
+        "tight_set_scale",
+        _fail_on_call(fisheq.descend.tight_set_scale, 2),
+    )
+    with pytest.raises(InvariantError, match="injected failure") as caught:
+        solve_max_revenue(capped_market)
+    bug = caught.value
+    assert (bug.phase, bug.iteration, bug.S, bug.event) == (1, 1, (0, 1), None)
+
+
+def test_invariant_error_names_the_event_being_committed(capped_market, monkeypatch):
+    # The second balanced flow is the one the first commit (a new edge)
+    # recomputes; iteration 1 of phase 1 is under way and S is still {1}.
+    monkeypatch.setattr(
+        fisheq.descend,
+        "balanced_flow",
+        _fail_on_call(fisheq.descend.balanced_flow, 2),
+    )
+    with pytest.raises(InvariantError) as caught:
+        solve_max_revenue(capped_market)
+    bug = caught.value
+    assert (bug.phase, bug.iteration, bug.S, bug.event) == (1, 1, (1,), NEW_EDGE)

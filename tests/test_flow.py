@@ -280,6 +280,40 @@ def _find_path(net, flow, dst, src):
     return path
 
 
+def _balanced_by_definition(net, flow):
+    """is_balanced from its definition, one residual search per good: no
+    good j with a residual path to a good k has r_j < r_k.  (A flow that
+    saturates every source edge is maximum, so no augmenting-path test.)"""
+    if not flow.is_feasible() or not flow.sources_saturated():
+        return False
+    r = flow.surpluses()
+    return all(
+        r[j] >= r[k] for k in range(net.m) for j in residual_reach(net, flow, (k,))
+    )
+
+
+def test_one_pass_certificate_matches_per_good_definition():
+    rng = random.Random(81)
+    verdicts = {True: 0, False: 0}
+    done = 0
+    while done < 60:
+        net = _random_saturable_network(rng)
+        if net is None:
+            continue
+        balanced = balanced_flow(net)
+        for flow in (
+            balanced,
+            _random_feasible_variant(net, balanced, rng),
+            _random_feasible_variant(net, balanced, rng),
+        ):
+            expected = _balanced_by_definition(net, flow)
+            assert is_balanced(net, flow) == expected
+            verdicts[expected] += 1
+        done += 1
+    # both verdicts occur among feasible, source-saturating flows
+    assert verdicts[True] >= 60 and verdicts[False] >= 20
+
+
 def test_balanced_flow_self_certifies_on_random_networks():
     rng = random.Random(77)
     done = 0
