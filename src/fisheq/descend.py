@@ -9,6 +9,11 @@ gains an equality edge into S, or a subset of buyers goes tight (ending the
 phase).  When prices of a set hit zero, those goods and the capped buyers
 holding them leave the market with their allocations frozen.  Termination
 is exact: the final surplus is asserted to be identically zero.
+
+The equality graph is built once and edited by each event: scaling S by
+x < 1 raises the ratio of each buyer of B' (those with an edge into S), so
+they keep only their edges into S; a buyer outside B' gains an edge into S
+where its ratio there reaches its own; x = 0 removes S and B'.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .market import (
     bundle_value,
     capped_utility,
     equality_graph,
-    mbb_ratio,
     normalize,
     strip_trivial,
 )
@@ -72,8 +76,9 @@ class SolverState:
     """Mutable working state over the stripped, normalized market.
 
     Invariant: ``network`` is the live network at the current prices,
-    budgets and live sets; only ``initialize`` and ``commit_event`` rebuild
-    it, and everything else reads it.
+    budgets and live sets (dead ones are 0: their zero-price event scaled
+    them by 0).  ``initialize`` builds it from the equality graph,
+    ``commit_event`` edits it by the event's rule, and the rest reads it.
     """
 
     def __init__(self, market):
@@ -107,26 +112,15 @@ def initialize(market):
         money, is_capped = active_budget(market, state.prices, i)
         state.budgets.append(money)
         state.capped.append(is_capped)
-    state.network = _live_network(state)
+    edges = equality_graph(market, state.prices)
+    state.network = FlowNetwork(tuple(state.budgets), tuple(state.prices), edges)
     return state
 
 
-def _live_network(state):
-    market = state.market
-    edges = {
-        (i, j)
-        for i, j in equality_graph(market, state.prices)
-        if i in state.live_buyers and j in state.live_goods
-    }
-    budgets = [
-        state.budgets[i] if i in state.live_buyers else Fraction(0)
-        for i in range(market.n)
-    ]
-    prices = [
-        state.prices[j] if j in state.live_goods else Fraction(0)
-        for j in range(market.m)
-    ]
-    return FlowNetwork(tuple(budgets), tuple(prices), frozenset(edges))
+def _alpha(state, i):
+    """Bang-per-buck ratio of live buyer i, read off one of its edges."""
+    j = state.network.buyer_goods[i][0]
+    return state.market.utilities[i][j] / state.prices[j]
 
 
 def _recompute_flow(state):
@@ -202,15 +196,15 @@ def next_event(state):
     if money_u > 0 and price_sum < money_u + money_c:
         raise InvariantError("surplus of S went negative")
 
-    candidates = []  # (x, priority, kind, buyers)
+    # (x, priority, kind, buyers); with no event the scale runs out at x = 0
+    candidates = [(Fraction(0), -1, ZERO_PRICE, tuple(sorted(bprime)))]
 
     best_cap, cap_buyers = None, []
     for i in sorted(b_u):
         cap = market.caps[i]
         if cap is None:
             continue
-        alpha = mbb_ratio(market, state.prices, i)
-        x = market.budgets[i] * alpha / cap
+        x = market.budgets[i] * _alpha(state, i) / cap
         if best_cap is None or x > best_cap:
             best_cap, cap_buyers = x, [i]
         elif x == best_cap:
@@ -219,11 +213,10 @@ def next_event(state):
         candidates.append((best_cap, 0, CAP, tuple(cap_buyers)))
 
     best_eq, eq_buyers = None, []
-    outside = state.live_goods - state.S
     for h in sorted(state.live_buyers - bprime):
-        alpha_out = mbb_ratio(market, state.prices, h, outside)
-        if alpha_out == 0:
+        if not network.buyer_goods[h]:
             raise InvariantError(f"buyer {h} outside B' values nothing outside S")
+        alpha_out = _alpha(state, h)  # its edges all leave S
         for j in state.S:
             u = market.utilities[h][j]
             if u == 0:
@@ -240,14 +233,6 @@ def next_event(state):
     if x_ts > 0:
         candidates.append((x_ts, 2, TIGHT_SET, tuple(sorted(witness))))
 
-    if not candidates:
-        return EventRecord(
-            kind=ZERO_PRICE,
-            x=Fraction(0),
-            buyers=tuple(sorted(bprime)),
-            goods=tuple(sorted(state.S)),
-            scaled_buyers=tuple(sorted(b_c)),
-        )
     x_star, _, kind, affected = max(candidates, key=lambda c: (c[0], c[1]))
     if x_star > 1:
         raise InvariantError(f"event scale {x_star} above 1")
@@ -261,19 +246,21 @@ def next_event(state):
 
 
 def commit_event(state, event):
-    """Apply an event: scale prices/budgets, run its bookkeeping and
-    rebuild the live network.
+    """Apply an event: scale prices/budgets, run its bookkeeping and edit
+    the live network by the event's rule.
 
     Returns the completed trace record."""
     market = state.market
+    x, goods = event.x, set(event.goods)
+    bprime = {i for j in goods for i in state.network.good_buyers[j]}
     if event.kind == ZERO_PRICE:
         # Refresh the balanced flow first so the allocations frozen for the
         # departing goods reflect the current prices exactly.
         _recompute_flow(state)
-    for j in event.goods:
-        state.prices[j] *= event.x
+    for j in goods:
+        state.prices[j] *= x
     for i in event.scaled_buyers:
-        state.budgets[i] *= event.x
+        state.budgets[i] *= x
 
     if event.kind == CAP:
         for i in event.buyers:
@@ -284,16 +271,25 @@ def commit_event(state, event):
         for i in event.buyers:
             if state.flow.buyer_out(i) == 0:
                 raise InvariantError(f"deleted buyer {i} held no allocation")
-        state.live_goods -= set(event.goods)
-        state.live_buyers -= set(event.buyers)
-        for i in event.buyers:
             if not state.capped[i]:
                 raise InvariantError(f"zero-price deletion of uncapped buyer {i}")
+        state.live_goods -= goods
+        state.live_buyers -= set(event.buyers)
         for i in state.live_buyers:
-            if any(market.utilities[i][j] > 0 for j in event.goods):
+            if any(market.utilities[i][j] > 0 for j in goods):
                 raise InvariantError("live buyer still values a deleted good")
         state.phase_over = True
-    state.network = _live_network(state)
+    # B' keeps edges leaving S at x = 1: a cap that lost a tie to a new edge
+    edges = {
+        (i, j)
+        for i, j in state.network.edges
+        if i not in bprime or x == 1 or (x > 0 and j in goods)
+    }
+    if x > 0:  # any event kind may add edges: a tight set ties with a new edge
+        for h in state.live_buyers - bprime:
+            alpha = _alpha(state, h)  # unchanged: its edges all leave S
+            edges.update((h, j) for j in goods if market.utilities[h][j] == alpha * state.prices[j])
+    state.network = FlowNetwork(tuple(state.budgets), tuple(state.prices), frozenset(edges))
     if event.kind == NEW_EDGE:
         _recompute_flow(state)
         state.S |= set(residual_reach(state.network, state.flow, state.S))

@@ -14,6 +14,12 @@ from .market import Market
 from .verify import equilibrium_from_allocation
 
 
+def _json_list(value, name):
+    if not isinstance(value, list):
+        raise FormatError(f"{name} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
 def market_to_doc(market):
     return {
         "buyers": [
@@ -41,7 +47,8 @@ def market_from_doc(doc):
             budgets.append(parse_rational(entry["budget"]))
             cap = entry["cap"]
             caps.append(None if cap == "inf" else parse_rational(cap))
-            utilities.append(tuple(parse_rational(u) for u in entry["utilities"]))
+            row = _json_list(entry["utilities"], "buyer utilities")
+            utilities.append(tuple(parse_rational(u) for u in row))
         except KeyError as missing:
             raise FormatError(f"buyer entry missing {missing}") from None
     lengths = {len(row) for row in utilities}
@@ -68,23 +75,23 @@ def equilibrium_to_doc(equilibrium):
 def equilibrium_from_doc(doc, market):
     if not isinstance(doc, dict) or "prices" not in doc or "allocation" not in doc:
         raise FormatError("equilibrium document needs 'prices' and 'allocation'")
-    try:
-        prices = tuple(parse_rational(p) for p in doc["prices"])
-        allocation = tuple(
-            tuple(parse_rational(x) for x in row) for row in doc["allocation"]
-        )
-    except TypeError:
-        raise FormatError("malformed prices or allocation") from None
+    prices = tuple(parse_rational(p) for p in _json_list(doc["prices"], "prices"))
+    allocation = tuple(
+        tuple(parse_rational(x) for x in _json_list(row, "allocation row"))
+        for row in _json_list(doc["allocation"], "allocation")
+    )
     try:
         equilibrium = equilibrium_from_allocation(market, prices, allocation)
     except ValueError as bad:
         raise FormatError(str(bad)) from None
     if "utilities" in doc:
-        stated = tuple(parse_rational(u) for u in doc["utilities"])
+        stated = tuple(parse_rational(u) for u in _json_list(doc["utilities"], "utilities"))
         if stated != equilibrium.utilities:
             raise FormatError("stated utilities disagree with the allocation")
-    if "capped" in doc and tuple(bool(c) for c in doc["capped"]) != equilibrium.capped:
-        raise FormatError("stated capped flags disagree with the allocation")
+    if "capped" in doc:
+        stated = tuple(bool(c) for c in _json_list(doc["capped"], "capped"))
+        if stated != equilibrium.capped:
+            raise FormatError("stated capped flags disagree with the allocation")
     if "revenue" in doc and parse_rational(doc["revenue"]) != equilibrium.revenue:
         raise FormatError("stated revenue disagrees with the allocation")
     return equilibrium

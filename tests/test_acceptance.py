@@ -31,16 +31,17 @@ ORACLE_SIZE = 100
 NETWORKS = 200
 
 
-@pytest.fixture(scope="session")
-def corpus():
+def corpus_markets():
     """Criterion 4-6/8 corpus: 500 random instances, n, m <= 6, U <= 20."""
-    solved = []
     rng = random.Random(20_26)
     for seed in range(CORPUS_SIZE):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
-        market = generate_market(n, m, 20, seed)
-        solved.append((market, solve_max_revenue(market)))
-    return solved
+        yield generate_market(n, m, 20, seed)
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    return [(market, solve_max_revenue(market)) for market in corpus_markets()]
 
 
 def test_criterion_1_capped_example_exact(capped_market):

@@ -119,6 +119,23 @@ def test_verify_dimension_mismatch_exits_2(ex1_path, tmp_path, capsys):
     assert main(["verify", ex1_path, "--equilibrium", str(eq_path)]) == 2
 
 
+def test_non_list_json_fields_exit_2(ex1_path, tmp_path, capsys):
+    # Both used to end in a TypeError traceback and exit 1.
+    market_path = tmp_path / "scalar_utilities.json"
+    market_path.write_text(
+        json.dumps({"buyers": [{"budget": "1", "cap": "inf", "utilities": 5}]})
+    )
+    assert main(["solve", str(market_path)]) == 2
+    assert "must be a JSON list" in capsys.readouterr().err
+    assert main(["solve", ex1_path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["capped"] = 3
+    eq_path = tmp_path / "scalar_capped.json"
+    eq_path.write_text(json.dumps(doc))
+    assert main(["verify", ex1_path, "--equilibrium", str(eq_path)]) == 2
+    assert "must be a JSON list" in capsys.readouterr().err
+
+
 def test_generate_round_trips_through_solve(tmp_path, capsys):
     assert main(["generate", "--buyers", "2", "--goods", "2",
                  "--max-value", "10", "--seed", "1"]) == 0

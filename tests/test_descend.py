@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,7 +11,6 @@ from fisheq.descend import (
     NEW_EDGE,
     TIGHT_SET,
     ZERO_PRICE,
-    _live_network,
     commit_event,
     initialize,
     next_event,
@@ -18,12 +18,30 @@ from fisheq.descend import (
     start_phase,
 )
 from fisheq.cli import generate_market
+from fisheq.flow import FlowNetwork
 from fisheq.market import equality_graph
+from test_acceptance import corpus_markets
 
 
 def _fresh_state(market):
     stripped, _, _ = strip_trivial(normalize(market))
     return initialize(stripped), stripped
+
+
+def _reference_network(state):
+    """The live network built from scratch: the equality graph at the
+    current prices, restricted to the live buyers and goods."""
+    market = state.market
+    edges = {
+        (i, j)
+        for i, j in equality_graph(market, state.prices)
+        if i in state.live_buyers and j in state.live_goods
+    }
+    budgets = [
+        state.budgets[i] if i in state.live_buyers else F(0) for i in range(market.n)
+    ]
+    prices = [state.prices[j] if j in state.live_goods else F(0) for j in range(market.m)]
+    return FlowNetwork(tuple(budgets), tuple(prices), frozenset(edges))
 
 
 class TestInitialize:
@@ -124,7 +142,7 @@ class TestCommitEvent:
         state.budgets = [F(1, 4), F(1)]
         state.capped = [True, False]
         state.S = {0, 1}
-        state.network = _live_network(state)
+        state.network = _reference_network(state)
         event = next_event(state)
         assert event.kind == TIGHT_SET and event.x == F(8, 13)
         commit_event(state, event)
@@ -209,19 +227,35 @@ class TestSolveMaxRevenue:
         generate_market(2, 6, 20, 283),  # five zero-price events
         generate_market(6, 6, 20, 179),
         Market((F(5),), (F(1),), ((F(1), F(1)),)),  # one zero-price event
+        generate_market(5, 7, 20, 1000189),  # cap at x = 1, B' has edges leaving S
+        generate_market(4, 3, 20, 321),  # tight set at the new-edge scale
     ],
 )
 def test_network_is_live_after_every_commit(market):
     state, _ = _fresh_state(market)
-    assert state.network == _live_network(state)
+    assert state.network == _reference_network(state)
     while start_phase(state):
-        assert state.network == _live_network(state)
+        assert state.network == _reference_network(state)
         while not state.phase_over:
             commit_event(state, next_event(state))
-            assert state.network == _live_network(state)
+            assert state.network == _reference_network(state)
 
 
-def test_one_network_build_per_commit(monkeypatch):
+@pytest.mark.slow
+def test_network_is_live_on_large_pools(monkeypatch):
+    # The acceptance corpus, then 1,500 markets over every shape n, m <= 8.
+    def checked(state, event):
+        record = commit_event(state, event)
+        assert state.network == _reference_network(state)
+        return record
+
+    monkeypatch.setattr(fisheq.descend, "commit_event", checked)
+    small = (generate_market(1 + k % 8, 1 + k // 8 % 8, 20, 10**6 + k) for k in range(1500))
+    for market in itertools.chain(corpus_markets(), small):
+        assert verify(market, solve_max_revenue(market).equilibrium).ok
+
+
+def test_one_equality_graph_per_solve(monkeypatch):
     calls = []
 
     def counted(market, prices):
@@ -230,7 +264,8 @@ def test_one_network_build_per_commit(monkeypatch):
 
     monkeypatch.setattr(fisheq.descend, "equality_graph", counted)
     result = solve_max_revenue(generate_market(4, 4, 20, 129))
-    assert len(calls) == len(result.trace) + 1
+    assert len(result.trace) > 1
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -60,3 +60,31 @@ def test_ragged_rows_rejected():
 def test_empty_buyers_rejected():
     with pytest.raises(FormatError):
         market_from_doc({"buyers": []})
+
+
+@pytest.mark.parametrize("utilities", [5, "12", {"0": "1"}, None])
+def test_non_list_utilities_rejected(utilities):
+    # "12" used to be read as the utilities (1, 2), and 5 raised TypeError.
+    doc = {"buyers": [{"budget": "1", "cap": "inf", "utilities": utilities}]}
+    with pytest.raises(FormatError, match="must be a JSON list"):
+        market_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("prices", "01"),
+        ("prices", 3),
+        ("allocation", "0110"),
+        ("allocation", ["10", "01"]),
+        ("utilities", 7),
+        ("utilities", "1"),
+        ("capped", 3),
+        ("capped", "10"),
+    ],
+)
+def test_non_list_equilibrium_fields_rejected(capped_market, field, value):
+    doc = equilibrium_to_doc(solve_max_revenue(capped_market).equilibrium)
+    doc[field] = value
+    with pytest.raises(FormatError, match="must be a JSON list"):
+        equilibrium_from_doc(doc, capped_market)
