@@ -89,6 +89,7 @@ class SolverState:
         self.live_buyers = set(range(market.n))
         self.live_goods = set(range(market.m))
         self.alloc = [[Fraction(0)] * market.m for _ in range(market.n)]
+        self.departed = {}  # buyer -> utility, frozen at its zero-price event
         self.network = None
         self.flow = None
         self.surpluses = (Fraction(0),) * market.m
@@ -132,15 +133,23 @@ def _recompute_flow(state):
             raise InvariantError(f"live good {j} has nonpositive price")
         for row in state.alloc:
             row[j] = zero
-    # the live network only has edges into live goods
-    for (i, j), money in state.flow.edge_flow.items():
-        state.alloc[i][j] = money / state.prices[j]
+    # the live network only has edges into live goods; x_ij = (v / denom) / p_j
+    denom = state.flow.denom
+    for i, row in enumerate(state.flow.rows):
+        for j, v in row.items():
+            p = state.prices[j]
+            state.alloc[i][j] = Fraction(v * p.denominator, denom * p.numerator)
 
 
 def _booked_utilities(state):
+    """Each buyer's capped utility: a live buyer spends all its money on
+    equality edges, so its value is alpha_i times its outflow; a departed
+    buyer's value froze at its zero-price event."""
     market = state.market
     return tuple(
-        capped_utility(market, i, bundle_value(market, i, state.alloc[i]))
+        state.departed[i]
+        if i in state.departed
+        else capped_utility(market, i, _alpha(state, i) * state.flow.buyer_out(i))
         for i in range(market.n)
     )
 
@@ -273,6 +282,9 @@ def commit_event(state, event):
                 raise InvariantError(f"deleted buyer {i} held no allocation")
             if not state.capped[i]:
                 raise InvariantError(f"zero-price deletion of uncapped buyer {i}")
+            state.departed[i] = capped_utility(
+                market, i, bundle_value(market, i, state.alloc[i])
+            )
         state.live_goods -= goods
         state.live_buyers -= set(event.buyers)
         for i in state.live_buyers:

@@ -3,8 +3,10 @@
 The network has a source feeding every buyer (capacity = active budget),
 uncapacitated buyer-to-good equality edges, and goods feeding a sink
 (capacity = price).  Flow is money; the surplus of a good is its unspent
-sink capacity.  Everything is exact: a network clears its capacities to a
-common denominator once, and all augmentation happens on integers.
+sink capacity.  Everything is exact and on integers: a network clears its
+capacities to a common denominator D once, all augmentation happens on
+those integers, and a flow holds integer money per edge over one
+denominator (a multiple of D).  Fractions are made only at the API.
 """
 
 from __future__ import annotations
@@ -61,14 +63,19 @@ class FlowNetwork:
 
 
 class Flow:
-    """A feasible flow, stored as money per equality edge.  Source and sink
-    edge flows are implied by conservation."""
+    """A flow on the equality edges: ``rows[i]`` maps each good j that
+    buyer i pays to a positive integer v, the money v / ``denom`` on edge
+    (i, j).  ``denom`` is a multiple of the network's D, so the capacities
+    rescale to it exactly and every test is an integer comparison.  Source
+    and sink edge flows are implied by conservation.
+
+    ``Flow(network, edge_flow)`` takes rationals per edge and clears them
+    into this form; ``edge_flow``, ``buyer_out``, ``good_in``, ``value``
+    and ``surpluses`` give the rationals back.
+    """
 
     def __init__(self, network, edge_flow):
-        self.network = network
-        self.edge_flow = {}
-        out = [Fraction(0)] * network.n
-        into = [Fraction(0)] * network.m
+        cleared = {}
         for (i, j), v in edge_flow.items():
             if not v:
                 continue
@@ -77,49 +84,89 @@ class Flow:
             v = Fraction(v)
             if v < 0:
                 raise ValueError("negative flow")
-            self.edge_flow[(i, j)] = v
-            out[i] += v
-            into[j] += v
-        self._out, self._into = out, into
+            cleared[(i, j)] = v
+        denom = math.lcm(network._cleared[0], *(v.denominator for v in cleared.values()))
+        rows = [{} for _ in range(network.n)]
+        for (i, j), v in cleared.items():
+            rows[i][j] = v.numerator * (denom // v.denominator)
+        self._adopt(network, rows, denom)
+
+    @classmethod
+    def _of_rows(cls, network, rows, denom):
+        """A flow over the network's edges from nonnegative integer rows
+        over ``denom``; zero entries are dropped."""
+        flow = cls.__new__(cls)
+        flow._adopt(network, rows, denom)
+        return flow
+
+    def _adopt(self, network, rows, denom):
+        self.network, self.denom = network, denom
+        self.rows = [{j: v for j, v in row.items() if v} for row in rows]
+        self._out = [sum(row.values()) for row in self.rows]
+        self._into = into = [0] * network.m
+        for row in self.rows:
+            for j, v in row.items():
+                into[j] += v
+
+    @cached_property
+    def _capacities(self):
+        """The network's cleared budgets and prices, rescaled to denom."""
+        scale, budgets, prices = self.network._cleared
+        k = self.denom // scale
+        return [b * k for b in budgets], [p * k for p in prices]
+
+    @cached_property
+    def edge_flow(self):
+        return {
+            (i, j): Fraction(v, self.denom)
+            for i, row in enumerate(self.rows)
+            for j, v in row.items()
+        }
 
     def buyer_out(self, i):
-        return self._out[i]
+        return Fraction(self._out[i], self.denom)
 
     def good_in(self, j):
-        return self._into[j]
+        return Fraction(self._into[j], self.denom)
 
     @property
     def value(self):
-        return sum(self._out, Fraction(0))
+        return Fraction(sum(self._out), self.denom)
+
+    def _surplus_ints(self):
+        """p_j - f_jt for every good, as integers over denom."""
+        return [p - f for p, f in zip(self._capacities[1], self._into)]
 
     def surpluses(self):
         """r_j = p_j - f_jt for every good."""
-        return tuple(p - f for p, f in zip(self.network.prices, self._into))
+        return tuple(Fraction(r, self.denom) for r in self._surplus_ints())
 
     def sources_saturated(self):
-        return self._out == list(self.network.budgets)
+        return self._out == self._capacities[0]
 
     def is_feasible(self):
-        return all(f <= b for f, b in zip(self._out, self.network.budgets)) and all(
-            f <= p for f, p in zip(self._into, self.network.prices)
+        budgets, prices = self._capacities
+        return all(f <= b for f, b in zip(self._out, budgets)) and all(
+            f <= p for f, p in zip(self._into, prices)
         )
 
 
-def _search(network, budgets, prices, flow, fsrc, fsink):
+def _search(network, seeds, budgets, prices, flow, fsrc, fsink):
     """Shortest augmenting path search on integer capacities.
 
-    Breadth first from every buyer with budget left, in ascending index
-    order; buyer -> good along any edge, good -> buyer only against flow.
-    Returns the first good reached with sink capacity left (None if there
-    is none) and the search tree: for each buyer the good it was reached
-    from (-1 for the source), for each good the buyer.  A buyer or good of
-    zero capacity is a dead end, so zeroing capacities masks the network
-    without changing which paths are found.
+    Breadth first from every buyer of ``seeds`` (ascending; every buyer
+    outside it has budget 0) with budget left; buyer -> good along any
+    edge, good -> buyer only against flow.  Returns the first good reached
+    with sink capacity left (None if there is none) and the search tree:
+    for each buyer the good it was reached from (-1 for the source), for
+    each good the buyer.  A buyer or good of zero capacity is a dead end,
+    so zeroing capacities masks the network without changing which paths
+    are found.
     """
     buyer_goods, good_buyers = network.buyer_goods, network.good_buyers
-    from_good = [None] * network.n
-    from_buyer = [None] * network.m
-    layer = [i for i in range(network.n) if fsrc[i] < budgets[i]]
+    from_good = [None] * len(budgets)
+    from_buyer = [None] * len(prices)
+    layer = [i for i in seeds if fsrc[i] < budgets[i]]
     for i in layer:
         from_good[i] = -1
     while layer:
@@ -140,16 +187,20 @@ def _search(network, budgets, prices, flow, fsrc, fsink):
     return None, from_good, from_buyer
 
 
-def _saturate(network, budgets, prices):
-    """Maximum flow on integer capacities over the network's edges.
+def _saturate(network, seeds, budgets, prices):
+    """Maximum flow on integer capacities over the network's edges, from
+    the buyers ``seeds`` (ascending; every other buyer has budget 0).
 
-    Returns the flow (one {good: amount} dict per buyer), the money each
-    buyer sends, and the buyers and goods the last, failed search reached:
-    the source side of a minimum cut."""
-    flow = [{} for _ in range(network.n)]
-    fsrc, fsink = [0] * network.n, [0] * network.m
+    Returns the flow (one {good: amount} dict per buyer, entries may be
+    0), the money each buyer sends, and the buyers and goods the last,
+    failed search reached: the source side of a minimum cut."""
+    n, m = len(budgets), len(prices)
+    flow = [{} for _ in range(n)]
+    fsrc, fsink = [0] * n, [0] * m
     while True:
-        end, from_good, from_buyer = _search(network, budgets, prices, flow, fsrc, fsink)
+        end, from_good, from_buyer = _search(
+            network, seeds, budgets, prices, flow, fsrc, fsink
+        )
         if end is None:
             return flow, fsrc, (
                 {i for i, g in enumerate(from_good) if g is not None},
@@ -177,11 +228,8 @@ def _saturate(network, budgets, prices):
 def max_flow(network):
     """Deterministic exact maximum flow (shortest augmenting paths)."""
     scale, budgets, prices = network._cleared
-    flow, _, _ = _saturate(network, budgets, prices)
-    return Flow(
-        network,
-        {(i, j): Fraction(v, scale) for i, row in enumerate(flow) for j, v in row.items() if v},
-    )
+    flow, _, _ = _saturate(network, range(network.n), budgets, prices)
+    return Flow._of_rows(network, flow, scale)
 
 
 def residual_reach(network, flow, targets):
@@ -205,7 +253,7 @@ def residual_reach(network, flow, targets):
         else:
             # predecessors of a buyer: goods it currently pays money to
             for j in network.buyer_goods[idx]:
-                if j not in seen_goods and flow.edge_flow.get((idx, j), 0) > 0:
+                if j not in seen_goods and j in flow.rows[idx]:
                     seen_goods.add(j)
                     queue.append(("g", j))
     return frozenset(seen_goods)
@@ -224,7 +272,8 @@ def is_balanced(network, flow):
     """
     if not flow.sources_saturated() or not flow.is_feasible():
         return False
-    r = flow.surpluses()
+    r = flow._surplus_ints()  # over one denominator: compares as the surpluses
+    rows = flow.rows
     reached_goods = [False] * network.m
     reached_buyers = [False] * network.n
     for start in sorted(range(network.m), key=r.__getitem__):
@@ -237,7 +286,7 @@ def is_balanced(network, flow):
             # pushing along j -> i -> k raises r_j and lowers r_k, an
             # improvement exactly when r_start < r_k
             for i in network.good_buyers[j]:
-                if reached_buyers[i] or (i, j) not in flow.edge_flow:
+                if reached_buyers[i] or j not in rows[i]:
                     continue
                 reached_buyers[i] = True
                 for k in network.buyer_goods[i]:
@@ -261,14 +310,17 @@ def balanced_flow(network):
     A block of k goods is the network with capacities outside it zeroed and
     all capacities times k (times D, see ``FlowNetwork._cleared``), so its
     water level is an integer; scaling every capacity by one constant
-    leaves the augmenting paths, and hence the edge flows, unchanged.
+    leaves the augmenting paths, and hence the edge flows, unchanged.  The
+    leaf blocks' integer flows, times L / k for L the lcm of the leaf
+    sizes, make one flow over D * L.
     """
     probe = max_flow(network)
     if not probe.sources_saturated():
         raise InvariantError("source edges not saturable; solver invariant violated")
 
     scale, B, P = network._cleared
-    out = {}
+    n, m = network.n, network.m
+    leaves = []  # (k, flow, buyers) of each block whose flow is final
 
     def refine(buyers, goods):
         if not goods:
@@ -279,20 +331,18 @@ def balanced_flow(network):
         level = sum(P[j] for j in goods) - sum(B[i] for i in buyers)  # k * delta
         if level < 0:
             raise InvariantError("negative water level; block not saturable")
-        budgets = [0] * network.n
-        for i in buyers:
+        seeds = sorted(buyers)
+        budgets = [0] * n
+        for i in seeds:
             budgets[i] = B[i] * k
-        prices = [0] * network.m
+        prices = [0] * m
         for j in goods:
             prices[j] = max(P[j] * k - level, 0)
-        flow, fsrc, (reach_buyers, reach_goods) = _saturate(network, budgets, prices)
-        if all(fsrc[i] == budgets[i] for i in buyers):
+        flow, fsrc, (reach_buyers, reach_goods) = _saturate(network, seeds, budgets, prices)
+        if all(fsrc[i] == budgets[i] for i in seeds):
             clamped = {j for j in goods if P[j] * k < level}
             if not clamped:
-                for i in buyers:
-                    for j, v in flow[i].items():
-                        if v:
-                            out[(i, j)] = Fraction(v, scale * k)
+                leaves.append((k, flow, seeds))
                 return
             # Clamped goods sit below the block level: they end with zero
             # flow at their own surplus p_j; refine the rest.
@@ -305,8 +355,14 @@ def balanced_flow(network):
         refine(b1, g1)
         refine(b2, g2)
 
-    refine(set(range(network.n)), set(range(network.m)))
-    result = Flow(network, out)
+    refine(set(range(n)), set(range(m)))
+    L = math.lcm(*(k for k, _, _ in leaves))
+    rows = [{} for _ in range(n)]
+    for k, flow, seeds in leaves:
+        factor = L // k
+        for i in seeds:
+            rows[i] = {j: v * factor for j, v in flow[i].items()}
+    result = Flow._of_rows(network, rows, scale * L)
     if not is_balanced(network, result):
         raise InvariantError("water filling produced an unbalanced flow")
     return result
@@ -336,19 +392,21 @@ def tight_set_scale(network, S, uncapped, capped):
         raise InvariantError("goods of S carry negative surplus at scale 1")
     if U == 0:
         return Fraction(0), frozenset(bu | bc)
+    n, m = network.n, network.m
     while True:
         x = Fraction(U, Q - V)
         a, b = x.numerator, x.denominator
-        budgets = [0] * network.n
+        budgets = [0] * n
         for i in bu:
             budgets[i] = B[i] * b
         for i in bc:
             budgets[i] = B[i] * a
-        prices = [0] * network.m
+        prices = [0] * m
         for j in S:
             prices[j] = P[j] * a
-        _, fsrc, (reach_buyers, reach_goods) = _saturate(network, budgets, prices)
-        if all(fsrc[i] == budgets[i] for i in bu | bc):
+        seeds = sorted(bu | bc)
+        _, fsrc, (reach_buyers, reach_goods) = _saturate(network, seeds, budgets, prices)
+        if all(fsrc[i] == budgets[i] for i in seeds):
             return x, frozenset(bu | bc)
         new_bu, new_bc = bu & reach_buyers, bc & reach_buyers
         new_S = S & reach_goods

@@ -23,7 +23,9 @@ def _scalable_set(market, prices, alloc, edges, capped):
     closed under removing goods whose attached buyers hold allocation
     outside the set (scaling such a set would strand those holdings on
     edges that stop being bang-per-buck optimal)."""
-    neighbors = {j: {i for i, j2 in edges if j2 == j} for j in range(market.m)}
+    neighbors = [set() for _ in range(market.m)]
+    for i, j in edges:
+        neighbors[j].add(i)
     S = {
         j
         for j in range(market.m)

@@ -1,4 +1,4 @@
-"""JSON (de)serialization for instances, equilibria and traces.
+"""JSON (de)serialization for instances and equilibria, and the trace writer.
 
 Rationals travel as lowest-terms "p/q" strings (or plain integers); floats
 are rejected.  Unbounded caps are the string "inf".
@@ -7,7 +7,7 @@ are rejected.  Unbounded caps are the string "inf".
 from __future__ import annotations
 
 import json
-from .descend import EventRecord
+
 from .errors import FormatError
 from .exact import format_rational, parse_rational
 from .market import Market
@@ -112,31 +112,5 @@ def record_to_doc(record):
     }
 
 
-def record_from_doc(doc):
-    try:
-        return EventRecord(
-            kind=doc["event"],
-            x=parse_rational(doc["x"]),
-            buyers=tuple(doc["buyers"]),
-            goods=tuple(doc["goods"]),
-            scaled_buyers=tuple(doc["scaled_buyers"]),
-            phase=doc["phase"],
-            iteration=doc["iteration"],
-            prices=tuple(parse_rational(p) for p in doc["prices"]),
-            active_budgets=tuple(parse_rational(a) for a in doc["active_budgets"]),
-            surpluses=tuple(parse_rational(r) for r in doc["surpluses"]),
-        )
-    except KeyError as missing:
-        raise FormatError(f"trace record missing {missing}") from None
-
-
 def trace_to_ndjson(trace):
     return "".join(json.dumps(record_to_doc(r), sort_keys=True) + "\n" for r in trace)
-
-
-def trace_from_ndjson(text):
-    records = []
-    for line in text.splitlines():
-        if line.strip():
-            records.append(record_from_doc(json.loads(line)))
-    return records

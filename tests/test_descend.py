@@ -19,7 +19,7 @@ from fisheq.descend import (
 )
 from fisheq.cli import generate_market
 from fisheq.flow import FlowNetwork
-from fisheq.market import equality_graph
+from fisheq.market import bundle_value, capped_utility, equality_graph
 from test_acceptance import corpus_markets
 
 
@@ -42,6 +42,15 @@ def _reference_network(state):
     ]
     prices = [state.prices[j] if j in state.live_goods else F(0) for j in range(market.m)]
     return FlowNetwork(tuple(budgets), tuple(prices), frozenset(edges))
+
+
+def _row_sum_utilities(state):
+    """Each buyer's capped utility summed over its whole allocation row."""
+    market = state.market
+    return tuple(
+        capped_utility(market, i, bundle_value(market, i, state.alloc[i]))
+        for i in range(market.n)
+    )
 
 
 class TestInitialize:
@@ -236,6 +245,7 @@ def test_network_is_live_after_every_commit(market):
     assert state.network == _reference_network(state)
     while start_phase(state):
         assert state.network == _reference_network(state)
+        assert state.phases[-1].utilities == _row_sum_utilities(state)
         while not state.phase_over:
             commit_event(state, next_event(state))
             assert state.network == _reference_network(state)
@@ -341,7 +351,15 @@ PINNED_EQUILIBRIA = [
     PINNED_EQUILIBRIA,
     ids=[f"{n}x{m}-U1e{len(str(u)) - 1}-{k}" for n, m, u, k, _ in PINNED_EQUILIBRIA],
 )
-def test_pinned_equilibria(n, m, max_value, seed, digest):
+def test_pinned_equilibria(n, m, max_value, seed, digest, monkeypatch):
+    # Every phase start books the utilities the allocation rows give.
+    def checked(state):
+        started = start_phase(state)
+        if started:
+            assert state.phases[-1].utilities == _row_sum_utilities(state)
+        return started
+
+    monkeypatch.setattr(fisheq.descend, "start_phase", checked)
     eq = solve_max_revenue(generate_market(n, m, max_value, seed)).equilibrium
     text = repr(
         (

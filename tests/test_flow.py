@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fisheq import (
     Flow,
@@ -163,6 +165,18 @@ class TestIsBalanced:
     def test_rejects_non_maximum(self):
         net = ex1_initial_network()
         assert not is_balanced(net, Flow(net, {}))
+
+    def test_denominator_of_the_flow_not_the_network(self):
+        # Integer capacities (D = 1), flows in halves and thirds: the one
+        # buyer's split must leave both goods the same surplus.
+        net = FlowNetwork((F(1),), (F(2), F(2)), {(0, 0), (0, 1)})
+        halves = Flow(net, {(0, 0): F(1, 2), (0, 1): F(1, 2)})
+        thirds = Flow(net, {(0, 0): F(1, 3), (0, 1): F(2, 3)})
+        assert net._cleared[0] == 1 and thirds.denom == 3
+        assert thirds.sources_saturated() and thirds.is_feasible()
+        assert thirds.surpluses() == (F(5, 3), F(4, 3))
+        assert is_balanced(net, halves)
+        assert not is_balanced(net, thirds)
 
 
 class TestTightSetScale:
@@ -372,3 +386,19 @@ def test_norm_drop_against_degraded_feasible_flows():
             if delta > 0:
                 assert norm_bal <= norm_deg - delta * delta
         done += 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_rational_constructor_reproduces_kernel_flows(seed):
+    # Flow(net, edge_flow) clears the rationals into the integer form the
+    # kernel builds directly; both must read back the same at the API.
+    net = _random_saturable_network(random.Random(seed))
+    assume(net is not None)
+    for f in (max_flow(net), balanced_flow(net)):
+        again = Flow(net, f.edge_flow)
+        assert again.edge_flow == f.edge_flow
+        assert again.surpluses() == f.surpluses()
+        assert again.value == f.value
+        assert again.sources_saturated() == f.sources_saturated()
+        assert again.is_feasible() == f.is_feasible()

@@ -1,13 +1,15 @@
+import json
+
 import pytest
 
 from fisheq import FormatError, solve_max_revenue
+from fisheq.cli import main
+from fisheq.exact import format_rational
 from fisheq.serialize import (
     equilibrium_from_doc,
     equilibrium_to_doc,
     market_from_doc,
     market_to_doc,
-    trace_from_ndjson,
-    trace_to_ndjson,
 )
 
 
@@ -26,10 +28,22 @@ def test_equilibrium_round_trip(capped_market):
     assert equilibrium_from_doc(doc, capped_market) == eq
 
 
-def test_trace_round_trip(capped_market):
+def test_trace_ndjson_fields(capped_market, tmp_path, capsys):
+    # The event log `fisheq solve --trace` writes: one JSON line per
+    # committed event, in order, carrying the event's own fields.
+    market_path, trace_path = tmp_path / "market.json", tmp_path / "trace.ndjson"
+    market_path.write_text(json.dumps(market_to_doc(capped_market)))
+    assert main(["solve", str(market_path), "--trace", str(trace_path)]) == 0
+    capsys.readouterr()
+    lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
     trace = solve_max_revenue(capped_market).trace
-    text = trace_to_ndjson(trace)
-    assert trace_from_ndjson(text) == trace
+    assert len(lines) == len(trace) == 2
+    for line, record in zip(lines, trace):
+        assert line["event"] == record.kind
+        assert line["x"] == format_rational(record.x)
+        assert line["buyers"] == list(record.buyers)
+        assert line["goods"] == list(record.goods)
+        assert (line["phase"], line["iteration"]) == (record.phase, record.iteration)
 
 
 def test_metadata_mismatch_rejected(capped_market):
