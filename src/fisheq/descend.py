@@ -91,6 +91,7 @@ class SolverState:
         self.alloc = [[Fraction(0)] * market.m for _ in range(market.n)]
         self.departed = {}  # buyer -> utility, frozen at its zero-price event
         self.network = None
+        self.tied_edges = []  # new-edge pairs at the scale of the pending event
         self.flow = None
         self.surpluses = (Fraction(0),) * market.m
         self.S = set()
@@ -193,6 +194,10 @@ def next_event(state):
     phase even when another event lands on the same scale, and a new edge
     must extend S before a capping buyer's money is counted as fixed, or an
     uncapped buyer of B' can be left spending outside S.
+
+    Whatever kind wins, the (h, j) pairs whose new-edge scale equals the
+    event's are left on ``state.tied_edges``: after the scale they are the
+    new equality edges, and ``commit_event`` adds exactly those.
     """
     market = state.market
     network = state.network
@@ -221,22 +226,37 @@ def next_event(state):
     if best_cap is not None:
         candidates.append((best_cap, 0, CAP, tuple(cap_buyers)))
 
-    best_eq, eq_buyers = None, []
+    # h outside B' gains (h, j) at x = u_hj / (alpha_h p_j).  alpha_h is
+    # fixed (its edges all leave S), so h's pairs are the j of S with the
+    # largest u_hj / p_j, found by integer cross-multiplication.
+    in_s = [(j, state.prices[j].numerator, state.prices[j].denominator) for j in state.S]
+    best_eq, eq_pairs = None, []
     for h in sorted(state.live_buyers - bprime):
         if not network.buyer_goods[h]:
             raise InvariantError(f"buyer {h} outside B' values nothing outside S")
-        alpha_out = _alpha(state, h)  # its edges all leave S
-        for j in state.S:
-            u = market.utilities[h][j]
-            if u == 0:
+        row = market.utilities[h]
+        num, den, goods = 0, 1, []  # h's largest u_hj / p_j is num / den, at goods
+        for j, p_num, p_den in in_s:
+            u = row[j]
+            if not u:
                 continue
-            x = u / (alpha_out * state.prices[j])
-            if best_eq is None or x > best_eq:
-                best_eq, eq_buyers = x, [h]
-            elif x == best_eq and h not in eq_buyers:
-                eq_buyers.append(h)
+            n_j, d_j = u.numerator * p_den, u.denominator * p_num
+            if n_j * den > num * d_j:
+                num, den, goods = n_j, d_j, [j]
+            elif n_j * den == num * d_j:
+                goods.append(j)
+        if not goods:
+            continue
+        k = network.buyer_goods[h][0]  # alpha_h = u_hk / p_k
+        u, p = row[k], state.prices[k]
+        x = Fraction(num * u.denominator * p.numerator, den * u.numerator * p.denominator)
+        if best_eq is None or x > best_eq:
+            best_eq, eq_pairs = x, []
+        if x == best_eq:
+            eq_pairs.extend((h, j) for j in goods)
     if best_eq is not None:
-        candidates.append((best_eq, 1, NEW_EDGE, tuple(eq_buyers)))
+        eq_buyers = tuple(sorted({h for h, _ in eq_pairs}))
+        candidates.append((best_eq, 1, NEW_EDGE, eq_buyers))
 
     x_ts, witness = tight_set_scale(network, state.S, b_u, b_c)
     if x_ts > 0:
@@ -245,6 +265,7 @@ def next_event(state):
     x_star, _, kind, affected = max(candidates, key=lambda c: (c[0], c[1]))
     if x_star > 1:
         raise InvariantError(f"event scale {x_star} above 1")
+    state.tied_edges = eq_pairs if best_eq == x_star else []
     return EventRecord(
         kind=kind,
         x=x_star,
@@ -292,15 +313,16 @@ def commit_event(state, event):
                 raise InvariantError("live buyer still values a deleted good")
         state.phase_over = True
     # B' keeps edges leaving S at x = 1: a cap that lost a tie to a new edge
+    at_one, positive = x == 1, x > 0
     edges = {
         (i, j)
         for i, j in state.network.edges
-        if i not in bprime or x == 1 or (x > 0 and j in goods)
+        if i not in bprime or at_one or (positive and j in goods)
     }
-    if x > 0:  # any event kind may add edges: a tight set ties with a new edge
-        for h in state.live_buyers - bprime:
-            alpha = _alpha(state, h)  # unchanged: its edges all leave S
-            edges.update((h, j) for j in goods if market.utilities[h][j] == alpha * state.prices[j])
+    # the new-edge pairs at scale x; any kind may add them, a tight set ties
+    # with a new edge
+    edges.update(state.tied_edges)
+    state.tied_edges = []
     state.network = FlowNetwork(tuple(state.budgets), tuple(state.prices), frozenset(edges))
     if event.kind == NEW_EDGE:
         _recompute_flow(state)

@@ -20,6 +20,10 @@ from functools import cached_property
 from .errors import InvariantError
 
 
+def _exact(c):
+    return c if type(c) is Fraction else Fraction(c)
+
+
 @dataclass(frozen=True)
 class FlowNetwork:
     budgets: tuple
@@ -27,15 +31,16 @@ class FlowNetwork:
     edges: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "budgets", tuple(Fraction(b) for b in self.budgets))
-        object.__setattr__(self, "prices", tuple(Fraction(p) for p in self.prices))
+        object.__setattr__(self, "budgets", tuple(map(_exact, self.budgets)))
+        object.__setattr__(self, "prices", tuple(map(_exact, self.prices)))
         object.__setattr__(self, "edges", frozenset(self.edges))
-        if any(b < 0 for b in self.budgets) or any(p < 0 for p in self.prices):
+        if any(c.numerator < 0 for c in self.budgets + self.prices):
             raise ValueError("capacities must be nonnegative")
-        buyer_goods = [[] for _ in range(self.n)]
-        good_buyers = [[] for _ in range(self.m)]
+        n, m = self.n, self.m
+        buyer_goods = [[] for _ in range(n)]
+        good_buyers = [[] for _ in range(m)]
         for i, j in sorted(self.edges):  # (i, j) order keeps both lists ascending
-            if not (0 <= i < self.n and 0 <= j < self.m):
+            if not (0 <= i < n and 0 <= j < m):
                 raise ValueError(f"edge ({i}, {j}) out of range")
             buyer_goods[i].append(j)
             good_buyers[j].append(i)
@@ -162,6 +167,13 @@ def _search(network, seeds, budgets, prices, flow, fsrc, fsink):
     each good the buyer.  A buyer or good of zero capacity is a dead end,
     so zeroing capacities masks the network without changing which paths
     are found.
+
+    While a path over a single equality edge exists, the first layer
+    returns it: the lowest buyer with budget left and a good with room,
+    and that buyer's lowest good with room (a good seen earlier in the
+    layer is full).  ``_saturate`` routes all of those paths in one sweep
+    before it searches, so every path found here crosses at least three
+    equality edges.
     """
     buyer_goods, good_buyers = network.buyer_goods, network.good_buyers
     from_good = [None] * len(budgets)
@@ -193,10 +205,38 @@ def _saturate(network, seeds, budgets, prices):
 
     Returns the flow (one {good: amount} dict per buyer, entries may be
     0), the money each buyer sends, and the buyers and goods the last,
-    failed search reached: the source side of a minimum cut."""
+    failed search reached: the source side of a minimum cut.
+
+    The result is that of augmenting from zero flow along the paths
+    ``_search`` finds, with fewer searches.  Those searches first return
+    every path over a single equality edge: each time the lowest buyer
+    with budget left and a good with room, and that buyer's lowest good
+    with room, pushed by the smaller of the two.  Such a push cancels no
+    flow and only fills goods, so a buyer passed over (out of money, or
+    every good full) never gets such a path again.  The sweep below makes
+    the same pushes in the same order, so the flow (down to the insertion
+    order of each buyer's dict), the money sent and every later search
+    come out the same.
+    """
+    buyer_goods = network.buyer_goods
     n, m = len(budgets), len(prices)
     flow = [{} for _ in range(n)]
     fsrc, fsink = [0] * n, [0] * m
+    for i in seeds:
+        left = budgets[i]
+        if not left:
+            continue
+        row = flow[i]
+        for j in buyer_goods[i]:
+            room = prices[j] - fsink[j]
+            if room > 0:
+                push = min(left, room)
+                row[j] = push
+                fsink[j] += push
+                left -= push
+                if not left:
+                    break
+        fsrc[i] = budgets[i] - left
     while True:
         end, from_good, from_buyer = _search(
             network, seeds, budgets, prices, flow, fsrc, fsink

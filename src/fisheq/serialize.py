@@ -89,7 +89,9 @@ def equilibrium_from_doc(doc, market):
         if stated != equilibrium.utilities:
             raise FormatError("stated utilities disagree with the allocation")
     if "capped" in doc:
-        stated = tuple(bool(c) for c in _json_list(doc["capped"], "capped"))
+        stated = tuple(_json_list(doc["capped"], "capped"))
+        if not all(type(c) is bool for c in stated):
+            raise FormatError("capped flags must be JSON booleans")
         if stated != equilibrium.capped:
             raise FormatError("stated capped flags disagree with the allocation")
     if "revenue" in doc and parse_rational(doc["revenue"]) != equilibrium.revenue:

@@ -7,7 +7,9 @@ equilibrium oracle drives the money-weighted log-utility program to a
 KKT point with a damped proportional-response iteration in floating point
 (no combinatorial flow machinery anywhere).  Neither is ever called by a
 solve path.  ``min_cut`` reads the canonical minimum cut off a maximum
-flow, as a strong-duality certificate for the exact max-flow.
+flow, as a strong-duality certificate for the exact max-flow, and
+``reference_saturate`` is the plain shortest-augmenting-path max-flow
+that the package's kernel must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -65,6 +67,67 @@ def min_cut(network, flow):
     sink_side.update(("buyer", i) for i in range(network.n) if i not in buyers)
     sink_side.update(("good", j) for j in range(network.m) if j not in goods)
     return frozenset(source_side), frozenset(sink_side)
+
+
+def reference_saturate(network, seeds, budgets, prices):
+    """``fisheq.flow._saturate`` without its direct-edge sweep: augment
+    from zero flow, one breadth-first search per path.
+
+    Each search starts from the buyers of ``seeds`` (ascending) with
+    budget left, follows buyer -> good along any edge and good -> buyer
+    against flow, and stops at the first good reached with room.  Returns
+    the flow (one {good: amount} dict per buyer), the money each buyer
+    sends, and the buyers and goods the last, failed search reached.
+    """
+    n, m = len(budgets), len(prices)
+    flow = [{} for _ in range(n)]
+    fsrc, fsink = [0] * n, [0] * m
+
+    def search():
+        from_good, from_buyer = [None] * n, [None] * m
+        layer = [i for i in seeds if fsrc[i] < budgets[i]]
+        for i in layer:
+            from_good[i] = -1
+        while layer:
+            goods = []
+            for i in layer:
+                for j in network.buyer_goods[i]:
+                    if from_buyer[j] is None:
+                        from_buyer[j] = i
+                        if fsink[j] < prices[j]:
+                            return j, from_good, from_buyer
+                        goods.append(j)
+            layer = []
+            for j in goods:
+                for i in network.good_buyers[j]:
+                    if from_good[i] is None and flow[i].get(j, 0) > 0:
+                        from_good[i] = j
+                        layer.append(i)
+        return None, from_good, from_buyer
+
+    while True:
+        end, from_good, from_buyer = search()
+        if end is None:
+            return flow, fsrc, (
+                {i for i, g in enumerate(from_good) if g is not None},
+                {j for j, b in enumerate(from_buyer) if b is not None},
+            )
+        bottleneck = prices[end] - fsink[end]
+        i = from_buyer[end]
+        while from_good[i] != -1:
+            j = from_good[i]
+            bottleneck = min(bottleneck, flow[i][j])
+            i = from_buyer[j]
+        bottleneck = min(bottleneck, budgets[i] - fsrc[i])
+        fsrc[i] += bottleneck
+        fsink[end] += bottleneck
+        j = end
+        while j != -1:
+            i = from_buyer[j]
+            flow[i][j] = flow[i].get(j, 0) + bottleneck
+            j = from_good[i]
+            if j != -1:
+                flow[i][j] -= bottleneck
 
 
 def balanced_surplus_levels(network):

@@ -136,6 +136,19 @@ def test_non_list_json_fields_exit_2(ex1_path, tmp_path, capsys):
     assert "must be a JSON list" in capsys.readouterr().err
 
 
+def test_non_boolean_capped_flags_exit_2(ex1_path, tmp_path, capsys):
+    # [1, 0] used to be read as (True, False), the flags the allocation
+    # gives, and verify accepted the file.
+    assert main(["solve", ex1_path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["capped"] == [True, False]
+    doc["capped"] = [1, 0]
+    eq_path = tmp_path / "int_capped.json"
+    eq_path.write_text(json.dumps(doc))
+    assert main(["verify", ex1_path, "--equilibrium", str(eq_path)]) == 2
+    assert "JSON booleans" in capsys.readouterr().err
+
+
 def test_generate_round_trips_through_solve(tmp_path, capsys):
     assert main(["generate", "--buyers", "2", "--goods", "2",
                  "--max-value", "10", "--seed", "1"]) == 0

@@ -370,6 +370,45 @@ def test_pinned_equilibria(n, m, max_value, seed, digest, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of (kind, x, buyers, goods, scaled_buyers) over the trace of the
+# pinned markets and the two tie markets of
+# test_network_is_live_after_every_commit.  The digests predate the
+# direct-edge sweep of the max-flow kernel and the integer new-edge
+# search, which reproduce them: the events, not only the equilibrium, are
+# pinned.
+PINNED_TRACES = [
+    (8, 8, 100, 0, "f63ddacdf7698d0c645adfbad1848c2e4d937d07e29eb222ecf1d789df526bfc"),
+    (8, 8, 100, 1, "18f76fae5cbce432495bea756ebca11646dd539e393f7f0f0e029bfafc5bb5ce"),
+    (8, 8, 100, 2, "8bbc48bfb965a059aac62d24e34bcdc68b0edd455cfb4e73aadcf0a2962b5f8d"),
+    (8, 8, 100, 3, "9f1f04e058e1a350b311c5184b0d0b3dc6311b98c524e944566d1f9a0ea49582"),
+    (8, 8, 100, 4, "7b2771adffb983710a11bc58ef7f500bf1a0eca10ac882b16fd9014f9af87e2b"),
+    (8, 8, 100, 5, "e5bd4574ffd9d7615efea7012a09e580ff5abd1131bf00804f16ed1012a8a8bf"),
+    (8, 8, 100, 6, "5846ad7565f1c1f6e3f6ded794f52c11a1c1e29125ae02d7fde4df8634eff4cc"),
+    (8, 8, 100, 7, "20f423b7e6a4db5d6a60e0e420bbad261ddcfafa9507528e9acbf95eabd7917f"),
+    (8, 8, 100, 8, "3e748738b25bb5bf981cddb5c94ecd7777459728cbf607173a95fceb4997d460"),
+    (8, 8, 100, 9, "40fe5324ceef31528ed8f883ebe4d6887d6f2c8931f018cb2ccade8e7e0f57af"),
+    (6, 6, 10**60, 0, "5c274d67406d9548948d3a4600cb5879fd7078095cbb4029d8b0f0746c6fd115"),
+    (6, 6, 10**60, 1, "76994d533e599077c12a84b937e57e0421e1388f9b2b3370434bda6abdb750d5"),
+    (6, 6, 10**60, 2, "6ad913e8abadf84387639882940d9ce7f7c7744cf54a0b79a827045cf5c86462"),
+    (6, 6, 10**60, 3, "77b92e2105c9eadf3efad8c4618bcb0e4c5819c7acb292e5e1bbd0aaa00a7f70"),
+    (5, 7, 20, 1000189, "54acb0f366a8b03994f64a0782fd6fbb9259f87966b1df5c1ca716d38180f837"),
+    (4, 3, 20, 321, "6931116b23cee1bb4ce3a5562e2d815a11e3ebdeb2c56c4b377aeca9290810d3"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, m, max_value, seed, digest",
+    PINNED_TRACES,
+    ids=[f"{n}x{m}-U{'1e60' if u == 10**60 else u}-{k}" for n, m, u, k, _ in PINNED_TRACES],
+)
+def test_pinned_traces(n, m, max_value, seed, digest):
+    trace = solve_max_revenue(generate_market(n, m, max_value, seed)).trace
+    text = repr(
+        tuple((r.kind, str(r.x), r.buyers, r.goods, r.scaled_buyers) for r in trace)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _fail_on_call(real, failing_call):
     calls = []
 

@@ -15,7 +15,8 @@ from fisheq import (
     residual_reach,
     tight_set_scale,
 )
-from oracle import equalize_balanced, min_cut
+from fisheq.flow import _saturate
+from oracle import equalize_balanced, min_cut, reference_saturate
 
 
 def ex1_initial_network():
@@ -48,6 +49,18 @@ class TestMaxFlow:
     def test_deterministic(self):
         net = ex1_after_first_event()
         assert max_flow(net).edge_flow == max_flow(net).edge_flow
+
+
+def test_network_capacities_converted_and_validated():
+    # Fractions are kept, anything else goes through Fraction().
+    net = FlowNetwork((1, F(1, 2)), ("3/4",), {(0, 0)})
+    assert all(type(c) is F for c in net.budgets + net.prices)
+    assert net.budgets == (F(1), F(1, 2)) and net.prices == (F(3, 4),)
+    for budgets in ((-1,), (F(-1, 2),)):
+        with pytest.raises(ValueError):
+            FlowNetwork(budgets, (F(1),), set())
+    with pytest.raises(ValueError):
+        FlowNetwork((F(1),), (1,), {(0, 1)})
 
 
 class TestMinCut:
@@ -402,3 +415,34 @@ def test_rational_constructor_reproduces_kernel_flows(seed):
         assert again.value == f.value
         assert again.sources_saturated() == f.sources_saturated()
         assert again.is_feasible() == f.is_feasible()
+
+
+@st.composite
+def masked_networks(draw):
+    """A random network and integer capacities zeroed outside a random
+    subset of buyers (the seeds) and of goods, as a water-filling block or
+    a tight-set test masks the live network."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))))
+    seeds = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    goods = draw(st.sets(st.integers(0, m - 1), min_size=1))
+    budgets = [draw(st.integers(0, 12)) if i in seeds else 0 for i in range(n)]
+    prices = [draw(st.integers(0, 12)) if j in goods else 0 for j in range(m)]
+    return FlowNetwork(budgets, prices, edges), seeds, budgets, prices
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(masked_networks())
+def test_sweep_reproduces_reference_kernel(case):
+    # The direct-edge sweep must leave exactly the flow, money sent and
+    # minimum cut of augmenting every path by breadth-first search.
+    network, seeds, budgets, prices = case
+    flow, fsrc, cut = _saturate(network, seeds, budgets, prices)
+    ref_flow, ref_fsrc, ref_cut = reference_saturate(network, seeds, budgets, prices)
+
+    def entries(rows):
+        return [[(j, v) for j, v in row.items() if v] for row in rows]
+
+    assert entries(flow) == entries(ref_flow)
+    assert fsrc == ref_fsrc
+    assert cut == ref_cut

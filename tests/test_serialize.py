@@ -102,3 +102,17 @@ def test_non_list_equilibrium_fields_rejected(capped_market, field, value):
     doc[field] = value
     with pytest.raises(FormatError, match="must be a JSON list"):
         equilibrium_from_doc(doc, capped_market)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[1, False], ["false", False], [True, 0], [True, []], [True, None], [[0], []]],
+)
+def test_non_boolean_capped_flags_rejected(capped_market, flags):
+    # Each list used to be read through bool() as the (True, False) the
+    # allocation gives, and accepted.
+    doc = equilibrium_to_doc(solve_max_revenue(capped_market).equilibrium)
+    assert doc["capped"] == [True, False]
+    doc["capped"] = flags
+    with pytest.raises(FormatError, match="JSON booleans"):
+        equilibrium_from_doc(doc, capped_market)
