@@ -18,6 +18,8 @@ from .market import (
     Market,
     NormalizedMarket,
     active_budget,
+    active_budget_at,
+    buyer_pass,
     bundle_value,
     capped_utility,
     equality_graph,
@@ -43,8 +45,10 @@ __all__ = [
     "SolveResult",
     "VerificationReport",
     "active_budget",
+    "active_budget_at",
     "balanced_flow",
     "bundle_value",
+    "buyer_pass",
     "capped_utility",
     "equality_graph",
     "equilibrium_from_allocation",

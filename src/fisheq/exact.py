@@ -53,6 +53,11 @@ INF = _Infinity()
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
+def as_fraction(value):
+    """``value`` itself if it is a Fraction, else ``Fraction(value)``."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def parse_rational(text):
     """Parse a 'p' or 'p/q' string into a Fraction.
 

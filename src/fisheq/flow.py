@@ -18,10 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvariantError
-
-
-def _exact(c):
-    return c if type(c) is Fraction else Fraction(c)
+from .exact import as_fraction
 
 
 @dataclass(frozen=True)
@@ -31,8 +28,8 @@ class FlowNetwork:
     edges: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "budgets", tuple(map(_exact, self.budgets)))
-        object.__setattr__(self, "prices", tuple(map(_exact, self.prices)))
+        object.__setattr__(self, "budgets", tuple(map(as_fraction, self.budgets)))
+        object.__setattr__(self, "prices", tuple(map(as_fraction, self.prices)))
         object.__setattr__(self, "edges", frozenset(self.edges))
         if any(c.numerator < 0 for c in self.budgets + self.prices):
             raise ValueError("capacities must be nonnegative")

@@ -151,6 +151,45 @@ def strip_trivial(market):
     return reduced, buyers, goods
 
 
+def buyer_pass(market, prices, buyer, bundle=None, goods=None):
+    """One pass over buyer i's utilities, the prices and a bundle, over
+    ``goods`` if given, else over every good.
+
+    Returns (alpha, finite_alpha, free, spend, value):
+      alpha        -- the bang-per-buck ratio max_j u_ij / p_j, with 0/0 = 0
+                      and INF if the buyer values a zero-priced good;
+      finite_alpha -- the same maximum over the positively priced goods only;
+      free         -- the buyer's total utility for the zero-priced goods;
+      spend, value -- sum_j p_j x_ij and sum_j u_ij x_ij of the bundle (both
+                      0 without one).
+
+    Ratios are compared by integer cross-multiplication, so the only
+    Fraction built for the ratios is finite_alpha.  A good with a negative
+    price has a negative ratio and never attains the maximum; it is skipped.
+    """
+    row = market.utilities[buyer]
+    num, den = 0, 1  # the largest u_ij / p_j over priced goods so far
+    free = spend = value = Fraction(0)
+    for j in range(market.m) if goods is None else goods:
+        u, p = row[j], prices[j]
+        if bundle is not None:
+            x = bundle[j]
+            if x:
+                spend += p * x
+                value += u * x
+        if not u:
+            continue
+        p_num = p.numerator
+        if p_num > 0:
+            n_j, d_j = u.numerator * p.denominator, u.denominator * p_num
+            if n_j * den > num * d_j:
+                num, den = n_j, d_j
+        elif not p_num:
+            free += u
+    finite_alpha = Fraction(num, den)
+    return (INF if free else finite_alpha), finite_alpha, free, spend, value
+
+
 def mbb_ratio(market, prices, buyer, goods=None):
     """Maximum bang-per-buck ratio max_j u_ij / p_j, over ``goods`` if
     given, else over every good.
@@ -158,30 +197,18 @@ def mbb_ratio(market, prices, buyer, goods=None):
     Conventions: 0/0 = 0, and a positive utility at price zero makes the
     ratio INF (the buyer can grab value for free).
     """
-    best = Fraction(0)
-    unbounded = False
-    for j in range(market.m) if goods is None else goods:
-        u = market.utilities[buyer][j]
-        if u == 0:
-            continue
-        if prices[j] == 0:
-            unbounded = True
-        elif not unbounded:
-            ratio = u / prices[j]
-            if ratio > best:
-                best = ratio
-    return INF if unbounded else best
+    return buyer_pass(market, prices, buyer, goods=goods)[0]
 
 
-def active_budget(market, prices, buyer):
-    """min(M_i, c_i / alpha_i) and whether the cap binds.
+def active_budget_at(market, buyer, alpha):
+    """min(M_i, c_i / alpha) and whether the cap binds, at bang-per-buck
+    ratio ``alpha``.
 
-    The cap counts as binding on equality (c_i/alpha_i == M_i).  Total on
-    every input: a buyer that values nothing gets (0, False), an uncapped
-    buyer gets (M_i, False) even at alpha = INF, and a capped buyer at
-    alpha = INF gets (0, True).
+    The cap counts as binding on equality (c_i/alpha == M_i).  Total on
+    every input: a buyer that values nothing (alpha = 0) gets (0, False),
+    an uncapped buyer gets (M_i, False) even at alpha = INF, and a capped
+    buyer at alpha = INF gets (0, True).
     """
-    alpha = mbb_ratio(market, prices, buyer)
     if alpha == 0:
         return Fraction(0), False
     money = market.budgets[buyer]
@@ -194,6 +221,12 @@ def active_budget(market, prices, buyer):
     if needed <= money:
         return needed, True
     return money, False
+
+
+def active_budget(market, prices, buyer):
+    """min(M_i, c_i / alpha_i) and whether the cap binds, at the buyer's
+    bang-per-buck ratio under ``prices`` (see ``active_budget_at``)."""
+    return active_budget_at(market, buyer, mbb_ratio(market, prices, buyer))
 
 
 def bundle_value(market, buyer, bundle):

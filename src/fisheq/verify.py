@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import INF, format_rational
-from .market import active_budget, bundle_value, capped_utility, mbb_ratio
+from .exact import INF, as_fraction, format_rational
+from .market import active_budget_at, buyer_pass, capped_utility
 
 
 @dataclass(frozen=True)
@@ -24,49 +24,58 @@ class Equilibrium:
     utilities: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "prices", tuple(Fraction(p) for p in self.prices))
+        object.__setattr__(self, "prices", tuple(map(as_fraction, self.prices)))
         object.__setattr__(
-            self, "allocation", tuple(tuple(Fraction(x) for x in row) for row in self.allocation)
+            self, "allocation", tuple(tuple(map(as_fraction, row)) for row in self.allocation)
         )
         object.__setattr__(
-            self, "active_budgets", tuple(Fraction(a) for a in self.active_budgets)
+            self, "active_budgets", tuple(map(as_fraction, self.active_budgets))
         )
         object.__setattr__(self, "capped", tuple(bool(c) for c in self.capped))
-        object.__setattr__(self, "utilities", tuple(Fraction(u) for u in self.utilities))
+        object.__setattr__(self, "utilities", tuple(map(as_fraction, self.utilities)))
 
     @property
     def revenue(self):
         """Money actually paid by the buyers."""
         return sum(
-            (p * x for p, row in zip(self.prices, zip(*self.allocation)) for x in row),
+            (p * x for row in self.allocation for p, x in zip(self.prices, row) if x),
             Fraction(0),
         )
 
     def spending(self, buyer):
         return sum(
-            (p * x for p, x in zip(self.prices, self.allocation[buyer])), Fraction(0)
+            (p * x for p, x in zip(self.prices, self.allocation[buyer]) if x),
+            Fraction(0),
         )
 
 
-def equilibrium_from_allocation(market, prices, allocation):
-    """Build a full Equilibrium record from prices and allocation, deriving
-    utilities, active budgets and capped flags from the market."""
-    prices = tuple(Fraction(p) for p in prices)
-    allocation = tuple(tuple(Fraction(x) for x in row) for row in allocation)
+def _check_dimensions(market, prices, allocation):
     if len(prices) != market.m or len(allocation) != market.n or any(
         len(row) != market.m for row in allocation
     ):
         raise ValueError("allocation and prices dimensionally inconsistent with market")
-    metas = [active_budget(market, prices, i) for i in range(market.n)]
+
+
+def equilibrium_from_allocation(market, prices, allocation):
+    """Build a full Equilibrium record from prices and allocation, deriving
+    utilities, active budgets and capped flags from the market, with one
+    ``buyer_pass`` per buyer."""
+    prices = tuple(map(as_fraction, prices))
+    allocation = tuple(tuple(map(as_fraction, row)) for row in allocation)
+    _check_dimensions(market, prices, allocation)
+    budgets, capped, utilities = [], [], []
+    for i, bundle in enumerate(allocation):
+        alpha, _, _, _, value = buyer_pass(market, prices, i, bundle)
+        money, is_capped = active_budget_at(market, i, alpha)
+        budgets.append(money)
+        capped.append(is_capped)
+        utilities.append(capped_utility(market, i, value))
     return Equilibrium(
         prices=prices,
         allocation=allocation,
-        active_budgets=tuple(meta[0] for meta in metas),
-        capped=tuple(meta[1] for meta in metas),
-        utilities=tuple(
-            capped_utility(market, i, bundle_value(market, i, allocation[i]))
-            for i in range(market.n)
-        ),
+        active_budgets=tuple(budgets),
+        capped=tuple(capped),
+        utilities=tuple(utilities),
     )
 
 
@@ -116,13 +125,18 @@ def verify(market, equilibrium):
                         M_i, capped buyers exactly c_i/alpha_i);
       kkt_ok         -- the multiplier gamma_i = M_i/u_i - 1/alpha_i is
                         nonnegative, and positive only at the cap.
+
+    The buyer-side checks read one ``buyer_pass`` per buyer: a single walk
+    over the buyer's utilities, the prices and its bundle gives alpha, the
+    free-good value, the spend and the raw value.  The same walk gives the
+    finite alpha over the positively priced goods, the rate at which money
+    buys value once the free goods are taken, so the best affordable
+    utility needs no second walk.  The active budget depends on the prices
+    only through alpha, so it follows from that alpha alone.
     """
     prices = equilibrium.prices
     alloc = equilibrium.allocation
-    if len(prices) != market.m or len(alloc) != market.n or any(
-        len(row) != market.m for row in alloc
-    ):
-        raise ValueError("allocation and prices dimensionally inconsistent with market")
+    _check_dimensions(market, prices, alloc)
 
     report = VerificationReport()
 
@@ -131,26 +145,25 @@ def verify(market, equilibrium):
         report.violations.append((condition, index, _fmt(lhs), _fmt(rhs)))
 
     for j, p in enumerate(prices):
-        if p < 0:
+        if p.numerator < 0:
             flag("price", j, p, Fraction(0))
+    sold = [Fraction(0)] * market.m
     for i, row in enumerate(alloc):
         for j, x in enumerate(row):
-            if x < 0 or x > 1:
-                flag("allocation-range", (i, j), x, "[0,1]")
-    for j in range(market.m):
-        sold = sum((alloc[i][j] for i in range(market.n)), Fraction(0))
-        if sold > 1:
-            flag("overallocation", j, sold, Fraction(1))
-        if prices[j] > 0 and prices[j] * (1 - sold) != 0:
-            flag("walras", j, prices[j] * (1 - sold), Fraction(0))
+            if x:
+                if x.numerator < 0 or x.numerator > x.denominator:
+                    flag("allocation-range", (i, j), x, "[0,1]")
+                sold[j] += x
+    for j, (p, total) in enumerate(zip(prices, sold)):
+        if total.numerator > total.denominator:
+            flag("overallocation", j, total, Fraction(1))
+        if p.numerator > 0 and total != 1:
+            flag("walras", j, p * (1 - total), Fraction(0))
 
-    priced = [j for j in range(market.m) if prices[j] > 0]
-    for i in range(market.n):
+    for i, bundle in enumerate(alloc):
         money = market.budgets[i]
         cap = market.caps[i]
-        alpha = mbb_ratio(market, prices, i)
-        spend = equilibrium.spending(i)
-        raw_utility = bundle_value(market, i, alloc[i])
+        alpha, finite_alpha, free, spend, raw_utility = buyer_pass(market, prices, i, bundle)
         utility = capped_utility(market, i, raw_utility)
 
         if spend > money:
@@ -160,45 +173,42 @@ def verify(market, equilibrium):
 
         # Best utility any affordable bundle can reach: take every valued
         # zero-priced good for free, then spend the budget at ratio alpha.
-        free = sum(
-            (
-                market.utilities[i][j]
-                for j in range(market.m)
-                if prices[j] == 0 and market.utilities[i][j] > 0
-            ),
-            Fraction(0),
-        )
-        finite_alpha = mbb_ratio(market, prices, i, priced)
         optimal = capped_utility(market, i, free + finite_alpha * money)
         if utility != optimal:
             flag("demand", i, utility, optimal)
 
-        # MBB support and thrifty spending.
-        for j in range(market.m):
-            if alloc[i][j] == 0:
+        # MBB support and thrifty spending; u == alpha * p is tested as
+        # u_num * a_den * p_den == a_num * p_num * u_den.
+        row = market.utilities[i]
+        if alpha is not INF:
+            a_num, a_den = alpha.numerator, alpha.denominator
+        for j, x in enumerate(bundle):
+            if not x:
                 continue
-            u = market.utilities[i][j]
+            u, p = row[j], prices[j]
             if alpha is INF:
-                if prices[j] != 0 or u == 0:
+                if p or not u:
                     flag("mbb", (i, j), u, "free-good ratio")
-            elif prices[j] == 0 or u != alpha * prices[j]:
-                flag("mbb", (i, j), u if prices[j] == 0 else u / prices[j], alpha)
+            elif not p or (
+                u.numerator * a_den * p.denominator != a_num * p.numerator * u.denominator
+            ):
+                flag("mbb", (i, j), u / p if p else u, alpha)
 
         if alpha == 0:
             if spend != 0:
                 flag("spending", i, spend, Fraction(0))
             continue
-        required, _ = active_budget(market, prices, i)
+        required, _ = active_budget_at(market, i, alpha)
         if spend != required:
             flag("spending", i, spend, required)
 
-        # KKT multiplier.
+        # KKT multiplier gamma_i = M_i/u_i - 1/alpha_i; with u_i, alpha_i > 0
+        # it has the sign of M_i alpha_i - u_i.
         if utility > 0:
-            inv_alpha = Fraction(0) if alpha is INF else 1 / alpha
-            gamma = money / utility - inv_alpha
-            if gamma < 0:
-                flag("kkt-gamma", i, gamma, Fraction(0))
-            elif gamma > 0 and (cap is None or utility != cap):
+            bought = INF if alpha is INF else money * alpha
+            if bought < utility:
+                flag("kkt-gamma", i, money / utility - 1 / alpha, Fraction(0))
+            elif bought > utility and (cap is None or utility != cap):
                 flag("kkt-slack", i, utility, cap if cap is not None else "inf")
 
     return report

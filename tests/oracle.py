@@ -9,7 +9,11 @@ KKT point with a damped proportional-response iteration in floating point
 solve path.  ``min_cut`` reads the canonical minimum cut off a maximum
 flow, as a strong-duality certificate for the exact max-flow, and
 ``reference_saturate`` is the plain shortest-augmenting-path max-flow
-that the package's kernel must reproduce bit for bit.
+that the package's kernel must reproduce bit for bit.  ``reference_verify``
+and ``reference_equilibrium_from_allocation`` are the verifier and the
+equilibrium builder as they were before each became one pass per buyer,
+with their own copies of the buyer-side rules; the package's reports and
+records must equal theirs.
 """
 
 from __future__ import annotations
@@ -19,7 +23,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from fisheq import Flow, FlowNetwork, InvariantError, is_balanced, max_flow
+from fisheq import (
+    INF,
+    Equilibrium,
+    Flow,
+    FlowNetwork,
+    InvariantError,
+    VerificationReport,
+    is_balanced,
+    format_rational,
+    max_flow,
+)
 
 _ENUMERATION_LIMIT = 14
 
@@ -128,6 +142,184 @@ def reference_saturate(network, seeds, budgets, prices):
             j = from_good[i]
             if j != -1:
                 flow[i][j] -= bottleneck
+
+
+_FLAG_OF = {
+    "price": "is_equilibrium",
+    "allocation-range": "is_equilibrium",
+    "overallocation": "is_equilibrium",
+    "walras": "is_equilibrium",
+    "budget": "is_equilibrium",
+    "demand": "is_equilibrium",
+    "modest": "is_modest",
+    "mbb": "is_mbb",
+    "spending": "is_mbb",
+    "kkt-gamma": "kkt_ok",
+    "kkt-slack": "kkt_ok",
+}
+
+
+def _fmt(value):
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return str(value)
+
+
+def _reference_mbb_ratio(market, prices, buyer, goods=None):
+    best = Fraction(0)
+    unbounded = False
+    for j in range(market.m) if goods is None else goods:
+        u = market.utilities[buyer][j]
+        if u == 0:
+            continue
+        if prices[j] == 0:
+            unbounded = True
+        elif not unbounded:
+            ratio = u / prices[j]
+            if ratio > best:
+                best = ratio
+    return INF if unbounded else best
+
+
+def _reference_active_budget(market, prices, buyer):
+    alpha = _reference_mbb_ratio(market, prices, buyer)
+    if alpha == 0:
+        return Fraction(0), False
+    money = market.budgets[buyer]
+    cap = market.caps[buyer]
+    if cap is None:
+        return money, False
+    if alpha is INF:
+        return Fraction(0), True
+    needed = cap / alpha
+    if needed <= money:
+        return needed, True
+    return money, False
+
+
+def _reference_bundle_value(market, buyer, bundle):
+    return sum((u * x for u, x in zip(market.utilities[buyer], bundle)), Fraction(0))
+
+
+def _reference_capped_utility(market, buyer, value):
+    cap = market.caps[buyer]
+    return value if cap is None or value <= cap else cap
+
+
+def _reference_spending(equilibrium, buyer):
+    return sum(
+        (p * x for p, x in zip(equilibrium.prices, equilibrium.allocation[buyer])),
+        Fraction(0),
+    )
+
+
+def reference_equilibrium_from_allocation(market, prices, allocation):
+    """Equilibrium record from prices and allocation, one rule at a time."""
+    prices = tuple(Fraction(p) for p in prices)
+    allocation = tuple(tuple(Fraction(x) for x in row) for row in allocation)
+    if len(prices) != market.m or len(allocation) != market.n or any(
+        len(row) != market.m for row in allocation
+    ):
+        raise ValueError("allocation and prices dimensionally inconsistent with market")
+    metas = [_reference_active_budget(market, prices, i) for i in range(market.n)]
+    return Equilibrium(
+        prices=prices,
+        allocation=allocation,
+        active_budgets=tuple(meta[0] for meta in metas),
+        capped=tuple(meta[1] for meta in metas),
+        utilities=tuple(
+            _reference_capped_utility(
+                market, i, _reference_bundle_value(market, i, allocation[i])
+            )
+            for i in range(market.n)
+        ),
+    )
+
+
+def reference_verify(market, equilibrium):
+    """Every equilibrium condition, each on its own walk of the row, with
+    three bang-per-buck computations per buyer."""
+    prices = equilibrium.prices
+    alloc = equilibrium.allocation
+    if len(prices) != market.m or len(alloc) != market.n or any(
+        len(row) != market.m for row in alloc
+    ):
+        raise ValueError("allocation and prices dimensionally inconsistent with market")
+
+    report = VerificationReport()
+
+    def flag(condition, index, lhs, rhs):
+        setattr(report, _FLAG_OF[condition], False)
+        report.violations.append((condition, index, _fmt(lhs), _fmt(rhs)))
+
+    for j, p in enumerate(prices):
+        if p < 0:
+            flag("price", j, p, Fraction(0))
+    for i, row in enumerate(alloc):
+        for j, x in enumerate(row):
+            if x < 0 or x > 1:
+                flag("allocation-range", (i, j), x, "[0,1]")
+    for j in range(market.m):
+        sold = sum((alloc[i][j] for i in range(market.n)), Fraction(0))
+        if sold > 1:
+            flag("overallocation", j, sold, Fraction(1))
+        if prices[j] > 0 and prices[j] * (1 - sold) != 0:
+            flag("walras", j, prices[j] * (1 - sold), Fraction(0))
+
+    priced = [j for j in range(market.m) if prices[j] > 0]
+    for i in range(market.n):
+        money = market.budgets[i]
+        cap = market.caps[i]
+        alpha = _reference_mbb_ratio(market, prices, i)
+        spend = _reference_spending(equilibrium, i)
+        raw_utility = _reference_bundle_value(market, i, alloc[i])
+        utility = _reference_capped_utility(market, i, raw_utility)
+
+        if spend > money:
+            flag("budget", i, spend, money)
+        if cap is not None and raw_utility > cap:
+            flag("modest", i, raw_utility, cap)
+
+        free = sum(
+            (
+                market.utilities[i][j]
+                for j in range(market.m)
+                if prices[j] == 0 and market.utilities[i][j] > 0
+            ),
+            Fraction(0),
+        )
+        finite_alpha = _reference_mbb_ratio(market, prices, i, priced)
+        optimal = _reference_capped_utility(market, i, free + finite_alpha * money)
+        if utility != optimal:
+            flag("demand", i, utility, optimal)
+
+        for j in range(market.m):
+            if alloc[i][j] == 0:
+                continue
+            u = market.utilities[i][j]
+            if alpha is INF:
+                if prices[j] != 0 or u == 0:
+                    flag("mbb", (i, j), u, "free-good ratio")
+            elif prices[j] == 0 or u != alpha * prices[j]:
+                flag("mbb", (i, j), u if prices[j] == 0 else u / prices[j], alpha)
+
+        if alpha == 0:
+            if spend != 0:
+                flag("spending", i, spend, Fraction(0))
+            continue
+        required, _ = _reference_active_budget(market, prices, i)
+        if spend != required:
+            flag("spending", i, spend, required)
+
+        if utility > 0:
+            inv_alpha = Fraction(0) if alpha is INF else 1 / alpha
+            gamma = money / utility - inv_alpha
+            if gamma < 0:
+                flag("kkt-gamma", i, gamma, Fraction(0))
+            elif gamma > 0 and (cap is None or utility != cap):
+                flag("kkt-slack", i, utility, cap if cap is not None else "inf")
+
+    return report
 
 
 def balanced_surplus_levels(network):

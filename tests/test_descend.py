@@ -116,6 +116,18 @@ class TestNextEvent:
         assert event.x == 0
         assert event.goods == (0, 1)
 
+    def test_more_money_than_prices_on_S_is_an_invariant_error(self):
+        # the uncapped buyer's budget 1 spends on S = {0}, priced 1/2
+        market = Market((F(1),), (None,), ((F(1), F(1)),))
+        state, _ = _fresh_state(market)
+        state.prices = [F(1, 2), F(1, 2)]
+        state.network = FlowNetwork(
+            tuple(state.budgets), tuple(state.prices), state.network.edges
+        )
+        state.S = {0}
+        with pytest.raises(InvariantError, match="negative surplus"):
+            next_event(state)
+
 
 class TestCommitEvent:
     def test_example_new_edge_commit(self, capped_market):

@@ -9,6 +9,8 @@ from fisheq import (
     InvalidMarketError,
     Market,
     active_budget,
+    active_budget_at,
+    buyer_pass,
     bundle_value,
     capped_utility,
     equality_graph,
@@ -77,7 +79,26 @@ class TestMbbRatio:
         assert mbb_ratio(capped_market, (F(0), F(1)), 0, []) == 0
 
 
+class TestBuyerPass:
+    def test_ratio_spend_and_value_of_a_bundle(self, capped_market):
+        bundle = (F(1, 5), F(0))
+        prices = (F(10, 13), F(5, 13))
+        expected = (F(13, 2), F(13, 2), F(0), F(2, 13), F(1))
+        assert buyer_pass(capped_market, prices, 0, bundle) == expected
+
+    def test_free_good_makes_alpha_infinite_but_not_finite_alpha(self, capped_market):
+        alpha, finite_alpha, free, spend, value = buyer_pass(capped_market, (F(0), F(1)), 0)
+        assert (alpha, finite_alpha, free, spend, value) == (INF, F(1), F(5), F(0), F(0))
+
+    def test_negative_price_never_attains_the_ratio(self, capped_market):
+        assert buyer_pass(capped_market, (F(-1), F(2)), 0)[:2] == (F(1, 2), F(1, 2))
+
+
 class TestActiveBudget:
+    def test_from_a_given_ratio(self, capped_market):
+        assert active_budget_at(capped_market, 0, F(5, 4)) == (F(4, 5), True)
+        assert active_budget_at(capped_market, 0, F(0)) == (F(0), False)
+
     def test_capped_at_initial_prices(self, capped_market):
         assert active_budget(capped_market, (F(4), F(4)), 0) == (F(4, 5), True)
 

@@ -1,8 +1,14 @@
+import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fisheq import equilibrium_from_allocation, verify
+from fisheq import Market, equilibrium_from_allocation, min_revenue, solve_max_revenue, verify
+from oracle import reference_equilibrium_from_allocation, reference_verify
+from test_acceptance import corpus_markets
 
 
 def _flags(report):
@@ -85,3 +91,74 @@ def test_zero_price_equilibrium_with_free_goods(overlap_market):
     assert report.ok
     assert eq.capped == (True, False)
     assert eq.active_budgets[0] == 0
+
+
+def _assert_matches_reference(market, prices, allocation):
+    """The builder and the verifier agree with the rule-at-a-time copies."""
+    built = equilibrium_from_allocation(market, prices, allocation)
+    assert built == reference_equilibrium_from_allocation(market, prices, allocation)
+    report = verify(market, built)
+    assert report == reference_verify(market, built)
+    return report
+
+
+_NEGATIVE = (F(-3), F(-1), F(-1, 2), F(-1, 4))
+_POSITIVE = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(3), F(4))
+
+
+@st.composite
+def priced_bundles(draw):
+    """A market with n, m <= 4, with or without caps, and a price vector
+    and allocation whose entries may be negative, zero or positive (for
+    the allocation: in (0, 1] or above 1)."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    positive = st.sampled_from(_POSITIVE)
+    budgets = [draw(positive) for _ in range(n)]
+    caps = [draw(st.none() | positive) for _ in range(n)]
+    rows = [[draw(st.integers(0, 4)) for _ in range(m)] for _ in range(n)]
+    price = positive | st.just(F(0)) | st.sampled_from(_NEGATIVE)
+    share = st.just(F(0)) | st.sampled_from(_NEGATIVE + _POSITIVE)
+    prices = [draw(price) for _ in range(m)]
+    allocation = [[draw(share) for _ in range(m)] for _ in range(n)]
+    market = Market(tuple(budgets), tuple(caps), tuple(map(tuple, rows)))
+    return market, tuple(prices), tuple(map(tuple, allocation))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(priced_bundles())
+def test_matches_reference_on_random_inputs(case):
+    _assert_matches_reference(*case)
+
+
+def _mutants(equilibrium, rng):
+    """The equilibrium itself, then one good's price scaled, zeroed and
+    negated, and one held share raised and moved to another good."""
+    prices, alloc = list(equilibrium.prices), [list(row) for row in equilibrium.allocation]
+    yield prices, alloc
+    j = rng.randrange(len(prices))
+    for factor in (F(3, 2), F(0), F(-1)):
+        yield prices[:j] + [prices[j] * factor] + prices[j + 1 :], alloc
+    held = [(i, j) for i, row in enumerate(alloc) for j, x in enumerate(row) if x]
+    if held:
+        i, j = rng.choice(held)
+        raised = [list(row) for row in alloc]
+        raised[i][j] += F(1, 2)
+        yield prices, raised
+        moved = [list(row) for row in alloc]
+        k = (j + 1) % len(prices)
+        moved[i][k] += moved[i][j]
+        moved[i][j] = F(0)
+        yield prices, moved
+
+
+def test_matches_reference_on_mutated_corpus_endpoints():
+    rng = random.Random(8)
+    flagged = checked = 0
+    for market in islice(corpus_markets(), 100):
+        high = solve_max_revenue(market).equilibrium
+        for endpoint in (high, min_revenue(market, high)):
+            for prices, alloc in _mutants(endpoint, rng):
+                report = _assert_matches_reference(market, prices, alloc)
+                checked += 1
+                flagged += not report.ok
+    assert 0 < flagged < checked
