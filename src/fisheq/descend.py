@@ -79,6 +79,14 @@ class SolverState:
     budgets and live sets (dead ones are 0: their zero-price event scaled
     them by 0).  ``initialize`` builds it from the equality graph,
     ``commit_event`` edits it by the event's rule, and the rest reads it.
+
+    ``alloc`` is built from the balanced flow when read, not at every
+    flow: only a zero-price commit and the end of a solve read it.  A read
+    after a new flow zeroes the live-good entries of the flow written in
+    last and writes the current one as x_ij = f_ij / p_j.  The p_j are the
+    prices of the flow's own network, the prices it was computed at: cap
+    and tight-set commits scale prices without a new flow.  A departed
+    good's column keeps the shares written at its zero-price event.
     """
 
     def __init__(self, market):
@@ -88,7 +96,8 @@ class SolverState:
         self.capped = []
         self.live_buyers = set(range(market.n))
         self.live_goods = set(range(market.m))
-        self.alloc = [[Fraction(0)] * market.m for _ in range(market.n)]
+        self._alloc = [[Fraction(0)] * market.m for _ in range(market.n)]
+        self._alloc_flow = None  # the flow written into _alloc
         self.departed = {}  # buyer -> utility, frozen at its zero-price event
         self.network = None
         self.tied_edges = []  # new-edge pairs at the scale of the pending event
@@ -103,6 +112,25 @@ class SolverState:
         n, m, U = market.n, market.m, market.U
         self.max_phases = 8 * m * n * ((m + n).bit_length() + (m + n) * U.bit_length() + 1)
         self.price_bound = (m + n) * U ** (3 * (m + n))
+
+    @property
+    def alloc(self):
+        flow = self.flow
+        if flow is not self._alloc_flow:
+            if self._alloc_flow is not None:
+                zero, live = Fraction(0), self.live_goods
+                for row, goods in zip(self._alloc, self._alloc_flow.rows):
+                    for j in goods:
+                        if j in live:
+                            row[j] = zero
+            # the live network only has edges into live goods; x_ij = (v / denom) / p_j
+            denom, prices = flow.denom, flow.network.prices
+            for row, goods in zip(self._alloc, flow.rows):
+                for j, v in goods.items():
+                    p = prices[j]
+                    row[j] = Fraction(v * p.denominator, denom * p.numerator)
+            self._alloc_flow = flow
+        return self._alloc
 
 
 def initialize(market):
@@ -126,28 +154,13 @@ def _alpha(state, i):
 
 
 def _recompute_flow(state):
-    """Balanced flow on the live network, written into the allocation.
-
-    The live columns of the allocation hold exactly the entries the
-    previous flow wrote (a good that left since keeps the share frozen at
-    its zero-price event), so only those are zeroed."""
-    previous, state.flow = state.flow, balanced_flow(state.network)
+    """Balanced flow on the live network; ``state.alloc`` follows it when
+    read."""
+    state.flow = balanced_flow(state.network)
     state.surpluses = state.flow.surpluses()
     for j in state.live_goods:
         if state.prices[j] <= 0:
             raise InvariantError(f"live good {j} has nonpositive price")
-    if previous is not None:
-        zero, live = Fraction(0), state.live_goods
-        for row, goods in zip(state.alloc, previous.rows):
-            for j in goods:
-                if j in live:
-                    row[j] = zero
-    # the live network only has edges into live goods; x_ij = (v / denom) / p_j
-    denom = state.flow.denom
-    for i, row in enumerate(state.flow.rows):
-        for j, v in row.items():
-            p = state.prices[j]
-            state.alloc[i][j] = Fraction(v * p.denominator, denom * p.numerator)
 
 
 def _booked_utilities(state):
@@ -168,18 +181,18 @@ def start_phase(state):
 
     Returns False (phase not started) once the total surplus is zero."""
     _recompute_flow(state)
+    # the surpluses as integers over one denominator order as the rationals
+    r, denom = state.flow._surplus_ints(), state.flow.denom
+    norm2 = Fraction(sum(v * v for v in r), denom * denom)
     if state.phases and state.phases[-1].norm2_end is None:
-        state.phases[-1].norm2_end = sum(
-            (r * r for r in state.surpluses), Fraction(0)
-        )
-    total = sum(state.surpluses, Fraction(0))
-    if total == 0:
+        state.phases[-1].norm2_end = norm2
+    if sum(r) == 0:
         return False
     state.phase += 1
     if state.phase > state.max_phases:
         raise InvariantError("phase guard exceeded; norm decrease law broken")
-    delta = max(state.surpluses[j] for j in state.live_goods)
-    top = min(j for j in state.live_goods if state.surpluses[j] == delta)
+    delta = max(r[j] for j in state.live_goods)
+    top = min(j for j in state.live_goods if r[j] == delta)
     state.S = set(residual_reach(state.network, state.flow, (top,)))
     state.iteration = 0
     state.phase_over = False
@@ -188,7 +201,7 @@ def start_phase(state):
             phase=state.phase,
             live_buyers=len(state.live_buyers),
             live_goods=len(state.live_goods),
-            norm2_start=sum((r * r for r in state.surpluses), Fraction(0)),
+            norm2_start=norm2,
             utilities=_booked_utilities(state),
         )
     )
@@ -203,12 +216,17 @@ def next_event(state):
     must extend S before a capping buyer's money is counted as fixed, or an
     uncapped buyer of B' can be left spending outside S.
 
+    Each cap and new-edge candidate scale is an integer pair (num, den)
+    with den > 0; the largest and its ties are found by cross-multiplying,
+    and only each kind's winner becomes a Fraction.
+
     Whatever kind wins, the (h, j) pairs whose new-edge scale equals the
     event's are left on ``state.tied_edges``: after the scale they are the
     new equality edges, and ``commit_event`` adds exactly those.
     """
     market = state.market
     network = state.network
+    prices = state.prices
     bprime = {i for j in state.S for i in network.good_buyers[j]}
     b_c = {i for i in bprime if state.capped[i]}
     b_u = bprime - b_c
@@ -216,24 +234,28 @@ def next_event(state):
     # (x, priority, kind, buyers); with no event the scale runs out at x = 0
     candidates = [(Fraction(0), -1, ZERO_PRICE, tuple(sorted(bprime)))]
 
-    best_cap, cap_buyers = None, []
+    # i caps at x = M_i alpha_i / c_i, alpha_i = u_ik / p_k on an edge (i, k)
+    best_num, best_den, cap_buyers = 0, 1, []
     for i in sorted(b_u):
-        cap = market.caps[i]
-        if cap is None:
+        c = market.caps[i]
+        if c is None:
             continue
-        x = market.budgets[i] * _alpha(state, i) / cap
-        if best_cap is None or x > best_cap:
-            best_cap, cap_buyers = x, [i]
-        elif x == best_cap:
+        k = network.buyer_goods[i][0]
+        M, u, p = market.budgets[i], market.utilities[i][k], prices[k]
+        num = M.numerator * u.numerator * c.denominator * p.denominator
+        den = M.denominator * u.denominator * c.numerator * p.numerator
+        if not cap_buyers or num * best_den > best_num * den:
+            best_num, best_den, cap_buyers = num, den, [i]
+        elif num * best_den == best_num * den:
             cap_buyers.append(i)
-    if best_cap is not None:
-        candidates.append((best_cap, 0, CAP, tuple(cap_buyers)))
+    if cap_buyers:
+        candidates.append((Fraction(best_num, best_den), 0, CAP, tuple(cap_buyers)))
 
     # h outside B' gains (h, j) at x = u_hj / (alpha_h p_j).  alpha_h is
     # fixed (its edges all leave S), so h's pairs are the j of S with the
-    # largest u_hj / p_j, found by integer cross-multiplication.
-    in_s = [(j, state.prices[j].numerator, state.prices[j].denominator) for j in state.S]
-    best_eq, eq_pairs = None, []
+    # largest u_hj / p_j.
+    in_s = [(j, prices[j].numerator, prices[j].denominator) for j in state.S]
+    best_num, best_den, eq_pairs = 0, 1, []
     for h in sorted(state.live_buyers - bprime):
         if not network.buyer_goods[h]:
             raise InvariantError(f"buyer {h} outside B' values nothing outside S")
@@ -251,13 +273,15 @@ def next_event(state):
         if not goods:
             continue
         k = network.buyer_goods[h][0]  # alpha_h = u_hk / p_k
-        u, p = row[k], state.prices[k]
-        x = Fraction(num * u.denominator * p.numerator, den * u.numerator * p.denominator)
-        if best_eq is None or x > best_eq:
-            best_eq, eq_pairs = x, []
-        if x == best_eq:
+        u, p = row[k], prices[k]
+        num, den = num * u.denominator * p.numerator, den * u.numerator * p.denominator
+        if not eq_pairs or num * best_den > best_num * den:
+            best_num, best_den, eq_pairs = num, den, []
+        if num * best_den == best_num * den:
             eq_pairs.extend((h, j) for j in goods)
-    if best_eq is not None:
+    best_eq = None
+    if eq_pairs:
+        best_eq = Fraction(best_num, best_den)
         eq_buyers = tuple(sorted({h for h, _ in eq_pairs}))
         candidates.append((best_eq, 1, NEW_EDGE, eq_buyers))
 
@@ -383,10 +407,11 @@ def solve_max_revenue(market):
     scale = stripped.budget_scale
     prices = [Fraction(0)] * market.m
     alloc = [[Fraction(0)] * market.m for _ in range(market.n)]
+    solved = state.alloc
     for j_s, j in enumerate(kept_goods):
         prices[j] = state.prices[j_s] / scale
         for i_s, i in enumerate(kept_buyers):
-            alloc[i][j] = state.alloc[i_s][j_s]
+            alloc[i][j] = solved[i_s][j_s]
     equilibrium = equilibrium_from_allocation(market, tuple(prices), tuple(map(tuple, alloc)))
     return SolveResult(
         equilibrium=equilibrium,

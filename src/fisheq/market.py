@@ -240,24 +240,30 @@ def capped_utility(market, buyer, value):
     return value if cap is None or value <= cap else cap
 
 
-def equality_graph(market, prices):
+def equality_graph(market, prices, alphas=None):
     """Edges (i, j) on which buyer i attains its bang-per-buck ratio.
 
-    If buyer i values some zero-priced good, its ratio is INF and its
-    equality edges are exactly the zero-priced goods it values.
+    ``alphas``, if given, holds every buyer's ratio at ``prices`` (as
+    ``mbb_ratio`` gives it), so a caller that already has them makes no
+    second pass.  If buyer i values some zero-priced good, its ratio is
+    INF and its equality edges are exactly the zero-priced goods it values.
+    Otherwise u_ij == alpha_i * p_j is tested as
+    u_num * a_den * p_den == a_num * p_num * u_den.
     """
     edges = set()
     for i in range(market.n):
-        alpha = mbb_ratio(market, prices, i)
+        alpha = mbb_ratio(market, prices, i) if alphas is None else alphas[i]
         if alpha == 0:
             continue
-        for j in range(market.m):
-            u = market.utilities[i][j]
-            if u == 0:
-                continue
-            if alpha is INF:
-                if prices[j] == 0:
-                    edges.add((i, j))
-            elif prices[j] > 0 and u == alpha * prices[j]:
+        row = market.utilities[i]
+        if alpha is INF:
+            edges.update((i, j) for j, u in enumerate(row) if u and prices[j] == 0)
+            continue
+        a_num, a_den = alpha.numerator, alpha.denominator
+        for j, u in enumerate(row):
+            p = prices[j]
+            if u and p.numerator > 0 and (
+                u.numerator * a_den * p.denominator == a_num * p.numerator * u.denominator
+            ):
                 edges.add((i, j))
     return frozenset(edges)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InvariantError
 from .exact import INF
-from .market import active_budget, equality_graph, mbb_ratio
+from .market import active_budget_at, equality_graph, mbb_ratio
 from .verify import equilibrium_from_allocation, verify
 
 
@@ -54,12 +54,16 @@ def min_revenue(market, equilibrium):
 
     guard = 64 + 4 * market.m * (market.n + 1) ** 2
     loops = 0
+    boundary = None  # the last scaled equilibrium, built and verified
     while True:
         loops += 1
         if loops > guard:
             raise InvariantError("minimum-revenue loop guard exceeded")
-        edges = equality_graph(market, prices)
-        capped = [active_budget(market, prices, i)[1] for i in range(market.n)]
+        # one buyer pass each gives the ratios the graph, the capped flags
+        # and the scaling candidates read
+        alphas = [mbb_ratio(market, prices, i) for i in range(market.n)]
+        edges = equality_graph(market, prices, alphas)
+        capped = [active_budget_at(market, i, alpha)[1] for i, alpha in enumerate(alphas)]
         S, bprime = _scalable_set(market, prices, alloc, edges, capped)
         if not S:
             break
@@ -69,10 +73,8 @@ def min_revenue(market, equilibrium):
         # Scale down until a new equality edge appears, or all the way to 0.
         x_star = Fraction(0)
         for h in range(market.n):
-            if h in bprime:
-                continue
-            alpha = mbb_ratio(market, prices, h)
-            if alpha == 0 or alpha is INF:
+            alpha = alphas[h]
+            if h in bprime or alpha == 0 or alpha is INF:
                 continue
             for j in S:
                 u = market.utilities[h][j]
@@ -89,6 +91,10 @@ def min_revenue(market, equilibrium):
             raise InvariantError(
                 f"postprocessing left the equilibrium set: {boundary_report.violations}"
             )
+    if boundary is not None:
+        return boundary
+    # Nothing scaled.  The input passed verify, but verify does not check
+    # its active budgets, capped flags or utilities, so they are rebuilt.
     return equilibrium_from_allocation(
         market, tuple(prices), tuple(tuple(row) for row in alloc)
     )

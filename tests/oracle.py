@@ -13,7 +13,10 @@ that the package's kernel must reproduce bit for bit.  ``reference_verify``
 and ``reference_equilibrium_from_allocation`` are the verifier and the
 equilibrium builder as they were before each became one pass per buyer,
 with their own copies of the buyer-side rules; the package's reports and
-records must equal theirs.
+records must equal theirs.  ``reference_allocation`` is the descent's
+allocation as it was written at every balanced flow, before it was built
+from the flow when read, and ``reference_next_event`` is the event search
+on Fractions, before its candidates became integer pairs.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 
 from fisheq import (
     INF,
+    EventRecord,
     Equilibrium,
     Flow,
     FlowNetwork,
@@ -33,7 +37,9 @@ from fisheq import (
     is_balanced,
     format_rational,
     max_flow,
+    tight_set_scale,
 )
+from fisheq.descend import CAP, NEW_EDGE, TIGHT_SET, ZERO_PRICE
 
 _ENUMERATION_LIMIT = 14
 
@@ -320,6 +326,104 @@ def reference_verify(market, equilibrium):
                 flag("kkt-slack", i, utility, cap if cap is not None else "inf")
 
     return report
+
+
+def reference_allocation(alloc, state, previous):
+    """Replay the eager allocation rule after a balanced flow: zero the
+    live-good entries that ``previous`` (the flow before ``state.flow``)
+    wrote, then write ``state.flow`` at the current prices.  ``alloc`` is
+    updated in place and returned."""
+    if previous is not None:
+        zero, live = Fraction(0), state.live_goods
+        for row, goods in zip(alloc, previous.rows):
+            for j in goods:
+                if j in live:
+                    row[j] = zero
+    denom = state.flow.denom
+    for i, row in enumerate(state.flow.rows):
+        for j, v in row.items():
+            p = state.prices[j]
+            alloc[i][j] = Fraction(v * p.denominator, denom * p.numerator)
+    return alloc
+
+
+def _reference_alpha(state, i):
+    j = state.network.buyer_goods[i][0]
+    return state.market.utilities[i][j] / state.prices[j]
+
+
+def reference_next_event(state):
+    """The largest event scale, each cap and new-edge candidate a Fraction.
+    Sets ``state.tied_edges`` as the solver's search does."""
+    market = state.market
+    network = state.network
+    bprime = {i for j in state.S for i in network.good_buyers[j]}
+    b_c = {i for i in bprime if state.capped[i]}
+    b_u = bprime - b_c
+
+    # (x, priority, kind, buyers); with no event the scale runs out at x = 0
+    candidates = [(Fraction(0), -1, ZERO_PRICE, tuple(sorted(bprime)))]
+
+    best_cap, cap_buyers = None, []
+    for i in sorted(b_u):
+        cap = market.caps[i]
+        if cap is None:
+            continue
+        x = market.budgets[i] * _reference_alpha(state, i) / cap
+        if best_cap is None or x > best_cap:
+            best_cap, cap_buyers = x, [i]
+        elif x == best_cap:
+            cap_buyers.append(i)
+    if best_cap is not None:
+        candidates.append((best_cap, 0, CAP, tuple(cap_buyers)))
+
+    # h outside B' gains (h, j) at x = u_hj / (alpha_h p_j).  alpha_h is
+    # fixed (its edges all leave S), so h's pairs are the j of S with the
+    # largest u_hj / p_j, found by integer cross-multiplication.
+    in_s = [(j, state.prices[j].numerator, state.prices[j].denominator) for j in state.S]
+    best_eq, eq_pairs = None, []
+    for h in sorted(state.live_buyers - bprime):
+        if not network.buyer_goods[h]:
+            raise InvariantError(f"buyer {h} outside B' values nothing outside S")
+        row = market.utilities[h]
+        num, den, goods = 0, 1, []  # h's largest u_hj / p_j is num / den, at goods
+        for j, p_num, p_den in in_s:
+            u = row[j]
+            if not u:
+                continue
+            n_j, d_j = u.numerator * p_den, u.denominator * p_num
+            if n_j * den > num * d_j:
+                num, den, goods = n_j, d_j, [j]
+            elif n_j * den == num * d_j:
+                goods.append(j)
+        if not goods:
+            continue
+        k = network.buyer_goods[h][0]  # alpha_h = u_hk / p_k
+        u, p = row[k], state.prices[k]
+        x = Fraction(num * u.denominator * p.numerator, den * u.numerator * p.denominator)
+        if best_eq is None or x > best_eq:
+            best_eq, eq_pairs = x, []
+        if x == best_eq:
+            eq_pairs.extend((h, j) for j in goods)
+    if best_eq is not None:
+        eq_buyers = tuple(sorted({h for h, _ in eq_pairs}))
+        candidates.append((best_eq, 1, NEW_EDGE, eq_buyers))
+
+    x_ts, witness = tight_set_scale(network, state.S, b_u, b_c)
+    if x_ts > 0:
+        candidates.append((x_ts, 2, TIGHT_SET, tuple(sorted(witness))))
+
+    x_star, _, kind, affected = max(candidates, key=lambda c: (c[0], c[1]))
+    if x_star > 1:
+        raise InvariantError(f"event scale {x_star} above 1")
+    state.tied_edges = eq_pairs if best_eq == x_star else []
+    return EventRecord(
+        kind=kind,
+        x=x_star,
+        buyers=affected,
+        goods=tuple(sorted(state.S)),
+        scaled_buyers=tuple(sorted(b_c)),
+    )
 
 
 def balanced_surplus_levels(network):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -8,6 +9,7 @@ import pytest
 import fisheq.descend
 from fisheq import InvariantError, Market, min_revenue, normalize, strip_trivial, verify
 from fisheq.descend import (
+    CAP,
     NEW_EDGE,
     TIGHT_SET,
     ZERO_PRICE,
@@ -20,7 +22,10 @@ from fisheq.descend import (
 from fisheq.cli import generate_market
 from fisheq.flow import FlowNetwork
 from fisheq.market import bundle_value, capped_utility, equality_graph
+from hypothesis import given, settings
+from oracle import reference_allocation, reference_next_event
 from test_acceptance import corpus_markets
+from test_properties import markets
 
 
 def _fresh_state(market):
@@ -240,18 +245,18 @@ class TestSolveMaxRevenue:
         assert all(r == 0 for r in result.final_surpluses)
 
 
-@pytest.mark.parametrize(
-    "market",
-    [
-        generate_market(3, 3, 20, 14),  # all four event kinds
-        generate_market(3, 5, 20, 26),  # all four event kinds
-        generate_market(2, 6, 20, 283),  # five zero-price events
-        generate_market(6, 6, 20, 179),
-        Market((F(5),), (F(1),), ((F(1), F(1)),)),  # one zero-price event
-        generate_market(5, 7, 20, 1000189),  # cap at x = 1, B' has edges leaving S
-        generate_market(4, 3, 20, 321),  # tight set at the new-edge scale
-    ],
-)
+LIVE_MARKETS = [
+    generate_market(3, 3, 20, 14),  # all four event kinds
+    generate_market(3, 5, 20, 26),  # all four event kinds
+    generate_market(2, 6, 20, 283),  # five zero-price events
+    generate_market(6, 6, 20, 179),
+    Market((F(5),), (F(1),), ((F(1), F(1)),)),  # one zero-price event
+    generate_market(5, 7, 20, 1000189),  # cap at x = 1, B' has edges leaving S
+    generate_market(4, 3, 20, 321),  # tight set at the new-edge scale
+]
+
+
+@pytest.mark.parametrize("market", LIVE_MARKETS)
 def test_network_is_live_after_every_commit(market):
     state, _ = _fresh_state(market)
     assert state.network == _reference_network(state)
@@ -380,6 +385,72 @@ def test_pinned_equilibria(n, m, max_value, seed, digest, monkeypatch):
         )
     )
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+PINNED_MARKETS = [generate_market(n, m, u, k) for n, m, u, k, _ in PINNED_EQUILIBRIA]
+
+
+@pytest.mark.parametrize("every_commit", [True, False], ids=["every-commit", "solve-reads"])
+@pytest.mark.parametrize("market", LIVE_MARKETS + PINNED_MARKETS)
+def test_allocation_read_matches_the_eager_rule(market, every_commit, monkeypatch):
+    # Built on read, the allocation must equal the eager rule (rewrite it at
+    # every balanced flow) after every flow and every commit, whether it is
+    # read after each commit or only where a solve reads it.
+    state, _ = _fresh_state(market)
+    reference = [[F(0)] * state.market.m for _ in range(state.market.n)]
+    recompute = fisheq.descend._recompute_flow
+
+    def replayed(state):
+        previous = state.flow
+        recompute(state)
+        reference_allocation(reference, state, previous)
+        # a copy's read leaves the state under test unbuilt
+        assert copy.deepcopy(state).alloc == reference
+
+    monkeypatch.setattr(fisheq.descend, "_recompute_flow", replayed)
+    while start_phase(state):
+        while not state.phase_over:
+            commit_event(state, next_event(state))
+            if every_commit:
+                assert state.alloc == reference
+    assert state.alloc == reference
+
+
+def _events_match_the_fraction_search(market):
+    """Every event of the market's descent, each checked against the
+    Fraction search: the same record and the same tied new-edge pairs."""
+    state, _ = _fresh_state(market)
+    events = []
+    while start_phase(state):
+        while not state.phase_over:
+            expected = reference_next_event(state)
+            expected_tied = state.tied_edges
+            event = next_event(state)
+            assert event == expected
+            assert state.tied_edges == expected_tied
+            events.append(event)
+            commit_event(state, event)
+    return events
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(markets(max_buyers=5, max_goods=5))
+def test_next_event_matches_the_fraction_search(market):
+    _events_match_the_fraction_search(market)
+
+
+@pytest.mark.parametrize(
+    "market, x, kind",
+    [
+        # uncapped buyers 0 and 1 of B' cap at the same scale
+        (Market((2, 4, 1), (1, 2, None), ((3, 0), (3, 2), (1, 3))), F(6, 7), CAP),
+        # outside buyers 0 and 1 gain edges into S = {2} at the same x*
+        (Market((1, 4), (None, None), ((3, 0, 1), (3, 2, 1))), F(1, 5), NEW_EDGE),
+    ],
+)
+def test_tied_candidates_match_the_fraction_search(market, x, kind):
+    events = _events_match_the_fraction_search(market)
+    assert any(e.kind == kind and e.x == x and e.buyers == (0, 1) for e in events)
 
 
 # sha256 of (kind, x, buyers, goods, scaled_buyers) over the trace of the
