@@ -28,7 +28,13 @@ from .market import (
     strip_trivial,
 )
 from .minrev import min_revenue
-from .verify import Equilibrium, VerificationReport, equilibrium_from_allocation, verify
+from .verify import (
+    Equilibrium,
+    VerificationReport,
+    equilibrium_from_allocation,
+    verify,
+    verify_allocation,
+)
 
 __all__ = [
     "INF",
@@ -67,4 +73,5 @@ __all__ = [
     "strip_trivial",
     "tight_set_scale",
     "verify",
+    "verify_allocation",
 ]

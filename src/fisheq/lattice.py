@@ -4,6 +4,17 @@ Price vectors of modest MBB equilibria are closed under pointwise max and
 min; the constructive join/meet splice together the price and allocation of
 the two inputs along the partition of goods into equal-, below- and
 above-priced sets.
+
+Each distinct (prices, allocation) is checked once per call, by one
+``verify_allocation`` pass over the buyers, which gives its report and
+rebuilds its active budgets, capped flags and utilities.  The first input
+is always checked.  The second is checked only when its prices or its
+allocation differ from the first's: verification reads nothing else, so
+equal values get an identical report.  The splice is checked only when it
+differs from both inputs; one equal to an input is that input's checked
+record.  The result and the capped flags the partition tests are always
+the rebuilt ones, never an input's stored fields, which verification does
+not read.
 """
 
 from __future__ import annotations
@@ -11,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .verify import equilibrium_from_allocation, verify
+from .verify import verify_allocation
 
 
 @dataclass(frozen=True)
@@ -31,20 +42,25 @@ def _touched(alloc, goods):
 
 
 def _checked(market, equilibrium, name):
-    report = verify(market, equilibrium)
+    """The input's record rebuilt by the pass that verified it."""
+    report, checked, _ = verify_allocation(
+        market, equilibrium.prices, equilibrium.allocation
+    )
     if not report.ok:
         raise ValueError(
             f"{name} is not a modest MBB equilibrium: {report.violations}"
         )
+    return checked
 
 
-def partition(market, first, second):
-    """Split goods by price comparison and buyers by where their allocation
-    sits.  The three buyer sets must agree between the two equilibria, be
-    mutually disjoint, and be capped outside the equal-price part; a
-    violation means a bug or a bad input and raises."""
-    _checked(market, first, "first equilibrium")
-    _checked(market, second, "second equilibrium")
+def _split(market, first, second):
+    """The partition of ``partition`` together with both inputs' checked
+    records."""
+    first = _checked(market, first, "first equilibrium")
+    if second.prices == first.prices and second.allocation == first.allocation:
+        second = first
+    else:
+        second = _checked(market, second, "second equilibrium")
     equal, below, above = [], [], []
     for j in range(market.m):
         if first.prices[j] == second.prices[j]:
@@ -71,7 +87,7 @@ def partition(market, first, second):
     for i in groups["below"] | groups["above"]:
         if not (first.capped[i] and second.capped[i]):
             raise InvariantError(f"buyer {i} moves prices while uncapped")
-    return PricePartition(
+    split = PricePartition(
         equal=tuple(equal),
         below=tuple(below),
         above=tuple(above),
@@ -79,9 +95,20 @@ def partition(market, first, second):
         buyers_below=groups["below"],
         buyers_above=groups["above"],
     )
+    return split, first, second
+
+
+def partition(market, first, second):
+    """Split goods by price comparison and buyers by where their allocation
+    sits.  The three buyer sets must agree between the two equilibria, be
+    mutually disjoint, and be capped outside the equal-price part; a
+    violation means a bug or a bad input and raises."""
+    return _split(market, first, second)[0]
 
 
 def _splice(market, first, second, take_second):
+    """Second's prices and allocation on the goods in ``take_second``,
+    first's elsewhere; ``first`` and ``second`` are checked records."""
     prices, columns = [], []
     for j in range(market.m):
         if j in take_second:
@@ -90,11 +117,14 @@ def _splice(market, first, second, take_second):
         else:
             prices.append(first.prices[j])
             columns.append([first.allocation[i][j] for i in range(market.n)])
+    prices = tuple(prices)
     alloc = tuple(
         tuple(columns[j][i] for j in range(market.m)) for i in range(market.n)
     )
-    result = equilibrium_from_allocation(market, tuple(prices), alloc)
-    report = verify(market, result)
+    for checked in (first, second):
+        if prices == checked.prices and alloc == checked.allocation:
+            return checked
+    report, result, _ = verify_allocation(market, prices, alloc)
     if not report.ok:
         raise InvariantError(f"spliced equilibrium fails to verify: {report.violations}")
     return result
@@ -103,11 +133,11 @@ def _splice(market, first, second, take_second):
 def join(market, first, second):
     """Pointwise price maximum: the second's prices and allocation on the
     goods where it is higher, the first's everywhere else."""
-    split = partition(market, first, second)
+    split, first, second = _split(market, first, second)
     return _splice(market, first, second, set(split.below))
 
 
 def meet(market, first, second):
     """Pointwise price minimum (mirror image of join)."""
-    split = partition(market, first, second)
+    split, first, second = _split(market, first, second)
     return _splice(market, first, second, set(split.above))

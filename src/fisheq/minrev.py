@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .errors import InvariantError
 from .exact import INF
-from .market import active_budget_at, equality_graph, mbb_ratio
-from .verify import equilibrium_from_allocation, verify
+from .market import equality_graph
+from .verify import verify_allocation
 
 
 def _scalable_set(market, prices, alloc, edges, capped):
@@ -46,28 +46,28 @@ def _scalable_set(market, prices, alloc, edges, capped):
 def min_revenue(market, equilibrium):
     """Transform a verified modest MBB equilibrium into the one with
     pointwise-smallest prices (same utilities, same allocation fractions)."""
-    report = verify(market, equilibrium)
+    report, checked, alphas = verify_allocation(
+        market, equilibrium.prices, equilibrium.allocation
+    )
     if not report.ok:
         raise ValueError(f"input is not a modest MBB equilibrium: {report.violations}")
-    prices = list(equilibrium.prices)
-    alloc = [list(row) for row in equilibrium.allocation]
+    prices = list(checked.prices)
+    alloc = checked.allocation
 
     guard = 64 + 4 * market.m * (market.n + 1) ** 2
     loops = 0
-    boundary = None  # the last scaled equilibrium, built and verified
     while True:
         loops += 1
         if loops > guard:
             raise InvariantError("minimum-revenue loop guard exceeded")
-        # one buyer pass each gives the ratios the graph, the capped flags
-        # and the scaling candidates read
-        alphas = [mbb_ratio(market, prices, i) for i in range(market.n)]
+        # ``checked`` is the equilibrium at the current prices; the pass that
+        # verified it gave the capped flags and the ratios the graph and the
+        # scaling candidates read
         edges = equality_graph(market, prices, alphas)
-        capped = [active_budget_at(market, i, alpha)[1] for i, alpha in enumerate(alphas)]
-        S, bprime = _scalable_set(market, prices, alloc, edges, capped)
+        S, bprime = _scalable_set(market, prices, alloc, edges, checked.capped)
         if not S:
             break
-        if any(not capped[i] for i in bprime):
+        if any(not checked.capped[i] for i in bprime):
             raise InvariantError("uncapped buyer attached to a scalable set")
 
         # Scale down until a new equality edge appears, or all the way to 0.
@@ -85,16 +85,16 @@ def min_revenue(market, equilibrium):
         for j in S:
             prices[j] *= x_star
 
-        boundary = equilibrium_from_allocation(market, prices, alloc)
-        boundary_report = verify(market, boundary)
-        if not boundary_report.ok:
+        # One pass checks the boundary equilibrium, rebuilds its record and
+        # gives the next loop its ratios.
+        report, checked, alphas = verify_allocation(market, prices, alloc)
+        if not report.ok:
             raise InvariantError(
-                f"postprocessing left the equilibrium set: {boundary_report.violations}"
+                f"postprocessing left the equilibrium set: {report.violations}"
             )
-    if boundary is not None:
-        return boundary
-    # Nothing scaled.  The input passed verify, but verify does not check
-    # its active budgets, capped flags or utilities, so they are rebuilt.
-    return equilibrium_from_allocation(
-        market, tuple(prices), tuple(tuple(row) for row in alloc)
-    )
+    # Nothing is left to scale.  ``checked`` is the equilibrium at the final
+    # prices with the input's allocation.  The pass that verified it (the
+    # input's check if nothing scaled, else the last loop's) also rebuilt its
+    # active budgets, capped flags and utilities, so none of them comes from
+    # the input's stored fields, which verification does not read.
+    return checked

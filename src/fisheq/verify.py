@@ -133,11 +133,43 @@ def verify(market, equilibrium):
     buys value once the free goods are taken, so the best affordable
     utility needs no second walk.  The active budget depends on the prices
     only through alpha, so it follows from that alpha alone.
-    """
-    prices = equilibrium.prices
-    alloc = equilibrium.allocation
-    _check_dimensions(market, prices, alloc)
 
+    Only the prices and the allocation are read; the record's active
+    budgets, capped flags and utilities are not checked.
+    """
+    _check_dimensions(market, equilibrium.prices, equilibrium.allocation)
+    return _walk(market, equilibrium.prices, equilibrium.allocation)
+
+
+def verify_allocation(market, prices, allocation):
+    """Verify (prices, allocation) and rebuild its record, in the same one
+    ``buyer_pass`` per buyer.
+
+    Returns (report, equilibrium, alphas): the report ``verify`` gives for
+    any record with these prices and allocation, the record
+    ``equilibrium_from_allocation`` builds from them, and each buyer's
+    bang-per-buck ratio at ``prices`` (as ``mbb_ratio`` gives it).
+    """
+    prices = tuple(map(as_fraction, prices))
+    allocation = tuple(tuple(map(as_fraction, row)) for row in allocation)
+    _check_dimensions(market, prices, allocation)
+    fields = []
+    report = _walk(market, prices, allocation, fields)
+    alphas, budgets, capped, utilities = zip(*fields)
+    equilibrium = Equilibrium(
+        prices=prices,
+        allocation=allocation,
+        active_budgets=budgets,
+        capped=capped,
+        utilities=utilities,
+    )
+    return report, equilibrium, alphas
+
+
+def _walk(market, prices, alloc, fields=None):
+    """The report of ``verify`` on Fraction prices and allocation of the
+    market's dimensions.  If ``fields`` is a list, each buyer's pass also
+    appends its (alpha, active budget, capped flag, utility) to it."""
     report = VerificationReport()
 
     def flag(condition, index, lhs, rhs):
@@ -165,6 +197,9 @@ def verify(market, equilibrium):
         cap = market.caps[i]
         alpha, finite_alpha, free, spend, raw_utility = buyer_pass(market, prices, i, bundle)
         utility = capped_utility(market, i, raw_utility)
+        required, is_capped = active_budget_at(market, i, alpha)
+        if fields is not None:
+            fields.append((alpha, required, is_capped, utility))
 
         if spend > money:
             flag("budget", i, spend, money)
@@ -194,13 +229,11 @@ def verify(market, equilibrium):
             ):
                 flag("mbb", (i, j), u / p if p else u, alpha)
 
-        if alpha == 0:
-            if spend != 0:
-                flag("spending", i, spend, Fraction(0))
-            continue
-        required, _ = active_budget_at(market, i, alpha)
+        # A buyer that values nothing (alpha = 0) has required = 0.
         if spend != required:
             flag("spending", i, spend, required)
+        if alpha == 0:
+            continue
 
         # KKT multiplier gamma_i = M_i/u_i - 1/alpha_i; with u_i, alpha_i > 0
         # it has the sign of M_i alpha_i - u_i.

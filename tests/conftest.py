@@ -50,3 +50,24 @@ def twin_market():
         caps=(F(1), F(1)),
         utilities=((F(1), F(1)), (F(1), F(1))),
     )
+
+
+@pytest.fixture
+def buyer_passes(monkeypatch):
+    """A list that gets one entry per ``fisheq.market.buyer_pass`` call,
+    made through any fisheq module that imported it."""
+    import sys
+
+    from fisheq import market
+
+    calls = []
+    original = market.buyer_pass
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fisheq" and getattr(module, "buyer_pass", None) is original:
+            monkeypatch.setattr(module, "buyer_pass", counted)
+    return calls

@@ -13,7 +13,12 @@ that the package's kernel must reproduce bit for bit.  ``reference_verify``
 and ``reference_equilibrium_from_allocation`` are the verifier and the
 equilibrium builder as they were before each became one pass per buyer,
 with their own copies of the buyer-side rules; the package's reports and
-records must equal theirs.  ``reference_allocation`` is the descent's
+records must equal theirs.  ``reference_partition``, ``reference_meet``,
+``reference_join`` and ``reference_min_revenue`` are the lattice and the
+minimum-revenue postprocessor as they were before each distinct (prices,
+allocation) was checked once per call: they verify every input, every
+splice and every boundary equilibrium with ``verify`` and rebuild records
+separately.  ``reference_allocation`` is the descent's
 allocation as it was written at every balanced flow, before it was built
 from the flow when read, and ``reference_next_event`` is the event search
 on Fractions, before its candidates became integer pairs.
@@ -33,11 +38,17 @@ from fisheq import (
     Flow,
     FlowNetwork,
     InvariantError,
+    PricePartition,
     VerificationReport,
+    active_budget_at,
+    equality_graph,
+    equilibrium_from_allocation,
     is_balanced,
     format_rational,
     max_flow,
+    mbb_ratio,
     tight_set_scale,
+    verify,
 )
 from fisheq.descend import CAP, NEW_EDGE, TIGHT_SET, ZERO_PRICE
 
@@ -326,6 +337,165 @@ def reference_verify(market, equilibrium):
                 flag("kkt-slack", i, utility, cap if cap is not None else "inf")
 
     return report
+
+
+def _reference_touched(alloc, goods):
+    return frozenset(
+        i for i, row in enumerate(alloc) if any(row[j] > 0 for j in goods)
+    )
+
+
+def _reference_checked(market, equilibrium, name):
+    report = verify(market, equilibrium)
+    if not report.ok:
+        raise ValueError(
+            f"{name} is not a modest MBB equilibrium: {report.violations}"
+        )
+
+
+def reference_partition(market, first, second):
+    """``partition`` verifying both inputs and reading their stored
+    capped flags."""
+    _reference_checked(market, first, "first equilibrium")
+    _reference_checked(market, second, "second equilibrium")
+    equal, below, above = [], [], []
+    for j in range(market.m):
+        if first.prices[j] == second.prices[j]:
+            equal.append(j)
+        elif first.prices[j] < second.prices[j]:
+            below.append(j)
+        else:
+            above.append(j)
+    groups = {}
+    for name, goods in (("equal", equal), ("below", below), ("above", above)):
+        mine = _reference_touched(first.allocation, goods)
+        theirs = _reference_touched(second.allocation, goods)
+        if mine != theirs:
+            raise InvariantError(
+                f"buyer sets for {name}-priced goods differ: {sorted(mine)} vs {sorted(theirs)}"
+            )
+        groups[name] = mine
+    if (
+        groups["equal"] & groups["below"]
+        or groups["equal"] & groups["above"]
+        or groups["below"] & groups["above"]
+    ):
+        raise InvariantError("buyer groups of the price partition overlap")
+    for i in groups["below"] | groups["above"]:
+        if not (first.capped[i] and second.capped[i]):
+            raise InvariantError(f"buyer {i} moves prices while uncapped")
+    return PricePartition(
+        equal=tuple(equal),
+        below=tuple(below),
+        above=tuple(above),
+        buyers_equal=groups["equal"],
+        buyers_below=groups["below"],
+        buyers_above=groups["above"],
+    )
+
+
+def _reference_splice(market, first, second, take_second):
+    prices, columns = [], []
+    for j in range(market.m):
+        if j in take_second:
+            prices.append(second.prices[j])
+            columns.append([second.allocation[i][j] for i in range(market.n)])
+        else:
+            prices.append(first.prices[j])
+            columns.append([first.allocation[i][j] for i in range(market.n)])
+    alloc = tuple(
+        tuple(columns[j][i] for j in range(market.m)) for i in range(market.n)
+    )
+    result = equilibrium_from_allocation(market, tuple(prices), alloc)
+    report = verify(market, result)
+    if not report.ok:
+        raise InvariantError(f"spliced equilibrium fails to verify: {report.violations}")
+    return result
+
+
+def reference_join(market, first, second):
+    """``join`` checking both inputs and the splice, each on its own."""
+    split = reference_partition(market, first, second)
+    return _reference_splice(market, first, second, set(split.below))
+
+
+def reference_meet(market, first, second):
+    """``meet`` checking both inputs and the splice, each on its own."""
+    split = reference_partition(market, first, second)
+    return _reference_splice(market, first, second, set(split.above))
+
+
+def _reference_scalable_set(market, prices, alloc, edges, capped):
+    neighbors = [set() for _ in range(market.m)]
+    for i, j in edges:
+        neighbors[j].add(i)
+    S = {
+        j
+        for j in range(market.m)
+        if prices[j] > 0 and all(capped[i] for i in neighbors[j])
+    }
+    while True:
+        bprime = {i for i, j in edges if j in S}
+        bad = {
+            i
+            for i in bprime
+            if any(alloc[i][g] > 0 for g in range(market.m) if g not in S)
+        }
+        if not bad:
+            return S, bprime
+        S -= {j for j in S if neighbors[j] & bad}
+
+
+def reference_min_revenue(market, equilibrium):
+    """``min_revenue`` with a verify of the input, a ratio pass per loop,
+    and a separate build and verify of each boundary equilibrium."""
+    report = verify(market, equilibrium)
+    if not report.ok:
+        raise ValueError(f"input is not a modest MBB equilibrium: {report.violations}")
+    prices = list(equilibrium.prices)
+    alloc = [list(row) for row in equilibrium.allocation]
+
+    guard = 64 + 4 * market.m * (market.n + 1) ** 2
+    loops = 0
+    boundary = None
+    while True:
+        loops += 1
+        if loops > guard:
+            raise InvariantError("minimum-revenue loop guard exceeded")
+        alphas = [mbb_ratio(market, prices, i) for i in range(market.n)]
+        edges = equality_graph(market, prices, alphas)
+        capped = [active_budget_at(market, i, alpha)[1] for i, alpha in enumerate(alphas)]
+        S, bprime = _reference_scalable_set(market, prices, alloc, edges, capped)
+        if not S:
+            break
+        if any(not capped[i] for i in bprime):
+            raise InvariantError("uncapped buyer attached to a scalable set")
+
+        x_star = Fraction(0)
+        for h in range(market.n):
+            alpha = alphas[h]
+            if h in bprime or alpha == 0 or alpha is INF:
+                continue
+            for j in S:
+                u = market.utilities[h][j]
+                if u > 0:
+                    x_star = max(x_star, u / (alpha * prices[j]))
+        if x_star >= 1:
+            raise InvariantError("scaling candidate not below 1")
+        for j in S:
+            prices[j] *= x_star
+
+        boundary = equilibrium_from_allocation(market, prices, alloc)
+        boundary_report = verify(market, boundary)
+        if not boundary_report.ok:
+            raise InvariantError(
+                f"postprocessing left the equilibrium set: {boundary_report.violations}"
+            )
+    if boundary is not None:
+        return boundary
+    return equilibrium_from_allocation(
+        market, tuple(prices), tuple(tuple(row) for row in alloc)
+    )
 
 
 def reference_allocation(alloc, state, previous):

@@ -1,6 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fisheq import (
     Market,
@@ -10,7 +13,11 @@ from fisheq import (
     min_revenue,
     partition,
     solve_max_revenue,
+    verify,
 )
+from oracle import reference_join, reference_meet, reference_min_revenue, reference_partition
+from test_properties import SETTINGS, markets
+from test_verify import _mutants
 
 
 def _twin_eq(market, price):
@@ -114,3 +121,158 @@ def test_max_revenue_is_top_element(capped_market, overlap_market, twin_market):
         low = min_revenue(market, top)
         assert meet(market, top, low).prices == low.prices
         assert join(market, top, low).prices == top.prices
+
+
+def _outcome(call, *args):
+    """The call's result, or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
+_PAIRWISE = ((partition, reference_partition), (meet, reference_meet), (join, reference_join))
+
+
+def _assert_matches_reference(market, equilibria):
+    for first in equilibria:
+        assert _outcome(min_revenue, market, first) == _outcome(
+            reference_min_revenue, market, first
+        )
+        for second in equilibria:
+            for call, reference in _PAIRWISE:
+                assert _outcome(call, market, first, second) == _outcome(
+                    reference, market, first, second
+                )
+
+
+@SETTINGS
+@given(markets(), st.randoms(use_true_random=False))
+def test_matches_reference_on_endpoints_and_mutants(market, rng):
+    high = solve_max_revenue(market).equilibrium
+    low = min_revenue(market, high)
+    mutants = [
+        equilibrium_from_allocation(market, prices, alloc)
+        for endpoint in (high, low)
+        for prices, alloc in _mutants(endpoint, rng)
+    ]
+    # every ordered pair, self-pairs included, of the endpoints, the top
+    # with one price scaled, zeroed or negated, and the last three mutants
+    # of the bottom (a held share raised and moved, when it holds any)
+    _assert_matches_reference(market, [high, low, *mutants[1:4], *mutants[-3:]])
+
+
+# ``split_market`` plus two identical uncapped buyers of two more goods:
+# the first two prices move independently, and at the same prices the twins
+# may hold their goods either way round.
+SPLIT_TWIN_MARKET = Market(
+    (F(5), F(5), F(1), F(1)),
+    (F(1), F(1), None, None),
+    (
+        (F(1), F(0), F(0), F(0)),
+        (F(0), F(1), F(0), F(0)),
+        (F(0), F(0), F(1), F(1)),
+        (F(0), F(0), F(1), F(1)),
+    ),
+)
+
+
+def _split_twin_eq(p0, p1, swapped):
+    twins = ((F(0), F(0), F(0), F(1)), (F(0), F(0), F(1), F(0)))
+    capped = ((F(1), F(0), F(0), F(0)), (F(0), F(1), F(0), F(0)))
+    alloc = (*capped, *(twins[::-1] if swapped else twins))
+    return equilibrium_from_allocation(SPLIT_TWIN_MARKET, (F(p0), F(p1), F(1), F(1)), alloc)
+
+
+@SETTINGS
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.booleans()), min_size=1, max_size=3
+    )
+)
+def test_matches_reference_on_non_comparable_pairs(points):
+    # prices up to 5 are equilibria, 6 is not
+    _assert_matches_reference(SPLIT_TWIN_MARKET, [_split_twin_eq(*point) for point in points])
+
+
+def test_each_distinct_point_is_checked_once(
+    buyer_passes, capped_market, overlap_market, split_market
+):
+    eq = solve_max_revenue(capped_market).equilibrium
+    buyer_passes.clear()
+    assert meet(capped_market, eq, eq) == eq
+    assert len(buyer_passes) == capped_market.n
+
+    # the endpoints differ in price; meet splices to the second, join to
+    # the first
+    top = solve_max_revenue(overlap_market).equilibrium
+    low = min_revenue(overlap_market, top)
+    assert top.prices != low.prices
+    for call, expected in ((meet, low), (join, top)):
+        buyer_passes.clear()
+        assert call(overlap_market, top, low) == expected
+        assert len(buyer_passes) == 2 * overlap_market.n
+
+    a, b = _split_eq(split_market, 5, 0), _split_eq(split_market, 0, 5)
+    buyer_passes.clear()
+    assert meet(split_market, a, b).prices == (F(0), F(0))
+    assert len(buyer_passes) == 3 * split_market.n
+
+    # a new splice with the second's prices but not its allocation
+    a, b = _split_twin_eq(5, 2, False), _split_twin_eq(2, 2, True)
+    buyer_passes.clear()
+    bottom = meet(SPLIT_TWIN_MARKET, a, b)
+    assert bottom.prices == b.prices and bottom.allocation == a.allocation
+    assert len(buyer_passes) == 3 * SPLIT_TWIN_MARKET.n
+
+
+def test_bad_input_is_named_in_every_position(capped_market):
+    eq = solve_max_revenue(capped_market).equilibrium
+    bogus = equilibrium_from_allocation(
+        capped_market, (F(3), F(1)), ((F(1), F(0)), (F(0), F(1)))
+    )
+    # same prices as ``eq``, another allocation
+    moved = equilibrium_from_allocation(
+        capped_market, eq.prices, ((F(0), F(1)), (F(1), F(0)))
+    )
+    assert not verify(capped_market, bogus).ok and not verify(capped_market, moved).ok
+    for first, second in ((bogus, eq), (bogus, bogus), (moved, moved), (moved, eq)):
+        with pytest.raises(ValueError, match="^first equilibrium"):
+            partition(capped_market, first, second)
+    for second in (bogus, moved):
+        with pytest.raises(ValueError, match="^second equilibrium"):
+            partition(capped_market, eq, second)
+
+
+def _with_wrong_fields(market, eq):
+    """Copies of ``eq`` whose stored utilities, capped flags or active
+    budgets are wrong; verification reads none of them."""
+    flipped = tuple(not c for c in eq.capped)
+    return [
+        replace(eq, utilities=tuple(u + 1 for u in eq.utilities)),
+        replace(eq, capped=flipped),
+        replace(eq, capped=(False,) * market.n),
+        replace(eq, active_budgets=tuple(b + 1 for b in eq.active_budgets)),
+    ]
+
+
+def test_results_rebuild_their_fields_from_prices_and_allocation(
+    capped_market, overlap_market, twin_market
+):
+    for market in (capped_market, overlap_market, twin_market):
+        top = solve_max_revenue(market).equilibrium
+        low = min_revenue(market, top)
+        cases = [
+            (min_revenue, (wrong,), low) for wrong in _with_wrong_fields(market, top)
+        ]
+        for wrong_top in _with_wrong_fields(market, top):
+            for wrong_low in _with_wrong_fields(market, low):
+                for pair in ((wrong_top, wrong_low), (wrong_low, wrong_top)):
+                    cases += [(meet, pair, low), (join, pair, top)]
+                cases += [(meet, (wrong_top, wrong_top), top), (join, (wrong_low, wrong_low), low)]
+        for call, args, expected in cases:
+            result = call(market, *args)
+            assert result == expected
+            assert result == equilibrium_from_allocation(
+                market, result.prices, result.allocation
+            )

@@ -43,6 +43,21 @@ def test_idempotent(overlap_market, twin_market, capped_market):
         assert min_revenue(market, low) == low
 
 
+def test_one_pass_when_nothing_scales(buyer_passes, linear_market):
+    top = solve_max_revenue(linear_market).equilibrium
+    buyer_passes.clear()
+    assert min_revenue(linear_market, top) == top
+    assert len(buyer_passes) == linear_market.n
+
+
+def test_one_pass_per_scaling_loop(buyer_passes, overlap_market):
+    # one loop scales good 0 to zero, the next finds nothing to scale
+    top = solve_max_revenue(overlap_market).equilibrium
+    buyer_passes.clear()
+    assert min_revenue(overlap_market, top).prices == (F(0), F(1))
+    assert len(buyer_passes) == 2 * overlap_market.n
+
+
 def test_rejects_non_equilibrium_input(capped_market):
     bogus = equilibrium_from_allocation(
         capped_market, (F(3), F(1)), ((F(1), F(0)), (F(0), F(1)))
