@@ -17,13 +17,10 @@ from .lattice import PricePartition, join, meet, partition
 from .market import (
     Market,
     NormalizedMarket,
-    active_budget,
     active_budget_at,
     buyer_pass,
-    bundle_value,
     capped_utility,
     equality_graph,
-    mbb_ratio,
     normalize,
     strip_trivial,
 )
@@ -50,10 +47,8 @@ __all__ = [
     "PricePartition",
     "SolveResult",
     "VerificationReport",
-    "active_budget",
     "active_budget_at",
     "balanced_flow",
-    "bundle_value",
     "buyer_pass",
     "capped_utility",
     "equality_graph",
@@ -62,7 +57,6 @@ __all__ = [
     "is_balanced",
     "join",
     "max_flow",
-    "mbb_ratio",
     "meet",
     "min_revenue",
     "normalize",

@@ -91,7 +91,10 @@ def _cmd_solve(args):
 def _cmd_verify(args):
     market = market_from_doc(_load_json(args.instance))
     equilibrium = equilibrium_from_doc(_load_json(args.equilibrium), market)
-    report = verify(market, equilibrium)
+    try:
+        report = verify(market, equilibrium)
+    except ValueError as bad:  # the input was accepted, so the verifier is at fault
+        raise InvariantError(f"verifier raised ValueError: {bad}") from None
     json.dump(
         {
             "is_equilibrium": report.is_equilibrium,
@@ -153,6 +156,9 @@ def _build_parser():
 
 
 def main(argv=None):
+    # exact prices outgrow the interpreter's default limit on int <-> str
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)

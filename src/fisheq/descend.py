@@ -7,8 +7,10 @@ the capped buyers attached to S) by a common factor x that decreases from 1
 until one of three events: an uncapped buyer caps out, a buyer outside
 gains an equality edge into S, or a subset of buyers goes tight (ending the
 phase).  When prices of a set hit zero, those goods and the capped buyers
-holding them leave the market with their allocations frozen.  Termination
-is exact: the final surplus is asserted to be identically zero.
+holding them leave the market with their allocations frozen; a departing
+buyer's utility is booked by the rule used for live buyers, alpha_i times
+its outflow, capped.  Termination is exact: the final surplus is asserted
+to be identically zero.
 
 The equality graph is built once and edited by each event: scaling S by
 x < 1 raises the ratio of each buyer of B' (those with an edge into S), so
@@ -24,8 +26,8 @@ from fractions import Fraction
 from .errors import InvariantError
 from .flow import FlowNetwork, balanced_flow, residual_reach, tight_set_scale
 from .market import (
-    active_budget,
-    bundle_value,
+    active_budget_at,
+    buyer_pass,
     capped_utility,
     equality_graph,
     normalize,
@@ -80,13 +82,13 @@ class SolverState:
     them by 0).  ``initialize`` builds it from the equality graph,
     ``commit_event`` edits it by the event's rule, and the rest reads it.
 
-    ``alloc`` is built from the balanced flow when read, not at every
-    flow: only a zero-price commit and the end of a solve read it.  A read
-    after a new flow zeroes the live-good entries of the flow written in
-    last and writes the current one as x_ij = f_ij / p_j.  The p_j are the
-    prices of the flow's own network, the prices it was computed at: cap
-    and tight-set commits scale prices without a new flow.  A departed
-    good's column keeps the shares written at its zero-price event.
+    ``alloc`` is built when read, in practice once, at the end of a
+    solve.  A zero-price commit freezes S's columns from the flow it
+    computes before S's prices fall to 0; a read copies the frozen grid
+    and writes the current flow over the live columns.  Both write
+    x_ij = f_ij / p_j at the prices of the flow's own network, the prices
+    it was computed at: cap and tight-set commits scale prices without a
+    new flow.
     """
 
     def __init__(self, market):
@@ -96,8 +98,7 @@ class SolverState:
         self.capped = []
         self.live_buyers = set(range(market.n))
         self.live_goods = set(range(market.m))
-        self._alloc = [[Fraction(0)] * market.m for _ in range(market.n)]
-        self._alloc_flow = None  # the flow written into _alloc
+        self._frozen = [[Fraction(0)] * market.m for _ in range(market.n)]  # departed goods
         self.departed = {}  # buyer -> utility, frozen at its zero-price event
         self.network = None
         self.tied_edges = []  # new-edge pairs at the scale of the pending event
@@ -115,22 +116,20 @@ class SolverState:
 
     @property
     def alloc(self):
-        flow = self.flow
-        if flow is not self._alloc_flow:
-            if self._alloc_flow is not None:
-                zero, live = Fraction(0), self.live_goods
-                for row, goods in zip(self._alloc, self._alloc_flow.rows):
-                    for j in goods:
-                        if j in live:
-                            row[j] = zero
-            # the live network only has edges into live goods; x_ij = (v / denom) / p_j
-            denom, prices = flow.denom, flow.network.prices
-            for row, goods in zip(self._alloc, flow.rows):
-                for j, v in goods.items():
-                    p = prices[j]
-                    row[j] = Fraction(v * p.denominator, denom * p.numerator)
-            self._alloc_flow = flow
-        return self._alloc
+        alloc = [row[:] for row in self._frozen]
+        _write_shares(alloc, self.flow, self.live_goods)
+        return alloc
+
+
+def _write_shares(alloc, flow, goods):
+    """Write x_ij = f_ij / p_j into ``alloc`` for the flow's edges into
+    ``goods``, at the prices of the flow's own network."""
+    denom, prices = flow.denom, flow.network.prices
+    for row, paid in zip(alloc, flow.rows):
+        for j, v in paid.items():
+            if j in goods:
+                p = prices[j]
+                row[j] = Fraction(v * p.denominator, denom * p.numerator)
 
 
 def initialize(market):
@@ -138,11 +137,12 @@ def initialize(market):
     state = SolverState(market)
     total = sum(market.budgets, Fraction(0))
     state.prices = [total] * market.m
-    for i in range(market.n):
-        money, is_capped = active_budget(market, state.prices, i)
+    alphas = [buyer_pass(market, state.prices, i)[0] for i in range(market.n)]
+    for i, alpha in enumerate(alphas):
+        money, is_capped = active_budget_at(market, i, alpha)
         state.budgets.append(money)
         state.capped.append(is_capped)
-    edges = equality_graph(market, state.prices)
+    edges = equality_graph(market, state.prices, alphas)
     state.network = FlowNetwork(tuple(state.budgets), tuple(state.prices), edges)
     return state
 
@@ -311,9 +311,18 @@ def commit_event(state, event):
     x, goods = event.x, set(event.goods)
     bprime = {i for j in goods for i in state.network.good_buyers[j]}
     if event.kind == ZERO_PRICE:
-        # Refresh the balanced flow first so the allocations frozen for the
-        # departing goods reflect the current prices exactly.
+        # Refresh the balanced flow first so the shares frozen for the
+        # departing goods and the utilities booked for the departing buyers
+        # reflect the current prices exactly; _alpha reads those prices.
         _recompute_flow(state)
+        for i in event.buyers:
+            out = state.flow.buyer_out(i)
+            if out == 0:
+                raise InvariantError(f"deleted buyer {i} held no allocation")
+            if not state.capped[i]:
+                raise InvariantError(f"zero-price deletion of uncapped buyer {i}")
+            state.departed[i] = capped_utility(market, i, _alpha(state, i) * out)
+        _write_shares(state._frozen, state.flow, goods)
     for j in goods:
         state.prices[j] *= x
     for i in event.scaled_buyers:
@@ -325,14 +334,6 @@ def commit_event(state, event):
     elif event.kind == TIGHT_SET:
         state.phase_over = True
     elif event.kind == ZERO_PRICE:
-        for i in event.buyers:
-            if state.flow.buyer_out(i) == 0:
-                raise InvariantError(f"deleted buyer {i} held no allocation")
-            if not state.capped[i]:
-                raise InvariantError(f"zero-price deletion of uncapped buyer {i}")
-            state.departed[i] = capped_utility(
-                market, i, bundle_value(market, i, state.alloc[i])
-            )
         state.live_goods -= goods
         state.live_buyers -= set(event.buyers)
         for i in state.live_buyers:

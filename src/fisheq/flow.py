@@ -71,37 +71,12 @@ class Flow:
     rescale to it exactly and every test is an integer comparison.  Source
     and sink edge flows are implied by conservation.
 
-    ``Flow(network, edge_flow)`` takes rationals per edge and clears them
-    into this form; ``edge_flow``, ``buyer_out``, ``good_in``, ``value``
-    and ``surpluses`` give the rationals back.
+    Built from nonnegative integer rows over ``denom``; zero entries are
+    dropped.  ``edge_flow``, ``buyer_out`` and ``surpluses`` give the
+    rationals back.
     """
 
-    def __init__(self, network, edge_flow):
-        cleared = {}
-        for (i, j), v in edge_flow.items():
-            if not v:
-                continue
-            if (i, j) not in network.edges:
-                raise ValueError(f"flow on non-edge ({i}, {j})")
-            v = Fraction(v)
-            if v < 0:
-                raise ValueError("negative flow")
-            cleared[(i, j)] = v
-        denom = math.lcm(network._cleared[0], *(v.denominator for v in cleared.values()))
-        rows = [{} for _ in range(network.n)]
-        for (i, j), v in cleared.items():
-            rows[i][j] = v.numerator * (denom // v.denominator)
-        self._adopt(network, rows, denom)
-
-    @classmethod
-    def _of_rows(cls, network, rows, denom):
-        """A flow over the network's edges from nonnegative integer rows
-        over ``denom``; zero entries are dropped."""
-        flow = cls.__new__(cls)
-        flow._adopt(network, rows, denom)
-        return flow
-
-    def _adopt(self, network, rows, denom):
+    def __init__(self, network, rows, denom):
         self.network, self.denom = network, denom
         self.rows = [{j: v for j, v in row.items() if v} for row in rows]
         self._out = [sum(row.values()) for row in self.rows]
@@ -127,13 +102,6 @@ class Flow:
 
     def buyer_out(self, i):
         return Fraction(self._out[i], self.denom)
-
-    def good_in(self, j):
-        return Fraction(self._into[j], self.denom)
-
-    @property
-    def value(self):
-        return Fraction(sum(self._out), self.denom)
 
     def _surplus_ints(self):
         """p_j - f_jt for every good, as integers over denom."""
@@ -266,7 +234,7 @@ def max_flow(network):
     """Deterministic exact maximum flow (shortest augmenting paths)."""
     scale, budgets, prices = network._cleared
     flow, _, _ = _saturate(network, range(network.n), budgets, prices)
-    return Flow._of_rows(network, flow, scale)
+    return Flow(network, flow, scale)
 
 
 def residual_reach(network, flow, targets):
@@ -399,7 +367,7 @@ def balanced_flow(network):
         factor = L // k
         for i in seeds:
             rows[i] = {j: v * factor for j, v in flow[i].items()}
-    result = Flow._of_rows(network, rows, scale * L)
+    result = Flow(network, rows, scale * L)
     if not is_balanced(network, result):
         raise InvariantError("water filling produced an unbalanced flow")
     return result

@@ -151,9 +151,8 @@ def strip_trivial(market):
     return reduced, buyers, goods
 
 
-def buyer_pass(market, prices, buyer, bundle=None, goods=None):
-    """One pass over buyer i's utilities, the prices and a bundle, over
-    ``goods`` if given, else over every good.
+def buyer_pass(market, prices, buyer, bundle=None):
+    """One pass over buyer i's utilities, the prices and a bundle.
 
     Returns (alpha, finite_alpha, free, spend, value):
       alpha        -- the bang-per-buck ratio max_j u_ij / p_j, with 0/0 = 0
@@ -170,7 +169,7 @@ def buyer_pass(market, prices, buyer, bundle=None, goods=None):
     row = market.utilities[buyer]
     num, den = 0, 1  # the largest u_ij / p_j over priced goods so far
     free = spend = value = Fraction(0)
-    for j in range(market.m) if goods is None else goods:
+    for j in range(market.m):
         u, p = row[j], prices[j]
         if bundle is not None:
             x = bundle[j]
@@ -188,16 +187,6 @@ def buyer_pass(market, prices, buyer, bundle=None, goods=None):
             free += u
     finite_alpha = Fraction(num, den)
     return (INF if free else finite_alpha), finite_alpha, free, spend, value
-
-
-def mbb_ratio(market, prices, buyer, goods=None):
-    """Maximum bang-per-buck ratio max_j u_ij / p_j, over ``goods`` if
-    given, else over every good.
-
-    Conventions: 0/0 = 0, and a positive utility at price zero makes the
-    ratio INF (the buyer can grab value for free).
-    """
-    return buyer_pass(market, prices, buyer, goods=goods)[0]
 
 
 def active_budget_at(market, buyer, alpha):
@@ -223,36 +212,23 @@ def active_budget_at(market, buyer, alpha):
     return money, False
 
 
-def active_budget(market, prices, buyer):
-    """min(M_i, c_i / alpha_i) and whether the cap binds, at the buyer's
-    bang-per-buck ratio under ``prices`` (see ``active_budget_at``)."""
-    return active_budget_at(market, buyer, mbb_ratio(market, prices, buyer))
-
-
-def bundle_value(market, buyer, bundle):
-    """Linear value sum_j u_ij x_ij of a bundle to a buyer."""
-    return sum((u * x for u, x in zip(market.utilities[buyer], bundle)), Fraction(0))
-
-
 def capped_utility(market, buyer, value):
     """min(c_i, value): the utility a buyer gets from linear value ``value``."""
     cap = market.caps[buyer]
     return value if cap is None or value <= cap else cap
 
 
-def equality_graph(market, prices, alphas=None):
+def equality_graph(market, prices, alphas):
     """Edges (i, j) on which buyer i attains its bang-per-buck ratio.
 
-    ``alphas``, if given, holds every buyer's ratio at ``prices`` (as
-    ``mbb_ratio`` gives it), so a caller that already has them makes no
-    second pass.  If buyer i values some zero-priced good, its ratio is
+    ``alphas`` holds every buyer's ratio at ``prices`` (as ``buyer_pass``
+    gives it).  If buyer i values some zero-priced good, its ratio is
     INF and its equality edges are exactly the zero-priced goods it values.
     Otherwise u_ij == alpha_i * p_j is tested as
     u_num * a_den * p_den == a_num * p_num * u_den.
     """
     edges = set()
-    for i in range(market.n):
-        alpha = mbb_ratio(market, prices, i) if alphas is None else alphas[i]
+    for i, alpha in enumerate(alphas):
         if alpha == 0:
             continue
         row = market.utilities[i]

@@ -42,12 +42,6 @@ class Equilibrium:
             Fraction(0),
         )
 
-    def spending(self, buyer):
-        return sum(
-            (p * x for p, x in zip(self.prices, self.allocation[buyer]) if x),
-            Fraction(0),
-        )
-
 
 def _check_dimensions(market, prices, allocation):
     if len(prices) != market.m or len(allocation) != market.n or any(
@@ -148,7 +142,7 @@ def verify_allocation(market, prices, allocation):
     Returns (report, equilibrium, alphas): the report ``verify`` gives for
     any record with these prices and allocation, the record
     ``equilibrium_from_allocation`` builds from them, and each buyer's
-    bang-per-buck ratio at ``prices`` (as ``mbb_ratio`` gives it).
+    bang-per-buck ratio at ``prices`` (as ``buyer_pass`` gives it).
     """
     prices = tuple(map(as_fraction, prices))
     allocation = tuple(tuple(map(as_fraction, row)) for row in allocation)

@@ -22,10 +22,13 @@ separately.  ``reference_allocation`` is the descent's
 allocation as it was written at every balanced flow, before it was built
 from the flow when read, and ``reference_next_event`` is the event search
 on Fractions, before its candidates became integer pairs.
+``flow_from_edges`` builds a ``Flow`` from rational edge flows, as the
+package's flow constructor did before it took integer rows only.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -46,7 +49,6 @@ from fisheq import (
     is_balanced,
     format_rational,
     max_flow,
-    mbb_ratio,
     tight_set_scale,
     verify,
 )
@@ -57,6 +59,27 @@ _ENUMERATION_LIMIT = 14
 
 class ConvergenceError(RuntimeError):
     """The numeric oracle did not converge within its iteration budget."""
+
+
+def flow_from_edges(network, edge_flow):
+    """The ``Flow`` carrying the rational money ``edge_flow[(i, j)]`` on each
+    edge, cleared to integer rows over one denominator, a multiple of the
+    network's D."""
+    cleared = {}
+    for (i, j), v in edge_flow.items():
+        if not v:
+            continue
+        if (i, j) not in network.edges:
+            raise ValueError(f"flow on non-edge ({i}, {j})")
+        v = Fraction(v)
+        if v < 0:
+            raise ValueError("negative flow")
+        cleared[(i, j)] = v
+    denom = math.lcm(network._cleared[0], *(v.denominator for v in cleared.values()))
+    rows = [{} for _ in range(network.n)]
+    for (i, j), v in cleared.items():
+        rows[i][j] = v.numerator * (denom // v.denominator)
+    return Flow(network, rows, denom)
 
 
 def _residual_source_side(network, flow):
@@ -88,8 +111,9 @@ def min_cut(network, flow):
     Node labels: "s", "t", ("buyer", i), ("good", j).
     """
     buyers, goods = _residual_source_side(network, flow)
+    surpluses = flow.surpluses()
     for j in goods:
-        if flow.good_in(j) < network.prices[j]:
+        if surpluses[j] > 0:
             raise ValueError("flow is not maximum")
     source_side = {"s"}
     source_side.update(("buyer", i) for i in buyers)
@@ -462,7 +486,7 @@ def reference_min_revenue(market, equilibrium):
         loops += 1
         if loops > guard:
             raise InvariantError("minimum-revenue loop guard exceeded")
-        alphas = [mbb_ratio(market, prices, i) for i in range(market.n)]
+        alphas = [_reference_mbb_ratio(market, prices, i) for i in range(market.n)]
         edges = equality_graph(market, prices, alphas)
         capped = [active_budget_at(market, i, alpha)[1] for i, alpha in enumerate(alphas)]
         S, bprime = _reference_scalable_set(market, prices, alloc, edges, capped)
@@ -647,7 +671,7 @@ def equalize_balanced(network):
     f = max_flow(realization)
     if not f.sources_saturated():
         raise InvariantError("enumerated levels are not realizable")
-    result = Flow(network, f.edge_flow)
+    result = flow_from_edges(network, f.edge_flow)
     if not is_balanced(network, result):
         raise InvariantError("enumeration oracle produced an unbalanced flow")
     return result

@@ -119,6 +119,34 @@ def test_verify_dimension_mismatch_exits_2(ex1_path, tmp_path, capsys):
     assert main(["verify", ex1_path, "--equilibrium", str(eq_path)]) == 2
 
 
+def test_verifier_value_error_exits_3(ex1_path, tmp_path, monkeypatch, capsys):
+    # The equilibrium file is well formed, so a ValueError out of verify is
+    # the verifier's own fault, not bad input.
+    assert main(["solve", ex1_path]) == 0
+    eq_path = tmp_path / "eq.json"
+    eq_path.write_text(capsys.readouterr().out)
+
+    def broken_verify(market, equilibrium):
+        raise ValueError("allocation and prices dimensionally inconsistent with market")
+
+    monkeypatch.setattr(fisheq.cli, "verify", broken_verify)
+    assert main(["verify", ex1_path, "--equilibrium", str(eq_path)]) == 3
+    assert "internal invariant failure" in capsys.readouterr().err
+
+
+def test_prices_beyond_the_default_digit_limit(tmp_path, capsys):
+    # A price of the equilibrium is 5,997 digits over 4,498, past the limit
+    # of 4,300 that int <-> str conversion enforces by default since Python
+    # 3.10.7 and 3.11; conftest restores the limit after each test.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(market_to_doc(generate_market(3, 3, 10**1500, 1))))
+    assert main(["solve", str(path)]) == 0
+    eq_path = tmp_path / "eq.json"
+    eq_path.write_text(capsys.readouterr().out)
+    assert main(["verify", str(path), "--equilibrium", str(eq_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == []
+
+
 def test_non_list_json_fields_exit_2(ex1_path, tmp_path, capsys):
     # Both used to end in a TypeError traceback and exit 1.
     market_path = tmp_path / "scalar_utilities.json"

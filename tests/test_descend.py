@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import itertools
 import random
@@ -21,9 +20,14 @@ from fisheq.descend import (
 )
 from fisheq.cli import generate_market
 from fisheq.flow import FlowNetwork
-from fisheq.market import bundle_value, capped_utility, equality_graph
+from fisheq.market import buyer_pass, capped_utility, equality_graph
 from hypothesis import given, settings
-from oracle import reference_allocation, reference_next_event
+from oracle import (
+    _reference_active_budget,
+    _reference_mbb_ratio,
+    reference_allocation,
+    reference_next_event,
+)
 from test_acceptance import corpus_markets
 from test_properties import markets
 
@@ -37,9 +41,10 @@ def _reference_network(state):
     """The live network built from scratch: the equality graph at the
     current prices, restricted to the live buyers and goods."""
     market = state.market
+    alphas = [buyer_pass(market, state.prices, i)[0] for i in range(market.n)]
     edges = {
         (i, j)
-        for i, j in equality_graph(market, state.prices)
+        for i, j in equality_graph(market, state.prices, alphas)
         if i in state.live_buyers and j in state.live_goods
     }
     budgets = [
@@ -51,9 +56,9 @@ def _reference_network(state):
 
 def _row_sum_utilities(state):
     """Each buyer's capped utility summed over its whole allocation row."""
-    market = state.market
+    market, alloc = state.market, state.alloc
     return tuple(
-        capped_utility(market, i, bundle_value(market, i, state.alloc[i]))
+        capped_utility(market, i, buyer_pass(market, state.prices, i, alloc[i])[4])
         for i in range(market.n)
     )
 
@@ -75,6 +80,30 @@ class TestInitialize:
         assert state.prices == [F(2), F(2)]
         assert state.budgets == [F(1), F(1)]
         assert state.capped == [False, False]
+
+    def test_one_buyer_pass_per_buyer(self, buyer_passes):
+        market = generate_market(5, 4, 20, 3)
+        stripped, _, _ = strip_trivial(normalize(market))
+        buyer_passes.clear()
+        initialize(stripped)
+        assert buyer_passes == list(range(stripped.n))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(markets(max_buyers=5, max_goods=5))
+def test_initialize_matches_the_reference_rules(market):
+    # Budgets, capped flags and equality edges from one pass per buyer equal
+    # the reference bang-per-buck and active-budget rules at the start prices.
+    state, stripped = _fresh_state(market)
+    prices = state.prices
+    expected = [_reference_active_budget(stripped, prices, i) for i in range(stripped.n)]
+    assert state.budgets == [money for money, _ in expected]
+    assert state.capped == [capped for _, capped in expected]
+    edges = set()
+    for i, row in enumerate(stripped.utilities):
+        alpha = _reference_mbb_ratio(stripped, prices, i)
+        edges.update((i, j) for j, u in enumerate(row) if u and u == alpha * prices[j])
+    assert state.network.edges == edges
 
 
 class TestStartPhase:
@@ -183,7 +212,7 @@ class TestSolveMaxRevenue:
         assert eq.prices == (F(10, 13), F(5, 13))
         assert eq.allocation == ((F(1, 5), F(0)), (F(4, 5), F(1)))
         assert eq.utilities == (F(1), F(13, 5))
-        assert eq.spending(0) == F(2, 13)
+        assert sum(p * x for p, x in zip(eq.prices, eq.allocation[0])) == F(2, 13)
 
     def test_example_linear(self, linear_market):
         eq = solve_max_revenue(linear_market).equilibrium
@@ -285,9 +314,9 @@ def test_network_is_live_on_large_pools(monkeypatch):
 def test_one_equality_graph_per_solve(monkeypatch):
     calls = []
 
-    def counted(market, prices):
+    def counted(market, prices, alphas):
         calls.append(prices)
-        return equality_graph(market, prices)
+        return equality_graph(market, prices, alphas)
 
     monkeypatch.setattr(fisheq.descend, "equality_graph", counted)
     result = solve_max_revenue(generate_market(4, 4, 20, 129))
@@ -404,8 +433,7 @@ def test_allocation_read_matches_the_eager_rule(market, every_commit, monkeypatc
         previous = state.flow
         recompute(state)
         reference_allocation(reference, state, previous)
-        # a copy's read leaves the state under test unbuilt
-        assert copy.deepcopy(state).alloc == reference
+        assert state.alloc == reference
 
     monkeypatch.setattr(fisheq.descend, "_recompute_flow", replayed)
     while start_phase(state):

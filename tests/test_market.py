@@ -8,16 +8,29 @@ from fisheq import (
     INF,
     InvalidMarketError,
     Market,
-    active_budget,
     active_budget_at,
     buyer_pass,
-    bundle_value,
     capped_utility,
     equality_graph,
-    mbb_ratio,
     normalize,
     strip_trivial,
 )
+
+
+def _alpha(market, prices, buyer):
+    """The buyer's bang-per-buck ratio, as ``buyer_pass`` gives it."""
+    return buyer_pass(market, prices, buyer)[0]
+
+
+def _active_budget(market, prices, buyer):
+    """The buyer's active budget and capped flag at its ratio under ``prices``."""
+    return active_budget_at(market, buyer, _alpha(market, prices, buyer))
+
+
+def _graph(market, prices):
+    """The equality graph at ``prices``, with the ratios ``buyer_pass`` gives."""
+    alphas = [_alpha(market, prices, i) for i in range(market.n)]
+    return equality_graph(market, prices, alphas)
 
 
 class TestNormalize:
@@ -62,21 +75,17 @@ class TestNormalize:
 
 class TestMbbRatio:
     def test_linear_equilibrium_prices(self, capped_market):
-        assert mbb_ratio(capped_market, (F(3), F(1)), 0) == F(5, 3)
+        assert _alpha(capped_market, (F(3), F(1)), 0) == F(5, 3)
 
     def test_zero_row_is_zero(self):
         m = Market((F(1), F(1)), (None, None), ((F(0), F(0)), (F(1), F(1))))
-        assert mbb_ratio(m, (F(1), F(1)), 0) == 0
+        assert _alpha(m, (F(1), F(1)), 0) == 0
 
     def test_uniform_prices(self, capped_market):
-        assert mbb_ratio(capped_market, (F(4), F(4)), 0) == F(5, 4)
+        assert _alpha(capped_market, (F(4), F(4)), 0) == F(5, 4)
 
     def test_zero_price_positive_utility_is_infinite(self, capped_market):
-        assert mbb_ratio(capped_market, (F(0), F(1)), 0) is INF
-
-    def test_good_subset(self, capped_market):
-        assert mbb_ratio(capped_market, (F(0), F(1)), 0, [1]) == F(1)
-        assert mbb_ratio(capped_market, (F(0), F(1)), 0, []) == 0
+        assert _alpha(capped_market, (F(0), F(1)), 0) is INF
 
 
 class TestBuyerPass:
@@ -100,29 +109,30 @@ class TestActiveBudget:
         assert active_budget_at(capped_market, 0, F(0)) == (F(0), False)
 
     def test_capped_at_initial_prices(self, capped_market):
-        assert active_budget(capped_market, (F(4), F(4)), 0) == (F(4, 5), True)
+        assert _active_budget(capped_market, (F(4), F(4)), 0) == (F(4, 5), True)
 
     def test_unbounded_cap_never_binds(self, capped_market):
-        assert active_budget(capped_market, (F(4), F(4)), 1) == (F(1), False)
+        assert _active_budget(capped_market, (F(4), F(4)), 1) == (F(1), False)
 
     def test_boundary_counts_as_capped(self):
         m = Market((F(1),), (F(1),), ((F(1), F(1)),))
-        assert active_budget(m, (F(1), F(1)), 0) == (F(1), True)
+        assert _active_budget(m, (F(1), F(1)), 0) == (F(1), True)
 
     def test_valueless_buyer_gets_nothing(self):
         m = Market((F(1),), (None,), ((F(0),),))
-        assert active_budget(m, (F(1),), 0) == (F(0), False)
+        assert _active_budget(m, (F(1),), 0) == (F(0), False)
 
     def test_uncapped_buyer_at_free_good_keeps_budget(self, capped_market):
-        assert active_budget(capped_market, (F(0), F(1)), 1) == (F(1), False)
+        assert _active_budget(capped_market, (F(0), F(1)), 1) == (F(1), False)
 
     def test_capped_buyer_at_free_good_spends_nothing(self, capped_market):
-        assert active_budget(capped_market, (F(0), F(1)), 0) == (F(0), True)
+        assert _active_budget(capped_market, (F(0), F(1)), 0) == (F(0), True)
 
 
 class TestCappedUtility:
     def test_bundle_value_is_linear(self, capped_market):
-        assert bundle_value(capped_market, 0, (F(1, 5), F(1, 2))) == F(3, 2)
+        value = buyer_pass(capped_market, (F(4), F(4)), 0, (F(1, 5), F(1, 2)))[4]
+        assert value == F(3, 2)
 
     def test_cap_binds_above(self, capped_market):
         assert capped_utility(capped_market, 0, F(3, 2)) == F(1)
@@ -136,14 +146,14 @@ class TestCappedUtility:
 
 class TestEqualityGraph:
     def test_example_market_initial_prices(self, capped_market):
-        assert equality_graph(capped_market, (F(4), F(4))) == {(0, 0), (1, 0)}
+        assert _graph(capped_market, (F(4), F(4))) == {(0, 0), (1, 0)}
 
     def test_single_pair(self):
         m = Market((F(1),), (None,), ((F(2),),))
-        assert equality_graph(m, (F(1),)) == {(0, 0)}
+        assert _graph(m, (F(1),)) == {(0, 0)}
 
     def test_overlap_market_ties(self, overlap_market):
-        assert equality_graph(overlap_market, (F(2), F(2))) == {
+        assert _graph(overlap_market, (F(2), F(2))) == {
             (0, 0),
             (0, 1),
             (1, 1),
@@ -152,7 +162,7 @@ class TestEqualityGraph:
     def test_zero_price_goods_take_over(self, overlap_market):
         # Buyer 0 values good 0 at price 0: its only equality edges are
         # the free goods it values.
-        assert equality_graph(overlap_market, (F(0), F(1))) == {(0, 0), (1, 1)}
+        assert _graph(overlap_market, (F(0), F(1))) == {(0, 0), (1, 1)}
 
     def test_invariant_under_per_buyer_scaling(self, capped_market):
         prices = (F(3), F(1))
@@ -164,7 +174,7 @@ class TestEqualityGraph:
                 capped_market.utilities[1],
             ),
         )
-        assert equality_graph(capped_market, prices) == equality_graph(scaled, prices)
+        assert _graph(capped_market, prices) == _graph(scaled, prices)
 
     def test_invariant_under_common_budget_price_scaling(self, capped_market):
         prices = (F(3), F(1))
@@ -174,7 +184,7 @@ class TestEqualityGraph:
             capped_market.utilities,
         )
         scaled_prices = tuple(p * 11 for p in prices)
-        assert equality_graph(capped_market, prices) == equality_graph(
+        assert _graph(capped_market, prices) == _graph(
             scaled_market, scaled_prices
         )
 
@@ -209,7 +219,7 @@ def test_capped_status_monotone_under_price_decrease(money, cap, utils, scale_nu
     m = Market((F(money),), (F(cap),), (tuple(F(u) for u in utils),))
     base = tuple(F(u + 1) for u in range(len(utils)))
     x = F(scale_num, 40)
-    _, capped_full = active_budget(m, base, 0)
-    _, capped_scaled = active_budget(m, tuple(x * p for p in base), 0)
+    _, capped_full = _active_budget(m, base, 0)
+    _, capped_scaled = _active_budget(m, tuple(x * p for p in base), 0)
     if capped_full:
         assert capped_scaled
