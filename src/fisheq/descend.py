@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InvariantError
+from .exact import ratio_estimate, ratio_sign
 from .flow import FlowNetwork, balanced_flow, residual_reach, tight_set_scale
 from .market import (
     active_budget_at,
@@ -93,6 +94,8 @@ class SolverState:
 
     def __init__(self, market):
         self.market = market
+        # the normalized market's utilities are integers: their numerators
+        self.int_utilities = tuple(tuple(u.numerator for u in row) for row in market.utilities)
         self.prices = []
         self.budgets = []  # active budgets M^a
         self.capped = []
@@ -217,8 +220,9 @@ def next_event(state):
     uncapped buyer of B' can be left spending outside S.
 
     Each cap and new-edge candidate scale is an integer pair (num, den)
-    with den > 0; the largest and its ties are found by cross-multiplying,
-    and only each kind's winner becomes a Fraction.
+    with den > 0; the largest and its ties are found with ``ratio_sign``
+    against the running best, whose estimate is kept, and only each kind's
+    winner becomes a Fraction.
 
     Whatever kind wins, the (h, j) pairs whose new-edge scale equals the
     event's are left on ``state.tied_edges``: after the scale they are the
@@ -235,18 +239,19 @@ def next_event(state):
     candidates = [(Fraction(0), -1, ZERO_PRICE, tuple(sorted(bprime)))]
 
     # i caps at x = M_i alpha_i / c_i, alpha_i = u_ik / p_k on an edge (i, k)
-    best_num, best_den, cap_buyers = 0, 1, []
+    best_num, best_den, best_est, cap_buyers = 0, 1, None, []
     for i in sorted(b_u):
         c = market.caps[i]
         if c is None:
             continue
         k = network.buyer_goods[i][0]
-        M, u, p = market.budgets[i], market.utilities[i][k], prices[k]
-        num = M.numerator * u.numerator * c.denominator * p.denominator
-        den = M.denominator * u.denominator * c.numerator * p.numerator
-        if not cap_buyers or num * best_den > best_num * den:
-            best_num, best_den, cap_buyers = num, den, [i]
-        elif num * best_den == best_num * den:
+        M, u, p = market.budgets[i], state.int_utilities[i][k], prices[k]
+        num = M.numerator * u * c.denominator * p.denominator
+        den = M.denominator * c.numerator * p.numerator
+        sign = ratio_sign(num, den, best_num, best_den, None, best_est) if cap_buyers else 1
+        if sign > 0:
+            best_num, best_den, best_est, cap_buyers = num, den, ratio_estimate(num, den), [i]
+        elif not sign:
             cap_buyers.append(i)
     if cap_buyers:
         candidates.append((Fraction(best_num, best_den), 0, CAP, tuple(cap_buyers)))
@@ -255,29 +260,32 @@ def next_event(state):
     # fixed (its edges all leave S), so h's pairs are the j of S with the
     # largest u_hj / p_j.
     in_s = [(j, prices[j].numerator, prices[j].denominator) for j in state.S]
-    best_num, best_den, eq_pairs = 0, 1, []
+    best_num, best_den, best_est, eq_pairs = 0, 1, None, []
     for h in sorted(state.live_buyers - bprime):
         if not network.buyer_goods[h]:
             raise InvariantError(f"buyer {h} outside B' values nothing outside S")
-        row = market.utilities[h]
-        num, den, goods = 0, 1, []  # h's largest u_hj / p_j is num / den, at goods
+        row = state.int_utilities[h]
+        # h's largest u_hj / p_j is num / den, with estimate est, at goods
+        num, den, est, goods = 0, 1, None, []
         for j, p_num, p_den in in_s:
             u = row[j]
             if not u:
                 continue
-            n_j, d_j = u.numerator * p_den, u.denominator * p_num
-            if n_j * den > num * d_j:
-                num, den, goods = n_j, d_j, [j]
-            elif n_j * den == num * d_j:
+            n_j = u * p_den
+            sign = ratio_sign(n_j, p_num, num, den, None, est) if goods else 1
+            if sign > 0:
+                num, den, est, goods = n_j, p_num, ratio_estimate(n_j, p_num), [j]
+            elif not sign:
                 goods.append(j)
         if not goods:
             continue
         k = network.buyer_goods[h][0]  # alpha_h = u_hk / p_k
-        u, p = row[k], prices[k]
-        num, den = num * u.denominator * p.numerator, den * u.numerator * p.denominator
-        if not eq_pairs or num * best_den > best_num * den:
-            best_num, best_den, eq_pairs = num, den, []
-        if num * best_den == best_num * den:
+        p = prices[k]
+        num, den = num * p.numerator, den * row[k] * p.denominator
+        sign = ratio_sign(num, den, best_num, best_den, None, best_est) if eq_pairs else 1
+        if sign > 0:
+            best_num, best_den, best_est, eq_pairs = num, den, ratio_estimate(num, den), []
+        if sign >= 0:
             eq_pairs.extend((h, j) for j in goods)
     best_eq = None
     if eq_pairs:

@@ -5,11 +5,19 @@ always stored in lowest terms with a positive denominator).  ``INF`` is the
 designated extended value used for unbounded happiness caps and for
 bang-per-buck ratios at zero prices; it compares greater than every
 rational.
+
+``ratio_sign`` is the one comparison of two ratios of integers.  It decides
+from float estimates of the ratios where they are far apart, and
+cross-multiplies only near a tie, so it stays exact while comparing
+thousand-bit ratios at the cost of a float division or two.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import FormatError
@@ -50,6 +58,63 @@ class _Infinity:
 
 INF = _Infinity()
 
+# A pair of operands below this bound is cross-multiplied at once: its two
+# products with the other pair cost no more than the float division that
+# would avoid them.  (A negative numerator counts as word-sized: that only
+# costs time, and every ratio compared in the package is nonnegative.)
+_WORD = 1 << 128
+# Estimates further apart than this share of their size are ordered as the
+# ratios are; it covers estimates a few units in the last place off.
+_MARGIN = 2.0 ** -40
+_TINY = sys.float_info.min  # the smallest normal float
+_NAN = math.nan
+
+
+def ratio_estimate(num, den):
+    """num/den (den > 0) as a float for ``ratio_sign`` to read, or NaN where
+    it should cross-multiply instead: both operands word-sized, or a
+    quotient beyond the float range.
+
+    CPython rounds an int/int division correctly at any size, so the
+    estimate is within half a unit in the last place wherever it is a
+    normal float.
+    """
+    if den < _WORD and num < _WORD:
+        return _NAN
+    try:
+        return num / den
+    except OverflowError:
+        return _NAN
+
+
+def ratio_sign(a, b, c, d, x=None, y=None):
+    """Sign of a/b - c/d, for integers a, c and positive integers b, d.
+    Whether it is 0 is right for any nonzero b and d.
+
+    ``x`` and ``y`` are estimates of a/b and c/d if the caller kept them:
+    ``ratio_estimate``'s, or any float within a few units in the last place
+    of the ratio, or NaN.  Missing ones are made with ``ratio_estimate``
+    where they are read.
+    Two normal estimates further apart than ``_MARGIN`` of their size decide
+    the sign.  Otherwise the sign comes from the integer products a*d and
+    c*b: near a tie, when a and b are word-sized, and wherever an estimate
+    is NaN, zero or subnormal (its relative error is then unbounded).
+    """
+    if x is None and (b >= _WORD or a >= _WORD):
+        x = ratio_estimate(a, b)
+    if x is not None and abs(x) >= _TINY:  # NaN fails every comparison
+        if y is None:
+            y = ratio_estimate(c, d)
+        if abs(y) >= _TINY:
+            gap = _MARGIN * (abs(x) + abs(y))
+            if x - y > gap:
+                return 1
+            if y - x > gap:
+                return -1
+    ad, cb = a * d, c * b
+    return (ad > cb) - (ad < cb)
+
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
@@ -58,8 +123,24 @@ def as_fraction(value):
     return value if type(value) is Fraction else Fraction(value)
 
 
+# The interpreter's int <-> str digit limit is either off or at least this
+# many digits (``sys.int_info.str_digits_check_threshold``).  Shorter
+# numbers convert directly; longer ones go through ``Decimal``, which has no
+# such limit, so the limit itself is left as it is.
+_SAFE_DIGITS = 640
+_SAFE_INT = 10**_SAFE_DIGITS
+
+
+def _long_int(digits):
+    return int(Decimal(digits))
+
+
+def _long_str(n):
+    return str(Decimal(n))
+
+
 def parse_rational(text):
-    """Parse a 'p' or 'p/q' string into a Fraction.
+    """Parse a 'p' or 'p/q' string, of any length, into a Fraction.
 
     Floating-point notation is rejected on purpose: exactness is the whole
     point of the string format.
@@ -67,16 +148,20 @@ def parse_rational(text):
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise FormatError(f"not an exact rational: {text!r}")
     text = text.strip()
+    to_int = int if len(text) <= _SAFE_DIGITS else _long_int
     if "/" in text:
         num, den = text.split("/")
-        if int(den) == 0:
+        den = to_int(den)
+        if den == 0:
             raise FormatError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(to_int(num), den)
+    return Fraction(to_int(text))
 
 
 def format_rational(value):
-    """Lowest-terms 'p/q' or plain integer string."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Lowest-terms 'p/q' or plain integer string, at any size."""
+    num, den = value.numerator, value.denominator
+    to_str = str if -_SAFE_INT < num < _SAFE_INT and den < _SAFE_INT else _long_str
+    if den == 1:
+        return to_str(num)
+    return f"{to_str(num)}/{to_str(den)}"

@@ -12,9 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import InvalidMarketError
-from .exact import INF
+from .exact import INF, ratio_estimate, ratio_sign
+
+
+_ZERO = Fraction(0)
 
 
 def _as_fraction_grid(utilities):
@@ -162,27 +166,30 @@ def buyer_pass(market, prices, buyer, bundle=None):
       spend, value -- sum_j p_j x_ij and sum_j u_ij x_ij of the bundle (both
                       0 without one).
 
-    Ratios are compared by integer cross-multiplication, so the only
-    Fraction built for the ratios is finite_alpha.  A good with a negative
-    price has a negative ratio and never attains the maximum; it is skipped.
+    Each ratio u_ij / p_j is an integer pair compared with ``ratio_sign``
+    against the running best, whose estimate is kept, so the only Fraction
+    built for the ratios is finite_alpha.  A good with a negative price has
+    a negative ratio and never attains the maximum; it is skipped.
     """
-    row = market.utilities[buyer]
-    num, den = 0, 1  # the largest u_ij / p_j over priced goods so far
-    free = spend = value = Fraction(0)
-    for j in range(market.m):
-        u, p = row[j], prices[j]
-        if bundle is not None:
-            x = bundle[j]
-            if x:
-                spend += p * x
-                value += u * x
-        if not u:
+    # the largest u_ij / p_j over priced goods so far (num is 0 before the
+    # first, which every positive ratio beats) and its estimate
+    num, den, est = 0, 1, None
+    free = spend = value = _ZERO
+    shares = repeat(None) if bundle is None else bundle
+    for u, p, x in zip(market.utilities[buyer], prices, shares):
+        if x:
+            if spend is _ZERO:  # the first held good: nothing to add to yet
+                spend, value = p * x, u * x
+            else:
+                spend, value = spend + p * x, value + u * x
+        u_num = u.numerator
+        if not u_num:
             continue
         p_num = p.numerator
         if p_num > 0:
-            n_j, d_j = u.numerator * p.denominator, u.denominator * p_num
-            if n_j * den > num * d_j:
-                num, den = n_j, d_j
+            n_j, d_j = u_num * p.denominator, u.denominator * p_num
+            if not num or ratio_sign(n_j, d_j, num, den, None, est) > 0:
+                num, den, est = n_j, d_j, ratio_estimate(n_j, d_j)
         elif not p_num:
             free += u
     finite_alpha = Fraction(num, den)
@@ -224,10 +231,12 @@ def equality_graph(market, prices, alphas):
     ``alphas`` holds every buyer's ratio at ``prices`` (as ``buyer_pass``
     gives it).  If buyer i values some zero-priced good, its ratio is
     INF and its equality edges are exactly the zero-priced goods it values.
-    Otherwise u_ij == alpha_i * p_j is tested as
-    u_num * a_den * p_den == a_num * p_num * u_den.
+    Otherwise u_ij / p_j == alpha_i is decided by ``ratio_sign`` against
+    alpha_i's kept estimate: the estimates reject most non-edges, and every
+    edge is confirmed exactly.
     """
     edges = set()
+    priced = [(j, p.numerator, p.denominator) for j, p in enumerate(prices) if p.numerator > 0]
     for i, alpha in enumerate(alphas):
         if alpha == 0:
             continue
@@ -236,10 +245,12 @@ def equality_graph(market, prices, alphas):
             edges.update((i, j) for j, u in enumerate(row) if u and prices[j] == 0)
             continue
         a_num, a_den = alpha.numerator, alpha.denominator
-        for j, u in enumerate(row):
-            p = prices[j]
-            if u and p.numerator > 0 and (
-                u.numerator * a_den * p.denominator == a_num * p.numerator * u.denominator
+        a_est = ratio_estimate(a_num, a_den)
+        for j, p_num, p_den in priced:
+            u = row[j]
+            u_num = u.numerator
+            if u_num and not ratio_sign(
+                u_num * p_den, u.denominator * p_num, a_num, a_den, None, a_est
             ):
                 edges.add((i, j))
     return frozenset(edges)

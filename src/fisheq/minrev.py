@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantError
-from .exact import INF
+from .exact import INF, ratio_estimate, ratio_sign
 from .market import equality_graph
 from .verify import verify_allocation
 
@@ -70,16 +70,25 @@ def min_revenue(market, equilibrium):
         if any(not checked.capped[i] for i in bprime):
             raise InvariantError("uncapped buyer attached to a scalable set")
 
-        # Scale down until a new equality edge appears, or all the way to 0.
-        x_star = Fraction(0)
+        # Scale down until a new equality edge appears, or all the way to 0:
+        # x* is the largest u_hj / (alpha_h p_j), an integer pair found with
+        # ``ratio_sign`` against the running best, whose estimate is kept.
+        best_num, best_den, best_est = 0, 1, None
         for h in range(market.n):
             alpha = alphas[h]
             if h in bprime or alpha == 0 or alpha is INF:
                 continue
+            a_num, a_den = alpha.numerator, alpha.denominator
             for j in S:
                 u = market.utilities[h][j]
-                if u > 0:
-                    x_star = max(x_star, u / (alpha * prices[j]))
+                if not u:
+                    continue
+                p = prices[j]
+                num = u.numerator * a_den * p.denominator
+                den = u.denominator * a_num * p.numerator
+                if not best_num or ratio_sign(num, den, best_num, best_den, None, best_est) > 0:
+                    best_num, best_den, best_est = num, den, ratio_estimate(num, den)
+        x_star = Fraction(best_num, best_den)
         if x_star >= 1:
             raise InvariantError("scaling candidate not below 1")
         for j in S:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import INF, as_fraction, format_rational
+from .exact import INF, as_fraction, format_rational, ratio_sign
 from .market import active_budget_at, buyer_pass, capped_utility
 
 
@@ -206,8 +206,8 @@ def _walk(market, prices, alloc, fields=None):
         if utility != optimal:
             flag("demand", i, utility, optimal)
 
-        # MBB support and thrifty spending; u == alpha * p is tested as
-        # u_num * a_den * p_den == a_num * p_num * u_den.
+        # MBB support and thrifty spending; u / p == alpha is decided by
+        # ``ratio_sign``.
         row = market.utilities[i]
         if alpha is not INF:
             a_num, a_den = alpha.numerator, alpha.denominator
@@ -218,8 +218,8 @@ def _walk(market, prices, alloc, fields=None):
             if alpha is INF:
                 if p or not u:
                     flag("mbb", (i, j), u, "free-good ratio")
-            elif not p or (
-                u.numerator * a_den * p.denominator != a_num * p.numerator * u.denominator
+            elif not p or ratio_sign(
+                u.numerator * p.denominator, u.denominator * p.numerator, a_num, a_den
             ):
                 flag("mbb", (i, j), u / p if p else u, alpha)
 

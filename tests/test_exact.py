@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisheq import INF, FormatError, format_rational, parse_rational
+from fisheq.exact import ratio_estimate, ratio_sign
 
 
 def test_parse_integer_and_fraction():
@@ -42,3 +44,86 @@ def test_infinity_orders_above_everything():
     assert INF >= INF and INF <= INF
     assert not (INF > INF)
     assert INF == INF and INF != F(1)
+
+
+def test_round_trip_past_the_int_str_digit_limit():
+    # 7**20000 has 16,902 digits, past the default limit of 4,300 that
+    # int <-> str conversion enforces since Python 3.10.7 and 3.11.
+    for q in (F(7**20000), F(-(7**20000), 3**9000 * 2), F(1, 7**20000)):
+        assert parse_rational(format_rational(q)) == q
+    assert format_rational(F(10**5000)) == "1" + "0" * 5000
+
+
+def _sign(a, b, c, d):
+    ad, cb = a * d, c * b
+    return (ad > cb) - (ad < cb)
+
+
+def _magnitude(bits):
+    """Positive integers of up to ``bits`` bits, spread over the bit lengths."""
+    return st.integers(1, bits).flatmap(lambda k: st.integers(1 << (k - 1), (1 << k) - 1))
+
+
+_SIGNED = st.builds(lambda n, neg: -n if neg else n, _magnitude(3000), st.booleans())
+_SCALE = st.integers(0, 200).flatmap(lambda k: st.integers(1 << k, (1 << (k + 1)) - 1))
+
+
+@st.composite
+def _ratio_pairs(draw):
+    """(a, b, c, d): random, tied, nearly tied, beyond the float range, or
+    with a zero numerator."""
+    kind = draw(st.sampled_from(["random", "tie", "near", "huge", "tiny", "zero"]))
+    a, b = draw(_SIGNED), draw(_magnitude(3000))
+    if kind == "huge":  # a/b around 2**1000 to 2**1200, past the largest float
+        e = draw(st.integers(1000, 1200))
+        a <<= max(0, e + b.bit_length() - abs(a).bit_length())
+    elif kind == "tiny":  # a/b around 2**-1000 to 2**-1200: normal, subnormal or 0
+        e = draw(st.integers(1000, 1200))
+        b <<= max(0, e + abs(a).bit_length() - b.bit_length())
+    if kind == "zero":
+        c, d = 0, draw(_magnitude(3000))
+        if draw(st.booleans()):
+            a, b, c, d = c, d, a, b
+    elif kind == "random":
+        c, d = draw(_SIGNED), draw(_magnitude(3000))
+    elif kind == "tie":  # k*a / (k*b)
+        k = draw(_magnitude(1000))
+        c, d = k * a, k * b
+    else:  # c/d = a/b * (1 +- 1/K), K up to 2**200
+        K = draw(_SCALE)
+        c, d = a * (K + draw(st.sampled_from([1, -1]))), b * K
+    if draw(st.booleans()):
+        a, b, c, d = c, d, a, b
+    return a, b, c, d
+
+
+def _off_by_ulps(x, steps):
+    """x moved ``steps`` units in the last place (NaN stays NaN)."""
+    direction = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, direction)
+    return x
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_ratio_pairs(), st.integers(-4, 4), st.integers(-4, 4))
+def test_ratio_sign_is_the_sign_of_the_cross_products(pair, dx, dy):
+    # Exact with its own estimates, and with estimates a few units in the
+    # last place off: on a near tie only the margin keeps such estimates
+    # from deciding, and a subnormal or zero estimate that far off says
+    # nothing about the ratio.
+    a, b, c, d = pair
+    expected = _sign(a, b, c, d)
+    assert ratio_sign(a, b, c, d) == expected
+    x = _off_by_ulps(ratio_estimate(a, b), dx)
+    y = _off_by_ulps(ratio_estimate(c, d), dy)
+    assert ratio_sign(a, b, c, d, x, y) == expected
+    assert ratio_sign(c, d, a, b, y, x) == -expected
+
+
+def test_ratio_estimate_is_nan_where_the_kernel_must_cross_multiply():
+    assert math.isnan(ratio_estimate(3, 7))  # word-sized
+    assert math.isnan(ratio_estimate(1 << 3000, 3))  # past the largest float
+    assert ratio_estimate(1 << 3000, 1 << 2999) == 2.0
+    assert ratio_estimate(-(3 << 500), 1 << 500) == -3.0
+    assert math.isnan(ratio_estimate(-(1 << 200), 3))  # a negative numerator counts as small

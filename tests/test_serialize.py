@@ -1,9 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from fisheq import FormatError, solve_max_revenue
-from fisheq.cli import main
+from fisheq.cli import generate_market, main
 from fisheq.exact import format_rational
 from fisheq.serialize import (
     equilibrium_from_doc,
@@ -26,6 +27,20 @@ def test_equilibrium_round_trip(capped_market):
     assert doc["prices"] == ["10/13", "5/13"]
     assert doc["revenue"] == "15/13"
     assert equilibrium_from_doc(doc, capped_market) == eq
+
+
+def test_library_round_trip_past_the_int_str_digit_limit():
+    # A price of this equilibrium is 5,997 digits over 4,498, past the limit
+    # of 4,300 that int <-> str conversion enforces by default since Python
+    # 3.10.7 and 3.11.  The library writes and reads it without lifting the
+    # interpreter's limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    market = generate_market(3, 3, 10**1500, 1)
+    eq = solve_max_revenue(market).equilibrium
+    doc = equilibrium_to_doc(eq)
+    assert max(len(part) for p in doc["prices"] for part in p.split("/")) > 4300
+    assert equilibrium_from_doc(json.loads(json.dumps(doc)), market) == eq
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_trace_ndjson_fields(capped_market, tmp_path, capsys):
