@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InvariantError
-from .exact import ratio_estimate, ratio_sign
+from .exact import ratio_sign
 from .flow import FlowNetwork, balanced_flow, residual_reach, tight_set_scale
 from .market import (
     active_budget_at,
@@ -94,7 +94,7 @@ class SolverState:
 
     def __init__(self, market):
         self.market = market
-        # the normalized market's utilities are integers: their numerators
+        # ``normalize`` makes every utility an integer; next_event reads them as ints
         self.int_utilities = tuple(tuple(u.numerator for u in row) for row in market.utilities)
         self.prices = []
         self.budgets = []  # active budgets M^a
@@ -221,8 +221,8 @@ def next_event(state):
 
     Each cap and new-edge candidate scale is an integer pair (num, den)
     with den > 0; the largest and its ties are found with ``ratio_sign``
-    against the running best, whose estimate is kept, and only each kind's
-    winner becomes a Fraction.
+    against the running best, and only each kind's winner becomes a
+    Fraction.
 
     Whatever kind wins, the (h, j) pairs whose new-edge scale equals the
     event's are left on ``state.tied_edges``: after the scale they are the
@@ -239,7 +239,7 @@ def next_event(state):
     candidates = [(Fraction(0), -1, ZERO_PRICE, tuple(sorted(bprime)))]
 
     # i caps at x = M_i alpha_i / c_i, alpha_i = u_ik / p_k on an edge (i, k)
-    best_num, best_den, best_est, cap_buyers = 0, 1, None, []
+    best_num, best_den, cap_buyers = 0, 1, []
     for i in sorted(b_u):
         c = market.caps[i]
         if c is None:
@@ -248,9 +248,9 @@ def next_event(state):
         M, u, p = market.budgets[i], state.int_utilities[i][k], prices[k]
         num = M.numerator * u * c.denominator * p.denominator
         den = M.denominator * c.numerator * p.numerator
-        sign = ratio_sign(num, den, best_num, best_den, None, best_est) if cap_buyers else 1
+        sign = ratio_sign(num, den, best_num, best_den) if cap_buyers else 1
         if sign > 0:
-            best_num, best_den, best_est, cap_buyers = num, den, ratio_estimate(num, den), [i]
+            best_num, best_den, cap_buyers = num, den, [i]
         elif not sign:
             cap_buyers.append(i)
     if cap_buyers:
@@ -260,21 +260,20 @@ def next_event(state):
     # fixed (its edges all leave S), so h's pairs are the j of S with the
     # largest u_hj / p_j.
     in_s = [(j, prices[j].numerator, prices[j].denominator) for j in state.S]
-    best_num, best_den, best_est, eq_pairs = 0, 1, None, []
+    best_num, best_den, eq_pairs = 0, 1, []
     for h in sorted(state.live_buyers - bprime):
         if not network.buyer_goods[h]:
             raise InvariantError(f"buyer {h} outside B' values nothing outside S")
         row = state.int_utilities[h]
-        # h's largest u_hj / p_j is num / den, with estimate est, at goods
-        num, den, est, goods = 0, 1, None, []
+        num, den, goods = 0, 1, []  # h's largest u_hj / p_j is num / den, at goods
         for j, p_num, p_den in in_s:
             u = row[j]
             if not u:
                 continue
             n_j = u * p_den
-            sign = ratio_sign(n_j, p_num, num, den, None, est) if goods else 1
+            sign = ratio_sign(n_j, p_num, num, den) if goods else 1
             if sign > 0:
-                num, den, est, goods = n_j, p_num, ratio_estimate(n_j, p_num), [j]
+                num, den, goods = n_j, p_num, [j]
             elif not sign:
                 goods.append(j)
         if not goods:
@@ -282,9 +281,9 @@ def next_event(state):
         k = network.buyer_goods[h][0]  # alpha_h = u_hk / p_k
         p = prices[k]
         num, den = num * p.numerator, den * row[k] * p.denominator
-        sign = ratio_sign(num, den, best_num, best_den, None, best_est) if eq_pairs else 1
+        sign = ratio_sign(num, den, best_num, best_den) if eq_pairs else 1
         if sign > 0:
-            best_num, best_den, best_est, eq_pairs = num, den, ratio_estimate(num, den), []
+            best_num, best_den, eq_pairs = num, den, []
         if sign >= 0:
             eq_pairs.extend((h, j) for j in goods)
     best_eq = None

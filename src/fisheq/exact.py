@@ -9,12 +9,11 @@ rational.
 ``ratio_sign`` is the one comparison of two ratios of integers.  It decides
 from float estimates of the ratios where they are far apart, and
 cross-multiplies only near a tie, so it stays exact while comparing
-thousand-bit ratios at the cost of a float division or two.
+thousand-bit ratios at the cost of two float divisions.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from decimal import Decimal
@@ -58,54 +57,35 @@ class _Infinity:
 
 INF = _Infinity()
 
-# A pair of operands below this bound is cross-multiplied at once: its two
-# products with the other pair cost no more than the float division that
-# would avoid them.  (A negative numerator counts as word-sized: that only
-# costs time, and every ratio compared in the package is nonnegative.)
+# Operands below this bound are cross-multiplied at once: the products
+# cost no more than the float divisions that would avoid them.  (A negative
+# numerator counts as word-sized: that only costs time, and every ratio
+# compared in the package is nonnegative.)
 _WORD = 1 << 128
 # Estimates further apart than this share of their size are ordered as the
-# ratios are; it covers estimates a few units in the last place off.
+# ratios are, even if each is a few units in the last place off.
 _MARGIN = 2.0 ** -40
 _TINY = sys.float_info.min  # the smallest normal float
-_NAN = math.nan
 
 
-def ratio_estimate(num, den):
-    """num/den (den > 0) as a float for ``ratio_sign`` to read, or NaN where
-    it should cross-multiply instead: both operands word-sized, or a
-    quotient beyond the float range.
-
-    CPython rounds an int/int division correctly at any size, so the
-    estimate is within half a unit in the last place wherever it is a
-    normal float.
-    """
-    if den < _WORD and num < _WORD:
-        return _NAN
-    try:
-        return num / den
-    except OverflowError:
-        return _NAN
-
-
-def ratio_sign(a, b, c, d, x=None, y=None):
+def ratio_sign(a, b, c, d):
     """Sign of a/b - c/d, for integers a, c and positive integers b, d.
     Whether it is 0 is right for any nonzero b and d.
 
-    ``x`` and ``y`` are estimates of a/b and c/d if the caller kept them:
-    ``ratio_estimate``'s, or any float within a few units in the last place
-    of the ratio, or NaN.  Missing ones are made with ``ratio_estimate``
-    where they are read.
-    Two normal estimates further apart than ``_MARGIN`` of their size decide
-    the sign.  Otherwise the sign comes from the integer products a*d and
-    c*b: near a tie, when a and b are word-sized, and wherever an estimate
-    is NaN, zero or subnormal (its relative error is then unbounded).
+    Where a or b is not word-sized, it first reads float estimates of the
+    two ratios: CPython rounds an int/int division correctly at any size.
+    Two normal estimates further apart than ``_MARGIN`` of their size
+    decide the sign.  Otherwise the sign comes from the integer products
+    a*d and c*b: near a tie, when a and b are word-sized, and wherever an
+    estimate overflows or is zero or subnormal (its relative error is then
+    unbounded).
     """
-    if x is None and (b >= _WORD or a >= _WORD):
-        x = ratio_estimate(a, b)
-    if x is not None and abs(x) >= _TINY:  # NaN fails every comparison
-        if y is None:
-            y = ratio_estimate(c, d)
-        if abs(y) >= _TINY:
+    if a >= _WORD or b >= _WORD:
+        try:
+            x, y = a / b, c / d
+        except OverflowError:
+            x = y = 0.0
+        if abs(x) >= _TINY and abs(y) >= _TINY:
             gap = _MARGIN * (abs(x) + abs(y))
             if x - y > gap:
                 return 1
@@ -123,20 +103,18 @@ def as_fraction(value):
     return value if type(value) is Fraction else Fraction(value)
 
 
-# The interpreter's int <-> str digit limit is either off or at least this
-# many digits (``sys.int_info.str_digits_check_threshold``).  Shorter
-# numbers convert directly; longer ones go through ``Decimal``, which has no
-# such limit, so the limit itself is left as it is.
-_SAFE_DIGITS = 640
-_SAFE_INT = 10**_SAFE_DIGITS
+def _to_int(digits):
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int <-> str digit limit
+        return int(Decimal(digits))
 
 
-def _long_int(digits):
-    return int(Decimal(digits))
-
-
-def _long_str(n):
-    return str(Decimal(n))
+def _to_str(n):
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's int <-> str digit limit
+        return str(Decimal(n))
 
 
 def parse_rational(text):
@@ -148,20 +126,18 @@ def parse_rational(text):
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise FormatError(f"not an exact rational: {text!r}")
     text = text.strip()
-    to_int = int if len(text) <= _SAFE_DIGITS else _long_int
     if "/" in text:
         num, den = text.split("/")
-        den = to_int(den)
+        den = _to_int(den)
         if den == 0:
             raise FormatError(f"zero denominator: {text!r}")
-        return Fraction(to_int(num), den)
-    return Fraction(to_int(text))
+        return Fraction(_to_int(num), den)
+    return Fraction(_to_int(text))
 
 
 def format_rational(value):
     """Lowest-terms 'p/q' or plain integer string, at any size."""
     num, den = value.numerator, value.denominator
-    to_str = str if -_SAFE_INT < num < _SAFE_INT and den < _SAFE_INT else _long_str
     if den == 1:
-        return to_str(num)
-    return f"{to_str(num)}/{to_str(den)}"
+        return _to_str(num)
+    return f"{_to_str(num)}/{_to_str(den)}"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .errors import InvalidMarketError
-from .exact import INF, ratio_estimate, ratio_sign
+from .exact import INF, ratio_sign
 
 
 _ZERO = Fraction(0)
@@ -167,13 +167,11 @@ def buyer_pass(market, prices, buyer, bundle=None):
                       0 without one).
 
     Each ratio u_ij / p_j is an integer pair compared with ``ratio_sign``
-    against the running best, whose estimate is kept, so the only Fraction
-    built for the ratios is finite_alpha.  A good with a negative price has
-    a negative ratio and never attains the maximum; it is skipped.
+    against the running best, so the only Fraction built for the ratios is
+    finite_alpha.  A good with a negative price has a negative ratio and
+    never attains the maximum; it is skipped.
     """
-    # the largest u_ij / p_j over priced goods so far (num is 0 before the
-    # first, which every positive ratio beats) and its estimate
-    num, den, est = 0, 1, None
+    num, den = 0, 1  # the largest u_ij / p_j over priced goods so far
     free = spend = value = _ZERO
     shares = repeat(None) if bundle is None else bundle
     for u, p, x in zip(market.utilities[buyer], prices, shares):
@@ -188,8 +186,8 @@ def buyer_pass(market, prices, buyer, bundle=None):
         p_num = p.numerator
         if p_num > 0:
             n_j, d_j = u_num * p.denominator, u.denominator * p_num
-            if not num or ratio_sign(n_j, d_j, num, den, None, est) > 0:
-                num, den, est = n_j, d_j, ratio_estimate(n_j, d_j)
+            if ratio_sign(n_j, d_j, num, den) > 0:
+                num, den = n_j, d_j
         elif not p_num:
             free += u
     finite_alpha = Fraction(num, den)
@@ -231,9 +229,8 @@ def equality_graph(market, prices, alphas):
     ``alphas`` holds every buyer's ratio at ``prices`` (as ``buyer_pass``
     gives it).  If buyer i values some zero-priced good, its ratio is
     INF and its equality edges are exactly the zero-priced goods it values.
-    Otherwise u_ij / p_j == alpha_i is decided by ``ratio_sign`` against
-    alpha_i's kept estimate: the estimates reject most non-edges, and every
-    edge is confirmed exactly.
+    Otherwise u_ij / p_j == alpha_i is decided by ``ratio_sign``: float
+    estimates reject most non-edges, and every edge is confirmed exactly.
     """
     edges = set()
     priced = [(j, p.numerator, p.denominator) for j, p in enumerate(prices) if p.numerator > 0]
@@ -245,12 +242,8 @@ def equality_graph(market, prices, alphas):
             edges.update((i, j) for j, u in enumerate(row) if u and prices[j] == 0)
             continue
         a_num, a_den = alpha.numerator, alpha.denominator
-        a_est = ratio_estimate(a_num, a_den)
         for j, p_num, p_den in priced:
             u = row[j]
-            u_num = u.numerator
-            if u_num and not ratio_sign(
-                u_num * p_den, u.denominator * p_num, a_num, a_den, None, a_est
-            ):
+            if u and not ratio_sign(u.numerator * p_den, u.denominator * p_num, a_num, a_den):
                 edges.add((i, j))
     return frozenset(edges)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantError
-from .exact import INF, ratio_estimate, ratio_sign
+from .exact import INF, ratio_sign
 from .market import equality_graph
 from .verify import verify_allocation
 
@@ -72,8 +72,8 @@ def min_revenue(market, equilibrium):
 
         # Scale down until a new equality edge appears, or all the way to 0:
         # x* is the largest u_hj / (alpha_h p_j), an integer pair found with
-        # ``ratio_sign`` against the running best, whose estimate is kept.
-        best_num, best_den, best_est = 0, 1, None
+        # ``ratio_sign`` against the running best.
+        best_num, best_den = 0, 1
         for h in range(market.n):
             alpha = alphas[h]
             if h in bprime or alpha == 0 or alpha is INF:
@@ -86,8 +86,8 @@ def min_revenue(market, equilibrium):
                 p = prices[j]
                 num = u.numerator * a_den * p.denominator
                 den = u.denominator * a_num * p.numerator
-                if not best_num or ratio_sign(num, den, best_num, best_den, None, best_est) > 0:
-                    best_num, best_den, best_est = num, den, ratio_estimate(num, den)
+                if ratio_sign(num, den, best_num, best_den) > 0:
+                    best_num, best_den = num, den
         x_star = Fraction(best_num, best_den)
         if x_star >= 1:
             raise InvariantError("scaling candidate not below 1")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisheq import INF, FormatError, format_rational, parse_rational
-from fisheq.exact import ratio_estimate, ratio_sign
+from fisheq.exact import ratio_sign
 
 
 def test_parse_integer_and_fraction():
@@ -97,33 +97,33 @@ def _ratio_pairs(draw):
     return a, b, c, d
 
 
-def _off_by_ulps(x, steps):
-    """x moved ``steps`` units in the last place (NaN stays NaN)."""
-    direction = math.inf if steps > 0 else -math.inf
-    for _ in range(abs(steps)):
-        x = math.nextafter(x, direction)
-    return x
+class _Skewed(int):
+    """An integer whose true division by an int gives the correctly rounded
+    quotient moved ``steps`` units in the last place, as an interpreter
+    that rounds less carefully might."""
+
+    def __new__(cls, value, steps):
+        self = super().__new__(cls, value)
+        self.steps = steps
+        return self
+
+    def __truediv__(self, other):
+        x = int(self) / other
+        direction = math.inf if self.steps > 0 else -math.inf
+        for _ in range(abs(self.steps)):
+            x = math.nextafter(x, direction)
+        return x
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(_ratio_pairs(), st.integers(-4, 4), st.integers(-4, 4))
 def test_ratio_sign_is_the_sign_of_the_cross_products(pair, dx, dy):
-    # Exact with its own estimates, and with estimates a few units in the
-    # last place off: on a near tie only the margin keeps such estimates
-    # from deciding, and a subnormal or zero estimate that far off says
-    # nothing about the ratio.
+    # Exact with correctly rounded estimates, and with estimates a few units
+    # in the last place off: on a near tie only the margin keeps such
+    # estimates from deciding, and a subnormal or zero estimate that far off
+    # says nothing about the ratio.
     a, b, c, d = pair
     expected = _sign(a, b, c, d)
     assert ratio_sign(a, b, c, d) == expected
-    x = _off_by_ulps(ratio_estimate(a, b), dx)
-    y = _off_by_ulps(ratio_estimate(c, d), dy)
-    assert ratio_sign(a, b, c, d, x, y) == expected
-    assert ratio_sign(c, d, a, b, y, x) == -expected
-
-
-def test_ratio_estimate_is_nan_where_the_kernel_must_cross_multiply():
-    assert math.isnan(ratio_estimate(3, 7))  # word-sized
-    assert math.isnan(ratio_estimate(1 << 3000, 3))  # past the largest float
-    assert ratio_estimate(1 << 3000, 1 << 2999) == 2.0
-    assert ratio_estimate(-(3 << 500), 1 << 500) == -3.0
-    assert math.isnan(ratio_estimate(-(1 << 200), 3))  # a negative numerator counts as small
+    assert ratio_sign(_Skewed(a, dx), b, _Skewed(c, dy), d) == expected
+    assert ratio_sign(_Skewed(c, dy), d, _Skewed(a, dx), b) == -expected
