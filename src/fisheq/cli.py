@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
 from .descend import solve_max_revenue
 from .errors import FormatError, InvalidMarketError, InvariantError
+from .exact import _to_int
 from .market import Market
 from .minrev import min_revenue
 from .serialize import (
@@ -59,6 +61,17 @@ def generate_market(buyers, goods, max_value, seed, linear=False):
         if all(utilities[i][j] == 0 for i in range(buyers)):
             utilities[rng.randrange(buyers)][j] = Fraction(rng.randint(1, max_value))
     return Market(tuple(budgets), tuple(caps), tuple(map(tuple, utilities)))
+
+
+_INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
+
+
+def _integer(text):
+    """``int`` for an argument of any length: ``int`` itself refuses digits
+    past the interpreter's int <-> str limit, ``exact`` reads them."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return _to_int(text)
 
 
 def _load_json(path):
@@ -148,7 +161,7 @@ def _build_parser():
     gen = sub.add_parser("generate", help="emit a pseudo-random instance")
     gen.add_argument("--buyers", type=int, required=True)
     gen.add_argument("--goods", type=int, required=True)
-    gen.add_argument("--max-value", type=int, required=True)
+    gen.add_argument("--max-value", type=_integer, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--linear", action="store_true", help="all caps unbounded")
     gen.set_defaults(handler=_cmd_generate)
@@ -156,9 +169,6 @@ def _build_parser():
 
 
 def main(argv=None):
-    # exact prices outgrow the interpreter's default limit on int <-> str
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -24,11 +24,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InvariantError
-from .exact import ratio_sign
+from .exact import format_rational, ratio_sign
 from .flow import FlowNetwork, balanced_flow, residual_reach, tight_set_scale
 from .market import (
     active_budget_at,
-    buyer_pass,
     capped_utility,
     equality_graph,
     normalize,
@@ -140,12 +139,11 @@ def initialize(market):
     state = SolverState(market)
     total = sum(market.budgets, Fraction(0))
     state.prices = [total] * market.m
-    alphas = [buyer_pass(market, state.prices, i)[0] for i in range(market.n)]
+    alphas, edges = equality_graph(market, state.prices)
     for i, alpha in enumerate(alphas):
         money, is_capped = active_budget_at(market, i, alpha)
         state.budgets.append(money)
         state.capped.append(is_capped)
-    edges = equality_graph(market, state.prices, alphas)
     state.network = FlowNetwork(tuple(state.budgets), tuple(state.prices), edges)
     return state
 
@@ -298,7 +296,7 @@ def next_event(state):
 
     x_star, _, kind, affected = max(candidates, key=lambda c: (c[0], c[1]))
     if x_star > 1:
-        raise InvariantError(f"event scale {x_star} above 1")
+        raise InvariantError(f"event scale {format_rational(x_star)} above 1")
     state.tied_edges = eq_pairs if best_eq == x_star else []
     return EventRecord(
         kind=kind,

@@ -72,8 +72,7 @@ class Flow:
     and sink edge flows are implied by conservation.
 
     Built from nonnegative integer rows over ``denom``; zero entries are
-    dropped.  ``edge_flow``, ``buyer_out`` and ``surpluses`` give the
-    rationals back.
+    dropped.  ``buyer_out`` and ``surpluses`` give the rationals back.
     """
 
     def __init__(self, network, rows, denom):
@@ -91,14 +90,6 @@ class Flow:
         scale, budgets, prices = self.network._cleared
         k = self.denom // scale
         return [b * k for b in budgets], [p * k for p in prices]
-
-    @cached_property
-    def edge_flow(self):
-        return {
-            (i, j): Fraction(v, self.denom)
-            for i, row in enumerate(self.rows)
-            for j, v in row.items()
-        }
 
     def buyer_out(self, i):
         return Fraction(self._out[i], self.denom)

@@ -158,23 +158,27 @@ def strip_trivial(market):
 def buyer_pass(market, prices, buyer, bundle=None):
     """One pass over buyer i's utilities, the prices and a bundle.
 
-    Returns (alpha, finite_alpha, free, spend, value):
+    Returns (alpha, finite_alpha, free, spend, value, goods):
       alpha        -- the bang-per-buck ratio max_j u_ij / p_j, with 0/0 = 0
                       and INF if the buyer values a zero-priced good;
       finite_alpha -- the same maximum over the positively priced goods only;
       free         -- the buyer's total utility for the zero-priced goods;
       spend, value -- sum_j p_j x_ij and sum_j u_ij x_ij of the bundle (both
-                      0 without one).
+                      0 without one);
+      goods        -- the goods attaining alpha, ascending: at INF the valued
+                      zero-priced goods, at 0 none.
 
     Each ratio u_ij / p_j is an integer pair compared with ``ratio_sign``
-    against the running best, so the only Fraction built for the ratios is
-    finite_alpha.  A good with a negative price has a negative ratio and
-    never attains the maximum; it is skipped.
+    against the running best: a larger one restarts the list of goods that
+    attain it, an equal one joins it.  The only Fraction built for the
+    ratios is finite_alpha.  A good with a negative price has a negative
+    ratio and never attains the maximum; it is skipped.
     """
     num, den = 0, 1  # the largest u_ij / p_j over priced goods so far
+    best, zero_priced = [], []  # the goods attaining it; valued free goods
     free = spend = value = _ZERO
     shares = repeat(None) if bundle is None else bundle
-    for u, p, x in zip(market.utilities[buyer], prices, shares):
+    for j, (u, p, x) in enumerate(zip(market.utilities[buyer], prices, shares)):
         if x:
             if spend is _ZERO:  # the first held good: nothing to add to yet
                 spend, value = p * x, u * x
@@ -186,12 +190,18 @@ def buyer_pass(market, prices, buyer, bundle=None):
         p_num = p.numerator
         if p_num > 0:
             n_j, d_j = u_num * p.denominator, u.denominator * p_num
-            if ratio_sign(n_j, d_j, num, den) > 0:
-                num, den = n_j, d_j
+            sign = ratio_sign(n_j, d_j, num, den)
+            if sign > 0:
+                num, den, best = n_j, d_j, [j]
+            elif not sign:
+                best.append(j)
         elif not p_num:
             free += u
+            zero_priced.append(j)
     finite_alpha = Fraction(num, den)
-    return (INF if free else finite_alpha), finite_alpha, free, spend, value
+    if free:
+        return INF, finite_alpha, free, spend, value, zero_priced
+    return finite_alpha, finite_alpha, free, spend, value, best
 
 
 def active_budget_at(market, buyer, alpha):
@@ -223,27 +233,17 @@ def capped_utility(market, buyer, value):
     return value if cap is None or value <= cap else cap
 
 
-def equality_graph(market, prices, alphas):
-    """Edges (i, j) on which buyer i attains its bang-per-buck ratio.
+def equality_graph(market, prices):
+    """Every buyer's bang-per-buck ratio at ``prices`` and the equality
+    edges (i, j) on which buyer i attains it.
 
-    ``alphas`` holds every buyer's ratio at ``prices`` (as ``buyer_pass``
-    gives it).  If buyer i values some zero-priced good, its ratio is
-    INF and its equality edges are exactly the zero-priced goods it values.
-    Otherwise u_ij / p_j == alpha_i is decided by ``ratio_sign``: float
-    estimates reject most non-edges, and every edge is confirmed exactly.
+    Returns (alphas, edges): a tuple of the ratios and a frozenset of the
+    edges, both read off one ``buyer_pass`` per buyer, which decides every
+    u_ij / p_j == alpha_i as it finds the maximum.
     """
-    edges = set()
-    priced = [(j, p.numerator, p.denominator) for j, p in enumerate(prices) if p.numerator > 0]
-    for i, alpha in enumerate(alphas):
-        if alpha == 0:
-            continue
-        row = market.utilities[i]
-        if alpha is INF:
-            edges.update((i, j) for j, u in enumerate(row) if u and prices[j] == 0)
-            continue
-        a_num, a_den = alpha.numerator, alpha.denominator
-        for j, p_num, p_den in priced:
-            u = row[j]
-            if u and not ratio_sign(u.numerator * p_den, u.denominator * p_num, a_num, a_den):
-                edges.add((i, j))
-    return frozenset(edges)
+    alphas, edges = [], set()
+    for i in range(market.n):
+        alpha, _, _, _, _, goods = buyer_pass(market, prices, i)
+        alphas.append(alpha)
+        edges.update((i, j) for j in goods)
+    return tuple(alphas), frozenset(edges)

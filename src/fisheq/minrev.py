@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .errors import InvariantError
 from .exact import INF, ratio_sign
-from .market import equality_graph
 from .verify import verify_allocation
 
 
@@ -45,8 +44,10 @@ def _scalable_set(market, prices, alloc, edges, capped):
 
 def min_revenue(market, equilibrium):
     """Transform a verified modest MBB equilibrium into the one with
-    pointwise-smallest prices (same utilities, same allocation fractions)."""
-    report, checked, alphas = verify_allocation(
+    pointwise-smallest prices (same utilities, same allocation fractions).
+    Each loop reads the ratios and the equality edges off the pass that
+    verified the equilibrium at its prices."""
+    report, checked, (alphas, edges) = verify_allocation(
         market, equilibrium.prices, equilibrium.allocation
     )
     if not report.ok:
@@ -60,10 +61,7 @@ def min_revenue(market, equilibrium):
         loops += 1
         if loops > guard:
             raise InvariantError("minimum-revenue loop guard exceeded")
-        # ``checked`` is the equilibrium at the current prices; the pass that
-        # verified it gave the capped flags and the ratios the graph and the
-        # scaling candidates read
-        edges = equality_graph(market, prices, alphas)
+        # ``checked``, ``alphas`` and ``edges`` are those of the current prices
         S, bprime = _scalable_set(market, prices, alloc, edges, checked.capped)
         if not S:
             break
@@ -95,8 +93,8 @@ def min_revenue(market, equilibrium):
             prices[j] *= x_star
 
         # One pass checks the boundary equilibrium, rebuilds its record and
-        # gives the next loop its ratios.
-        report, checked, alphas = verify_allocation(market, prices, alloc)
+        # gives the next loop its ratios and edges.
+        report, checked, (alphas, edges) = verify_allocation(market, prices, alloc)
         if not report.ok:
             raise InvariantError(
                 f"postprocessing left the equilibrium set: {report.violations}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import INF, as_fraction, format_rational, ratio_sign
+from .exact import INF, as_fraction, format_rational
 from .market import active_budget_at, buyer_pass, capped_utility
 
 
@@ -59,7 +59,7 @@ def equilibrium_from_allocation(market, prices, allocation):
     _check_dimensions(market, prices, allocation)
     budgets, capped, utilities = [], [], []
     for i, bundle in enumerate(allocation):
-        alpha, _, _, _, value = buyer_pass(market, prices, i, bundle)
+        alpha, _, _, _, value, _ = buyer_pass(market, prices, i, bundle)
         money, is_capped = active_budget_at(market, i, alpha)
         budgets.append(money)
         capped.append(is_capped)
@@ -122,34 +122,35 @@ def verify(market, equilibrium):
 
     The buyer-side checks read one ``buyer_pass`` per buyer: a single walk
     over the buyer's utilities, the prices and its bundle gives alpha, the
-    free-good value, the spend and the raw value.  The same walk gives the
-    finite alpha over the positively priced goods, the rate at which money
-    buys value once the free goods are taken, so the best affordable
-    utility needs no second walk.  The active budget depends on the prices
-    only through alpha, so it follows from that alpha alone.
+    goods that attain it (the MBB support check reads those, comparing no
+    ratio again), the free-good value, the spend and the raw value.  The
+    same walk gives the finite alpha over the positively priced goods, the
+    rate at which money buys value once the free goods are taken, so the
+    best affordable utility needs no second walk.  The active budget depends
+    on the prices only through alpha, so it follows from that alpha alone.
 
     Only the prices and the allocation are read; the record's active
     budgets, capped flags and utilities are not checked.
     """
     _check_dimensions(market, equilibrium.prices, equilibrium.allocation)
-    return _walk(market, equilibrium.prices, equilibrium.allocation)
+    return _walk(market, equilibrium.prices, equilibrium.allocation)[0]
 
 
 def verify_allocation(market, prices, allocation):
     """Verify (prices, allocation) and rebuild its record, in the same one
     ``buyer_pass`` per buyer.
 
-    Returns (report, equilibrium, alphas): the report ``verify`` gives for
+    Returns (report, equilibrium, graph): the report ``verify`` gives for
     any record with these prices and allocation, the record
-    ``equilibrium_from_allocation`` builds from them, and each buyer's
-    bang-per-buck ratio at ``prices`` (as ``buyer_pass`` gives it).
+    ``equilibrium_from_allocation`` builds from them, and the (alphas,
+    edges) pair ``equality_graph`` gives at ``prices``, read off the same
+    passes.
     """
     prices = tuple(map(as_fraction, prices))
     allocation = tuple(tuple(map(as_fraction, row)) for row in allocation)
     _check_dimensions(market, prices, allocation)
-    fields = []
-    report = _walk(market, prices, allocation, fields)
-    alphas, budgets, capped, utilities = zip(*fields)
+    report, fields = _walk(market, prices, allocation)
+    alphas, budgets, capped, utilities, goods = zip(*fields)
     equilibrium = Equilibrium(
         prices=prices,
         allocation=allocation,
@@ -157,14 +158,16 @@ def verify_allocation(market, prices, allocation):
         capped=capped,
         utilities=utilities,
     )
-    return report, equilibrium, alphas
+    edges = frozenset((i, j) for i, row in enumerate(goods) for j in row)
+    return report, equilibrium, (alphas, edges)
 
 
-def _walk(market, prices, alloc, fields=None):
+def _walk(market, prices, alloc):
     """The report of ``verify`` on Fraction prices and allocation of the
-    market's dimensions.  If ``fields`` is a list, each buyer's pass also
-    appends its (alpha, active budget, capped flag, utility) to it."""
+    market's dimensions, and each buyer's (alpha, active budget, capped
+    flag, utility, goods attaining alpha) from its pass."""
     report = VerificationReport()
+    fields = []
 
     def flag(condition, index, lhs, rhs):
         setattr(report, _FLAG_OF[condition], False)
@@ -189,16 +192,15 @@ def _walk(market, prices, alloc, fields=None):
     for i, bundle in enumerate(alloc):
         money = market.budgets[i]
         cap = market.caps[i]
-        alpha, finite_alpha, free, spend, raw_utility = buyer_pass(market, prices, i, bundle)
-        utility = capped_utility(market, i, raw_utility)
+        alpha, finite_alpha, free, spend, raw, goods = buyer_pass(market, prices, i, bundle)
+        utility = capped_utility(market, i, raw)
         required, is_capped = active_budget_at(market, i, alpha)
-        if fields is not None:
-            fields.append((alpha, required, is_capped, utility))
+        fields.append((alpha, required, is_capped, utility, goods))
 
         if spend > money:
             flag("budget", i, spend, money)
-        if cap is not None and raw_utility > cap:
-            flag("modest", i, raw_utility, cap)
+        if cap is not None and raw > cap:
+            flag("modest", i, raw, cap)
 
         # Best utility any affordable bundle can reach: take every valued
         # zero-priced good for free, then spend the budget at ratio alpha.
@@ -206,21 +208,17 @@ def _walk(market, prices, alloc, fields=None):
         if utility != optimal:
             flag("demand", i, utility, optimal)
 
-        # MBB support and thrifty spending; u / p == alpha is decided by
-        # ``ratio_sign``.
+        # MBB support and thrifty spending: money may sit on the goods that
+        # attain alpha.  A buyer that values nothing (alpha = 0) attains it
+        # on no good, and may hold only priced goods it does not value.
         row = market.utilities[i]
-        if alpha is not INF:
-            a_num, a_den = alpha.numerator, alpha.denominator
         for j, x in enumerate(bundle):
-            if not x:
+            if not x or j in goods:
                 continue
             u, p = row[j], prices[j]
             if alpha is INF:
-                if p or not u:
-                    flag("mbb", (i, j), u, "free-good ratio")
-            elif not p or ratio_sign(
-                u.numerator * p.denominator, u.denominator * p.numerator, a_num, a_den
-            ):
+                flag("mbb", (i, j), u, "free-good ratio")
+            elif alpha or not p or u:
                 flag("mbb", (i, j), u / p if p else u, alpha)
 
         # A buyer that values nothing (alpha = 0) has required = 0.
@@ -238,4 +236,4 @@ def _walk(market, prices, alloc, fields=None):
             elif bought > utility and (cap is None or utility != cap):
                 flag("kkt-slack", i, utility, cap if cap is not None else "inf")
 
-    return report
+    return report, fields

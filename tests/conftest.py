@@ -1,21 +1,8 @@
-import sys
 from fractions import Fraction as F
 
 import pytest
 
 from fisheq import Market
-
-
-@pytest.fixture(autouse=True)
-def int_str_digits():
-    """Restore the interpreter's int <-> str digit limit after each test:
-    ``fisheq.cli.main`` lifts it."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    yield
-    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture

@@ -22,8 +22,13 @@ separately.  ``reference_allocation`` is the descent's
 allocation as it was written at every balanced flow, before it was built
 from the flow when read, and ``reference_next_event`` is the event search
 on Fractions, before its candidates became integer pairs.
-``flow_from_edges`` builds a ``Flow`` from rational edge flows, as the
-package's flow constructor did before it took integer rows only.
+``reference_equality_graph`` is the equality graph on Fractions, before
+the pass that finds each buyer's ratio also collected the goods attaining
+it; ``reference_min_revenue`` reads its edges from it.
+``edge_flow`` reads a ``Flow``'s rational edge flows back, which only the
+tests need, and ``flow_from_edges`` builds a ``Flow`` from rational edge
+flows, as the package's flow constructor did before it took integer rows
+only.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from fisheq import (
     PricePartition,
     VerificationReport,
     active_budget_at,
-    equality_graph,
     equilibrium_from_allocation,
     is_balanced,
     format_rational,
@@ -61,12 +65,21 @@ class ConvergenceError(RuntimeError):
     """The numeric oracle did not converge within its iteration budget."""
 
 
-def flow_from_edges(network, edge_flow):
-    """The ``Flow`` carrying the rational money ``edge_flow[(i, j)]`` on each
+def edge_flow(flow):
+    """The rational money on each edge carrying flow: {(i, j): f_ij}."""
+    return {
+        (i, j): Fraction(v, flow.denom)
+        for i, row in enumerate(flow.rows)
+        for j, v in row.items()
+    }
+
+
+def flow_from_edges(network, flows):
+    """The ``Flow`` carrying the rational money ``flows[(i, j)]`` on each
     edge, cleared to integer rows over one denominator, a multiple of the
     network's D."""
     cleared = {}
-    for (i, j), v in edge_flow.items():
+    for (i, j), v in flows.items():
         if not v:
             continue
         if (i, j) not in network.edges:
@@ -85,6 +98,7 @@ def flow_from_edges(network, edge_flow):
 def _residual_source_side(network, flow):
     """Buyers and goods reachable from the source in the residual network."""
     buyers, goods = set(), set()
+    flows = edge_flow(flow)
     queue = deque()
     for i in range(network.n):
         if flow.buyer_out(i) < network.budgets[i]:
@@ -99,7 +113,7 @@ def _residual_source_side(network, flow):
                     queue.append(("g", j))
         else:
             for i in network.good_buyers[idx]:
-                if i not in buyers and flow.edge_flow.get((i, idx), 0) > 0:
+                if i not in buyers and flows.get((i, idx), 0) > 0:
                     buyers.add(i)
                     queue.append(("b", i))
     return buyers, goods
@@ -220,6 +234,26 @@ def _reference_mbb_ratio(market, prices, buyer, goods=None):
             if ratio > best:
                 best = ratio
     return INF if unbounded else best
+
+
+def reference_equality_graph(market, prices):
+    """``equality_graph`` as it was before the pass that finds each ratio
+    also collected the goods attaining it: the ratios from
+    ``_reference_mbb_ratio``, then every valued pair tested against its
+    buyer's ratio with a Fraction product."""
+    alphas = tuple(_reference_mbb_ratio(market, prices, i) for i in range(market.n))
+    edges = set()
+    for i, alpha in enumerate(alphas):
+        if alpha == 0:
+            continue
+        row = market.utilities[i]
+        if alpha is INF:
+            edges.update((i, j) for j, u in enumerate(row) if u and prices[j] == 0)
+            continue
+        for j, u in enumerate(row):
+            if u and prices[j] > 0 and u == alpha * prices[j]:
+                edges.add((i, j))
+    return alphas, frozenset(edges)
 
 
 def _reference_active_budget(market, prices, buyer):
@@ -486,8 +520,7 @@ def reference_min_revenue(market, equilibrium):
         loops += 1
         if loops > guard:
             raise InvariantError("minimum-revenue loop guard exceeded")
-        alphas = [_reference_mbb_ratio(market, prices, i) for i in range(market.n)]
-        edges = equality_graph(market, prices, alphas)
+        alphas, edges = reference_equality_graph(market, prices)
         capped = [active_budget_at(market, i, alpha)[1] for i, alpha in enumerate(alphas)]
         S, bprime = _reference_scalable_set(market, prices, alloc, edges, capped)
         if not S:
@@ -671,7 +704,7 @@ def equalize_balanced(network):
     f = max_flow(realization)
     if not f.sources_saturated():
         raise InvariantError("enumerated levels are not realizable")
-    result = flow_from_edges(network, f.edge_flow)
+    result = flow_from_edges(network, edge_flow(f))
     if not is_balanced(network, result):
         raise InvariantError("enumeration oracle produced an unbalanced flow")
     return result

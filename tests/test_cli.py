@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,7 @@ import fisheq.cli
 import fisheq.descend
 from fisheq import InvariantError, solve_max_revenue
 from fisheq.cli import generate_market, main
-from fisheq.serialize import market_to_doc
+from fisheq.serialize import market_from_doc, market_to_doc
 
 
 @pytest.fixture
@@ -137,7 +138,7 @@ def test_verifier_value_error_exits_3(ex1_path, tmp_path, monkeypatch, capsys):
 def test_prices_beyond_the_default_digit_limit(tmp_path, capsys):
     # A price of the equilibrium is 5,997 digits over 4,498, past the limit
     # of 4,300 that int <-> str conversion enforces by default since Python
-    # 3.10.7 and 3.11; conftest restores the limit after each test.
+    # 3.10.7 and 3.11; ``main`` leaves that limit as it is.
     path = tmp_path / "big.json"
     path.write_text(json.dumps(market_to_doc(generate_market(3, 3, 10**1500, 1))))
     assert main(["solve", str(path)]) == 0
@@ -145,6 +146,23 @@ def test_prices_beyond_the_default_digit_limit(tmp_path, capsys):
     eq_path.write_text(capsys.readouterr().out)
     assert main(["verify", str(path), "--equilibrium", str(eq_path)]) == 0
     assert json.loads(capsys.readouterr().out)["violations"] == []
+
+
+def test_max_value_past_the_digit_limit_leaves_the_limit_alone(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["generate", "--buyers", "2", "--goods", "2",
+                 "--max-value", "1" + "0" * 5000, "--seed", "1"]) == 0
+    market = market_from_doc(json.loads(capsys.readouterr().out))
+    assert max(u for row in market.utilities for u in row) > 10**4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.parametrize("text", ["5.0", "1e3", "", "five"])
+def test_max_value_not_an_integer_exits_2(text, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["generate", "--buyers", "2", "--goods", "2", "--max-value", text])
+    assert stop.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_non_list_json_fields_exit_2(ex1_path, tmp_path, capsys):

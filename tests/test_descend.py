@@ -25,7 +25,9 @@ from hypothesis import given, settings
 from oracle import (
     _reference_active_budget,
     _reference_mbb_ratio,
+    edge_flow,
     reference_allocation,
+    reference_equality_graph,
     reference_next_event,
 )
 from test_acceptance import corpus_markets
@@ -41,10 +43,9 @@ def _reference_network(state):
     """The live network built from scratch: the equality graph at the
     current prices, restricted to the live buyers and goods."""
     market = state.market
-    alphas = [buyer_pass(market, state.prices, i)[0] for i in range(market.n)]
     edges = {
         (i, j)
-        for i, j in equality_graph(market, state.prices, alphas)
+        for i, j in reference_equality_graph(market, state.prices)[1]
         if i in state.live_buyers and j in state.live_goods
     }
     budgets = [
@@ -167,12 +168,12 @@ class TestCommitEvent:
     def test_example_new_edge_commit(self, capped_market):
         state, _ = _fresh_state(capped_market)
         start_phase(state)
-        old_flow = dict(state.flow.edge_flow)
+        old_flow = edge_flow(state.flow)
         event = next_event(state)
         state.iteration = 1
         commit_event(state, event)
         assert state.prices == [F(4), F(2)]
-        assert state.flow.edge_flow == old_flow  # balanced flow unchanged
+        assert edge_flow(state.flow) == old_flow  # balanced flow unchanged
         assert state.S == {0, 1}  # reach closure pulls good 0 in
         assert state.surpluses == (F(11, 5), F(2))
 
@@ -314,9 +315,9 @@ def test_network_is_live_on_large_pools(monkeypatch):
 def test_one_equality_graph_per_solve(monkeypatch):
     calls = []
 
-    def counted(market, prices, alphas):
+    def counted(market, prices):
         calls.append(prices)
-        return equality_graph(market, prices, alphas)
+        return equality_graph(market, prices)
 
     monkeypatch.setattr(fisheq.descend, "equality_graph", counted)
     result = solve_max_revenue(generate_market(4, 4, 20, 129))

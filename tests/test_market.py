@@ -14,7 +14,9 @@ from fisheq import (
     equality_graph,
     normalize,
     strip_trivial,
+    verify_allocation,
 )
+from oracle import reference_equality_graph
 
 
 def _alpha(market, prices, buyer):
@@ -28,9 +30,8 @@ def _active_budget(market, prices, buyer):
 
 
 def _graph(market, prices):
-    """The equality graph at ``prices``, with the ratios ``buyer_pass`` gives."""
-    alphas = [_alpha(market, prices, i) for i in range(market.n)]
-    return equality_graph(market, prices, alphas)
+    """The equality edges at ``prices``."""
+    return equality_graph(market, prices)[1]
 
 
 class TestNormalize:
@@ -92,15 +93,24 @@ class TestBuyerPass:
     def test_ratio_spend_and_value_of_a_bundle(self, capped_market):
         bundle = (F(1, 5), F(0))
         prices = (F(10, 13), F(5, 13))
-        expected = (F(13, 2), F(13, 2), F(0), F(2, 13), F(1))
+        expected = (F(13, 2), F(13, 2), F(0), F(2, 13), F(1), [0])
         assert buyer_pass(capped_market, prices, 0, bundle) == expected
 
     def test_free_good_makes_alpha_infinite_but_not_finite_alpha(self, capped_market):
-        alpha, finite_alpha, free, spend, value = buyer_pass(capped_market, (F(0), F(1)), 0)
+        alpha, finite_alpha, free, spend, value, goods = buyer_pass(
+            capped_market, (F(0), F(1)), 0
+        )
         assert (alpha, finite_alpha, free, spend, value) == (INF, F(1), F(5), F(0), F(0))
+        assert goods == [0]  # the valued zero-priced goods, not good 1
 
     def test_negative_price_never_attains_the_ratio(self, capped_market):
         assert buyer_pass(capped_market, (F(-1), F(2)), 0)[:2] == (F(1, 2), F(1, 2))
+
+    def test_a_larger_ratio_restarts_the_goods_and_a_tie_joins_them(self):
+        m = Market((F(1),), (None,), ((F(1), F(3), F(0), F(6), F(2)),))
+        assert buyer_pass(m, (F(1), F(1), F(1), F(2), F(1)), 0)[5] == [1, 3]
+        assert buyer_pass(m, (F(0), F(1), F(0), F(2), F(0)), 0)[5] == [0, 4]
+        assert buyer_pass(m, (F(-1),) * 5, 0)[::5] == (F(0), [])
 
 
 class TestActiveBudget:
@@ -223,3 +233,58 @@ def test_capped_status_monotone_under_price_decrease(money, cap, utils, scale_nu
     _, capped_scaled = _active_budget(m, tuple(x * p for p in base), 0)
     if capped_full:
         assert capped_scaled
+
+
+_BIG = 10**60
+
+
+@st.composite
+def priced_markets(draw):
+    """A market of n, m <= 4 with prices and an allocation.  Prices are
+    negative, zero or positive, some of them 10**60-sized; a buyer's row is
+    zero, or mixes small utilities with exact ties u_ij = c_i |p_j| and near
+    ties c_i |p_j| (1 +- 10**-60) against its own 10**60-sized scale c_i."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    price = st.one_of(
+        st.integers(-2, 4).map(F),
+        st.fractions(min_value=-2, max_value=4, max_denominator=6),
+        st.integers(1, 9).map(lambda k: F(_BIG + k, _BIG - k)),
+        st.integers(1, 9).map(lambda k: F(k * _BIG + 1, 3)),
+    )
+    prices = tuple(draw(st.lists(price, min_size=m, max_size=m)))
+    kinds = st.sampled_from(["zero", "small", "tie", "tie", "above", "below"])
+    rows = []
+    for _ in range(n):
+        if draw(st.integers(0, 4)) == 0:
+            rows.append((F(0),) * m)
+            continue
+        c = F(draw(st.integers(1, _BIG)), draw(st.integers(1, _BIG)))
+        row = []
+        for p in prices:
+            kind = draw(kinds)
+            tie = c * abs(p) if p else c
+            if kind == "zero":
+                row.append(F(0))
+            elif kind == "small":
+                row.append(F(draw(st.integers(0, 6))))
+            elif kind == "tie":
+                row.append(tie)
+            else:
+                row.append(tie * (1 + F(1 if kind == "above" else -1, _BIG)))
+        rows.append(tuple(row))
+    market = Market((F(1),) * n, (None,) * n, tuple(rows))
+    share = st.sampled_from([F(0), F(1, 3), F(1)])
+    alloc = tuple(tuple(draw(st.lists(share, min_size=m, max_size=m))) for _ in range(n))
+    return market, prices, alloc
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(priced_markets())
+def test_equality_graph_matches_the_reference_rule(case):
+    # The goods each buyer's pass collects as it finds alpha are exactly the
+    # pairs u_ij == alpha_i p_j that the Fraction rule finds, and the
+    # verifier's pass gives the same graph.
+    market, prices, alloc = case
+    graph = equality_graph(market, prices)
+    assert graph == reference_equality_graph(market, prices)
+    assert verify_allocation(market, prices, alloc)[2] == graph

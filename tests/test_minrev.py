@@ -1,7 +1,9 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import fisheq.market
 from fisheq import (
     Market,
     equilibrium_from_allocation,
@@ -56,6 +58,25 @@ def test_one_pass_per_scaling_loop(buyer_passes, overlap_market):
     buyer_passes.clear()
     assert min_revenue(overlap_market, top).prices == (F(0), F(1))
     assert len(buyer_passes) == 2 * overlap_market.n
+
+
+def test_no_equality_graph_call(monkeypatch, overlap_market):
+    # Each loop reads the edges off the pass that verified its equilibrium.
+    calls = []
+    original = fisheq.market.equality_graph
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fisheq" and getattr(module, "equality_graph", None) is original:
+            monkeypatch.setattr(module, "equality_graph", counted)
+    top = solve_max_revenue(overlap_market).equilibrium
+    assert calls  # the solve's one call is counted
+    calls.clear()
+    assert min_revenue(overlap_market, top).prices == (F(0), F(1))
+    assert calls == []
 
 
 def test_rejects_non_equilibrium_input(capped_market):
