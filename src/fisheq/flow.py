@@ -120,7 +120,8 @@ def _search(network, seeds, budgets, prices, flow, fsrc, fsink):
     edge, good -> buyer only against flow.  Returns the first good reached
     with sink capacity left (None if there is none) and the search tree:
     for each buyer the good it was reached from (-1 for the source), for
-    each good the buyer.  A buyer or good of zero capacity is a dead end,
+    each good the buyer, None where the search did not reach.  A buyer or
+    good of zero capacity is a dead end,
     so zeroing capacities masks the network without changing which paths
     are found.
 
@@ -155,13 +156,19 @@ def _search(network, seeds, budgets, prices, flow, fsrc, fsink):
     return None, from_good, from_buyer
 
 
+_EMPTY_ROW = {}  # the flow row of every buyer outside a block; never written
+
+
 def _saturate(network, seeds, budgets, prices):
     """Maximum flow on integer capacities over the network's edges, from
     the buyers ``seeds`` (ascending; every other buyer has budget 0).
 
     Returns the flow (one {good: amount} dict per buyer, entries may be
-    0), the money each buyer sends, and the buyers and goods the last,
-    failed search reached: the source side of a minimum cut.
+    0), the money each buyer sends, and the last, failed search's marker
+    lists ``(from_good, from_buyer)``: the buyers and goods whose marker is
+    not None are the source side of a minimum cut.  Only seeds carry flow,
+    so every other buyer's row is the shared, empty ``_EMPTY_ROW``, and
+    nothing here walks the nodes outside the block.
 
     The result is that of augmenting from zero flow along the paths
     ``_search`` finds, with fewer searches.  Those searches first return
@@ -176,13 +183,13 @@ def _saturate(network, seeds, budgets, prices):
     """
     buyer_goods = network.buyer_goods
     n, m = len(budgets), len(prices)
-    flow = [{} for _ in range(n)]
+    flow = [_EMPTY_ROW] * n
     fsrc, fsink = [0] * n, [0] * m
     for i in seeds:
+        flow[i] = row = {}
         left = budgets[i]
         if not left:
             continue
-        row = flow[i]
         for j in buyer_goods[i]:
             room = prices[j] - fsink[j]
             if room > 0:
@@ -198,10 +205,7 @@ def _saturate(network, seeds, budgets, prices):
             network, seeds, budgets, prices, flow, fsrc, fsink
         )
         if end is None:
-            return flow, fsrc, (
-                {i for i, g in enumerate(from_good) if g is not None},
-                {j for j, b in enumerate(from_buyer) if b is not None},
-            )
+            return flow, fsrc, (from_good, from_buyer)
         # Walk the path back to the source for the bottleneck, then push.
         bottleneck = prices[end] - fsink[end]
         i = from_buyer[end]
@@ -233,6 +237,18 @@ def residual_reach(network, flow, targets):
 
     Arcs: buyer -> good always (uncapacitated equality edge), good -> buyer
     only where the edge carries flow.  Targets are included.
+
+    The result is the same for every maximum flow with the same source and
+    sink flows, for example every balanced flow of the network (the
+    balanced surplus vector is unique).  The goods reached and the buyers
+    reached form a set X that no residual arc enters: every buyer with an
+    edge into X's goods is in X, and X's buyers send no flow out of X.  So
+    X's buyers' budgets equal X's goods' sink flows.  Two such flows
+    differ by a circulation, and no circulation can cross the boundary of
+    X: under the other flow X's buyers still fill X's goods exactly and no
+    other buyer reaches them, so X's buyers send it no money outside X
+    either.  X is closed under both flows, and the smallest closed set
+    around the targets is the same for both.
     """
     targets = set(targets)
     seen_goods = set(targets)
@@ -308,15 +324,21 @@ def balanced_flow(network):
     water level is an integer; scaling every capacity by one constant
     leaves the augmenting paths, and hence the edge flows, unchanged.  The
     leaf blocks' integer flows, times L / k for L the lcm of the leaf
-    sizes, make one flow over D * L.
-    """
-    probe = max_flow(network)
-    if not probe.sources_saturated():
-        raise InvariantError("source edges not saturable; solver invariant violated")
+    sizes, make one flow over D * L.  A one-good block is priced at
+    exactly its buyers' money, so its flow, the one-edge sweep's, is
+    written down without a max-flow: each buyer with money pays its whole
+    budget to the good, and one without an edge to it leaves the min cut
+    degenerate.
 
+    With no surplus to balance (the prices sum to the budgets) the root
+    block is the whole network at level 0, so its flow is ``max_flow``'s
+    times m, and ``max_flow``'s is returned.  Otherwise no whole-network
+    max-flow runs first: a network whose sources cannot saturate fails a
+    block's level or split check, or the certificate.
+    """
     scale, B, P = network._cleared
     n, m = network.n, network.m
-    leaves = []  # (k, flow, buyers) of each block whose flow is final
+    leaves = []  # (k, [(buyer, row), ...]) of each block whose flow is final
 
     def refine(buyers, goods):
         if not goods:
@@ -327,6 +349,12 @@ def balanced_flow(network):
         level = sum(P[j] for j in goods) - sum(B[i] for i in buyers)  # k * delta
         if level < 0:
             raise InvariantError("negative water level; block not saturable")
+        if k == 1:
+            (j,) = goods
+            if any(B[i] and (i, j) not in network.edges for i in buyers):
+                raise InvariantError("degenerate min-cut split in water filling")
+            leaves.append((1, [(i, {j: B[i]}) for i in buyers if B[i]]))
+            return
         seeds = sorted(buyers)
         budgets = [0] * n
         for i in seeds:
@@ -334,31 +362,37 @@ def balanced_flow(network):
         prices = [0] * m
         for j in goods:
             prices[j] = max(P[j] * k - level, 0)
-        flow, fsrc, (reach_buyers, reach_goods) = _saturate(network, seeds, budgets, prices)
+        flow, fsrc, (from_good, from_buyer) = _saturate(network, seeds, budgets, prices)
         if all(fsrc[i] == budgets[i] for i in seeds):
             clamped = {j for j in goods if P[j] * k < level}
             if not clamped:
-                leaves.append((k, flow, seeds))
+                leaves.append((k, [(i, flow[i]) for i in seeds]))
                 return
             # Clamped goods sit below the block level: they end with zero
             # flow at their own surplus p_j; refine the rest.
             refine(buyers, goods - clamped)
             return
-        b1, g1 = buyers & reach_buyers, goods & reach_goods
+        b1 = {i for i in buyers if from_good[i] is not None}
+        g1 = {j for j in goods if from_buyer[j] is not None}
         b2, g2 = buyers - b1, goods - g1
         if not g1 or not g2:
             raise InvariantError("degenerate min-cut split in water filling")
         refine(b1, g1)
         refine(b2, g2)
 
-    refine(set(range(n)), set(range(m)))
-    L = math.lcm(*(k for k, _, _ in leaves))
-    rows = [{} for _ in range(n)]
-    for k, flow, seeds in leaves:
-        factor = L // k
-        for i in seeds:
-            rows[i] = {j: v * factor for j, v in flow[i].items()}
-    result = Flow(network, rows, scale * L)
+    if sum(P) == sum(B):
+        result = max_flow(network)
+        if not result.sources_saturated():
+            raise InvariantError("source edges not saturable; solver invariant violated")
+    else:
+        refine(set(range(n)), set(range(m)))
+        L = math.lcm(*(k for k, _ in leaves))
+        rows = [{} for _ in range(n)]
+        for k, block_rows in leaves:
+            factor = L // k
+            for i, row in block_rows:
+                rows[i] = {j: v * factor for j, v in row.items()}
+        result = Flow(network, rows, scale * L)
     if not is_balanced(network, result):
         raise InvariantError("water filling produced an unbalanced flow")
     return result
@@ -401,11 +435,12 @@ def tight_set_scale(network, S, uncapped, capped):
         for j in S:
             prices[j] = P[j] * a
         seeds = sorted(bu | bc)
-        _, fsrc, (reach_buyers, reach_goods) = _saturate(network, seeds, budgets, prices)
+        _, fsrc, (from_good, from_buyer) = _saturate(network, seeds, budgets, prices)
         if all(fsrc[i] == budgets[i] for i in seeds):
             return x, frozenset(bu | bc)
-        new_bu, new_bc = bu & reach_buyers, bc & reach_buyers
-        new_S = S & reach_goods
+        new_bu = {i for i in bu if from_good[i] is not None}
+        new_bc = {i for i in bc if from_good[i] is not None}
+        new_S = {j for j in S if from_buyer[j] is not None}
         if len(new_bu | new_bc) >= len(bu | bc):
             raise InvariantError("tight-set recursion failed to shrink")
         bu, bc, S = new_bu, new_bc, new_S

@@ -9,7 +9,9 @@ KKT point with a damped proportional-response iteration in floating point
 solve path.  ``min_cut`` reads the canonical minimum cut off a maximum
 flow, as a strong-duality certificate for the exact max-flow, and
 ``reference_saturate`` is the plain shortest-augmenting-path max-flow
-that the package's kernel must reproduce bit for bit.  ``reference_verify``
+that the package's kernel must reproduce bit for bit, and
+``reference_balanced_flow`` the water filling as it was before it
+skipped the probe and the one-good blocks' max-flows.  ``reference_verify``
 and ``reference_equilibrium_from_allocation`` are the verifier and the
 equilibrium builder as they were before each became one pass per buyer,
 with their own copies of the buyer-side rules; the package's reports and
@@ -197,6 +199,69 @@ def reference_saturate(network, seeds, budgets, prices):
             j = from_good[i]
             if j != -1:
                 flow[i][j] -= bottleneck
+
+
+def reference_balanced_flow(network):
+    """``fisheq.flow.balanced_flow`` as it was before it probed only at
+    zero surplus and wrote one-good blocks down in closed form: a
+    whole-network max-flow probe first, then every block, one-good blocks
+    too, refined by a max-flow from zero (``reference_saturate``, whose
+    flows and cuts the package's kernel reproduces).
+    """
+    probe = max_flow(network)
+    if not probe.sources_saturated():
+        raise InvariantError("source edges not saturable; solver invariant violated")
+
+    scale, B, P = network._cleared
+    n, m = network.n, network.m
+    leaves = []  # (k, flow, buyers) of each block whose flow is final
+
+    def refine(buyers, goods):
+        if not goods:
+            if any(B[i] > 0 for i in buyers):
+                raise InvariantError("money left with no goods to absorb it")
+            return
+        k = len(goods)
+        level = sum(P[j] for j in goods) - sum(B[i] for i in buyers)  # k * delta
+        if level < 0:
+            raise InvariantError("negative water level; block not saturable")
+        seeds = sorted(buyers)
+        budgets = [0] * n
+        for i in seeds:
+            budgets[i] = B[i] * k
+        prices = [0] * m
+        for j in goods:
+            prices[j] = max(P[j] * k - level, 0)
+        flow, fsrc, (reach_buyers, reach_goods) = reference_saturate(
+            network, seeds, budgets, prices
+        )
+        if all(fsrc[i] == budgets[i] for i in seeds):
+            clamped = {j for j in goods if P[j] * k < level}
+            if not clamped:
+                leaves.append((k, flow, seeds))
+                return
+            # Clamped goods sit below the block level: they end with zero
+            # flow at their own surplus p_j; refine the rest.
+            refine(buyers, goods - clamped)
+            return
+        b1, g1 = buyers & reach_buyers, goods & reach_goods
+        b2, g2 = buyers - b1, goods - g1
+        if not g1 or not g2:
+            raise InvariantError("degenerate min-cut split in water filling")
+        refine(b1, g1)
+        refine(b2, g2)
+
+    refine(set(range(n)), set(range(m)))
+    L = math.lcm(*(k for k, _, _ in leaves))
+    rows = [{} for _ in range(n)]
+    for k, flow, seeds in leaves:
+        factor = L // k
+        for i in seeds:
+            rows[i] = {j: v * factor for j, v in flow[i].items()}
+    result = Flow(network, rows, scale * L)
+    if not is_balanced(network, result):
+        raise InvariantError("water filling produced an unbalanced flow")
+    return result
 
 
 _FLAG_OF = {

@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fisheq import (
@@ -14,12 +15,13 @@ from fisheq import (
     residual_reach,
     tight_set_scale,
 )
-from fisheq.flow import _saturate
+from fisheq.flow import _EMPTY_ROW, _saturate
 from oracle import (
     edge_flow,
     equalize_balanced,
     flow_from_edges,
     min_cut,
+    reference_balanced_flow,
     reference_saturate,
 )
 
@@ -157,9 +159,16 @@ class TestBalancedFlow:
         assert edge_flow(f) == {(0, 0): F(1), (1, 1): F(1)}
 
     def test_unsaturable_sources_rejected(self):
-        net = FlowNetwork((F(5),), (F(1),), {(0, 0)})
-        with pytest.raises(InvariantError):
-            balanced_flow(net)
+        for budgets, prices in (
+            ((F(5),), (F(1),)),
+            # the root level is nonnegative; the one-good block {0} is not
+            ((F(5),), (F(1), F(10))),
+            # no surplus to balance, and the max-flow leaves money behind
+            ((F(2),), (F(1), F(1))),
+        ):
+            net = FlowNetwork(budgets, prices, {(0, 0)})
+            with pytest.raises(InvariantError):
+                balanced_flow(net)
 
     def test_levels_with_clamped_and_split_blocks(self):
         # Three price levels: a rich dedicated good, a pair forming its own
@@ -235,11 +244,11 @@ class TestTightSetScale:
             tight_set_scale(net, {0}, uncapped={0, 1}, capped=set())
 
 
-def _random_saturable_network(rng):
+def _random_saturable_network(rng, density=0.55):
     n, m = rng.randint(1, 5), rng.randint(1, 5)
     budgets = [F(rng.randint(0, 10)) for _ in range(n)]
     prices = tuple(F(rng.randint(1, 12)) for _ in range(m))
-    edges = {(i, j) for i in range(n) for j in range(m) if rng.random() < 0.55}
+    edges = {(i, j) for i in range(n) for j in range(m) if rng.random() < density}
     for i in range(n):
         if not any(e[0] == i for e in edges):
             budgets[i] = F(0)
@@ -446,9 +455,11 @@ def masked_networks(draw):
 @given(masked_networks())
 def test_sweep_reproduces_reference_kernel(case):
     # The direct-edge sweep must leave exactly the flow, money sent and
-    # minimum cut of augmenting every path by breadth-first search.
+    # minimum cut of augmenting every path by breadth-first search.  The
+    # cut is read off the last search's marker lists, and the row shared
+    # by the buyers outside the block is never written.
     network, seeds, budgets, prices = case
-    flow, fsrc, cut = _saturate(network, seeds, budgets, prices)
+    flow, fsrc, (from_good, from_buyer) = _saturate(network, seeds, budgets, prices)
     ref_flow, ref_fsrc, ref_cut = reference_saturate(network, seeds, budgets, prices)
 
     def entries(rows):
@@ -456,4 +467,83 @@ def test_sweep_reproduces_reference_kernel(case):
 
     assert entries(flow) == entries(ref_flow)
     assert fsrc == ref_fsrc
-    assert cut == ref_cut
+    assert (
+        {i for i, g in enumerate(from_good) if g is not None},
+        {j for j, b in enumerate(from_buyer) if b is not None},
+    ) == ref_cut
+    assert _EMPTY_ROW == {}
+
+
+@st.composite
+def fractional_networks(draw):
+    """A random network with fractional capacities.  Half the draws price
+    the goods at a split of the budgets' total (no surplus to balance);
+    many draws cannot saturate their sources, and water filling often ends
+    in one-good blocks."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))))
+    budget = st.builds(F, st.integers(0, 12), st.integers(1, 4))
+    budgets = draw(st.lists(budget, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+        total = sum(budgets, F(0))
+        prices = [total * w / (sum(weights) or 1) for w in weights]
+        prices[-1] += total - sum(prices, F(0))  # all weights 0: one good takes it
+    else:
+        price = st.builds(F, st.integers(0, 40), st.integers(1, 4))
+        prices = draw(st.lists(price, min_size=m, max_size=m))
+    return FlowNetwork(budgets, prices, edges)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(fractional_networks())
+# no surplus, saturable; no surplus, unsaturable; two one-good blocks; a
+# one-good block whose second buyer has money but no edge to the good
+@example(FlowNetwork((F(1, 2), F(3, 2)), (F(3, 4), F(5, 4)), {(0, 0), (1, 0), (1, 1)}))
+@example(FlowNetwork((F(1, 2), F(3, 2)), (F(3, 2), F(1, 2)), {(0, 0), (1, 0)}))
+@example(FlowNetwork((F(1, 3), F(1, 2)), (F(7, 6), F(5)), {(0, 0), (1, 1)}))
+@example(FlowNetwork((F(1, 3), F(1, 2)), (F(7, 6),), {(0, 0)}))
+def test_balanced_flow_matches_the_probing_reference(net):
+    # Probing only at zero surplus and writing one-good blocks down must
+    # leave every flow, in dict order, and every rejection as they were.
+    try:
+        expected = reference_balanced_flow(net)
+    except InvariantError:
+        with pytest.raises(InvariantError):
+            balanced_flow(net)
+        return
+    f = balanced_flow(net)
+    assert list(edge_flow(f).items()) == list(edge_flow(expected).items())
+    assert f.surpluses() == expected.surpluses()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_residual_reach_is_the_same_for_every_balanced_flow(seed):
+    # S, the residual closure of a balanced flow, does not depend on which
+    # balanced flow it is read from (see the residual_reach docstring).
+    # Besides the oracle's, the balanced flow of the network with buyers
+    # and goods relabelled, read back, which on dense networks often
+    # differs from the first.
+    rng = random.Random(seed)
+    net = _random_saturable_network(rng, density=0.8)
+    assume(net is not None)
+    buyers, goods = rng.sample(range(net.n), net.n), rng.sample(range(net.m), net.m)
+    relabelled = balanced_flow(
+        FlowNetwork(
+            [net.budgets[i] for i in buyers],
+            [net.prices[j] for j in goods],
+            {(buyers.index(i), goods.index(j)) for i, j in net.edges},
+        )
+    )
+    flows = (
+        balanced_flow(net),
+        equalize_balanced(net),
+        flow_from_edges(
+            net,
+            {(buyers[i], goods[j]): v for (i, j), v in edge_flow(relabelled).items()},
+        ),
+    )
+    for size in range(1, net.m + 1):
+        for targets in itertools.combinations(range(net.m), size):
+            assert len({residual_reach(net, f, targets) for f in flows}) == 1
