@@ -345,18 +345,18 @@ def commit_event(state, event):
             if any(market.utilities[i][j] > 0 for j in goods):
                 raise InvariantError("live buyer still values a deleted good")
         state.phase_over = True
-    # B' keeps edges leaving S at x = 1: a cap that lost a tie to a new edge
-    at_one, positive = x == 1, x > 0
-    edges = {
-        (i, j)
-        for i, j in state.network.edges
-        if i not in bprime or at_one or (positive and j in goods)
-    }
-    # the new-edge pairs at scale x; any kind may add them, a tight set ties
-    # with a new edge
-    edges.update(state.tied_edges)
+    # B' keeps its edges into S for 0 < x < 1, loses every edge at x = 0 and
+    # keeps edges leaving S at x = 1 (a cap that lost a tie to a new edge);
+    # then the new-edge pairs at scale x join: any kind may add them, a
+    # tight set ties with a new edge
+    state.network = state.network.edited(
+        tuple(state.budgets),
+        tuple(state.prices),
+        () if x == 1 else bprime,
+        goods if x > 0 else (),
+        state.tied_edges,
+    )
     state.tied_edges = []
-    state.network = FlowNetwork(tuple(state.budgets), tuple(state.prices), frozenset(edges))
     if event.kind == NEW_EDGE:
         _recompute_flow(state)
         state.S |= set(residual_reach(state.network, state.flow, state.S))

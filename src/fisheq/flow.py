@@ -12,6 +12,7 @@ denominator (a multiple of D).  Fractions are made only at the API.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +44,46 @@ class FlowNetwork:
             good_buyers[j].append(i)
         object.__setattr__(self, "buyer_goods", tuple(map(tuple, buyer_goods)))
         object.__setattr__(self, "good_buyers", tuple(map(tuple, good_buyers)))
+
+    def edited(self, budgets, prices, buyers, keep, added):
+        """This network at the capacities ``budgets`` and ``prices`` (tuples
+        of Fractions), where each buyer of ``buyers`` keeps only its edges
+        into the goods ``keep``, and then the new edges ``added`` join.
+
+        Only the rows of the buyers and goods whose edges change are
+        rewritten, each still ascending; every other row is shared with
+        this network.
+        """
+        if any(c.numerator < 0 for c in budgets + prices):
+            raise ValueError("capacities must be nonnegative")
+        goods_of, buyers_of, dropped = {}, {}, []
+        for i in buyers:
+            row = self.buyer_goods[i]
+            kept = [j for j in row if j in keep]
+            if len(kept) == len(row):
+                continue
+            goods_of[i] = kept
+            for j in row:
+                if j not in keep:
+                    dropped.append((i, j))
+                    buyers_of.setdefault(j, list(self.good_buyers[j])).remove(i)
+        for i, j in added:
+            insort(goods_of.setdefault(i, list(self.buyer_goods[i])), j)
+            insort(buyers_of.setdefault(j, list(self.good_buyers[j])), i)
+        buyer_goods, good_buyers = list(self.buyer_goods), list(self.good_buyers)
+        for i, row in goods_of.items():
+            buyer_goods[i] = tuple(row)
+        for j, column in buyers_of.items():
+            good_buyers[j] = tuple(column)
+        network = object.__new__(FlowNetwork)  # skips __post_init__'s full pass
+        network.__dict__.update(
+            budgets=budgets,
+            prices=prices,
+            edges=self.edges.difference(dropped).union(added),
+            buyer_goods=tuple(buyer_goods),
+            good_buyers=tuple(good_buyers),
+        )
+        return network
 
     @property
     def n(self):
@@ -99,8 +140,13 @@ class Flow:
         return [p - f for p, f in zip(self._capacities[1], self._into)]
 
     def surpluses(self):
-        """r_j = p_j - f_jt for every good."""
-        return tuple(Fraction(r, self.denom) for r in self._surplus_ints())
+        """r_j = p_j - f_jt for every good; goods at one level (the goods
+        of a water-filling leaf) share one Fraction."""
+        denom, made = self.denom, {}
+        return tuple(
+            made[r] if r in made else made.setdefault(r, Fraction(r, denom))
+            for r in self._surplus_ints()
+        )
 
     def sources_saturated(self):
         return self._out == self._capacities[0]
@@ -316,8 +362,14 @@ def balanced_flow(network):
     Water-filling by min-cut refinement: try to leave every good of the
     current block the same surplus (the block mean); where that level is
     infeasible the min cut of the reduced network splits the block and the
-    two sides are refined independently.  The result is certified by
-    is_balanced before being returned.
+    two sides are refined independently.  The root blocks are the
+    connected components of the edges, found by one search (a buyer
+    without edges is a block of its own, a good without them keeps its
+    price as surplus): a minimum cut at a block's level puts a good on the
+    source side exactly when its balanced surplus is below the level, and
+    no augmenting path crosses components, so each component's flow is
+    the one a block spanning several would give it.  The result is
+    certified by is_balanced before being returned.
 
     A block of k goods is the network with capacities outside it zeroed and
     all capacities times k (times D, see ``FlowNetwork._cleared``), so its
@@ -385,7 +437,25 @@ def balanced_flow(network):
         if not result.sources_saturated():
             raise InvariantError("source edges not saturable; solver invariant violated")
     else:
-        refine(set(range(n)), set(range(m)))
+        # each connected component is a root block
+        buyer_goods, good_buyers = network.buyer_goods, network.good_buyers
+        seen_buyer, seen_good = [False] * n, [False] * m
+        for start in range(n):
+            if seen_buyer[start]:
+                continue
+            seen_buyer[start] = True
+            buyers, goods, stack = {start}, set(), [start]
+            while stack:
+                for j in buyer_goods[stack.pop()]:
+                    if not seen_good[j]:
+                        seen_good[j] = True
+                        goods.add(j)
+                        for i in good_buyers[j]:
+                            if not seen_buyer[i]:
+                                seen_buyer[i] = True
+                                buyers.add(i)
+                                stack.append(i)
+            refine(buyers, goods)
         L = math.lcm(*(k for k, _ in leaves))
         rows = [{} for _ in range(n)]
         for k, block_rows in leaves:

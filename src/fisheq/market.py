@@ -15,14 +15,22 @@ from fractions import Fraction
 from itertools import repeat
 
 from .errors import InvalidMarketError
-from .exact import INF, ratio_sign
+from .exact import INF, as_fraction, ratio_sign
 
 
 _ZERO = Fraction(0)
 
 
+def _exact(value, what):
+    """``value`` as a Fraction; a float (already rounded) or a bool is not
+    an exact rational entry."""
+    if isinstance(value, (float, bool)):
+        raise InvalidMarketError(f"{what} must be an exact rational, not {value!r}")
+    return as_fraction(value)
+
+
 def _as_fraction_grid(utilities):
-    return tuple(tuple(Fraction(u) for u in row) for row in utilities)
+    return tuple(tuple(_exact(u, "utility") for u in row) for row in utilities)
 
 
 @dataclass(frozen=True)
@@ -34,9 +42,9 @@ class Market:
     utilities: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "budgets", tuple(Fraction(b) for b in self.budgets))
+        object.__setattr__(self, "budgets", tuple(_exact(b, "budget") for b in self.budgets))
         object.__setattr__(
-            self, "caps", tuple(None if c is None else Fraction(c) for c in self.caps)
+            self, "caps", tuple(None if c is None else _exact(c, "cap") for c in self.caps)
         )
         object.__setattr__(self, "utilities", _as_fraction_grid(self.utilities))
         n = len(self.budgets)

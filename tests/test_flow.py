@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fisheq.flow
 from fisheq import (
     FlowNetwork,
     InvariantError,
@@ -73,6 +74,19 @@ def test_network_capacities_converted_and_validated():
             FlowNetwork(budgets, (F(1),), set())
     with pytest.raises(ValueError):
         FlowNetwork((F(1),), (1,), {(0, 1)})
+
+
+def test_edited_network_equals_the_rebuilt_one():
+    # Buyer 0 keeps only its edge to good 0, then two edges join; every
+    # row stays ascending, as the constructor sorts it.
+    net = FlowNetwork((F(1),) * 3, (F(2),) * 3, {(0, 0), (0, 2), (1, 1), (2, 2)})
+    edited = net.edited(net.budgets, net.prices, {0}, {0}, [(2, 1), (1, 0)])
+    rebuilt = FlowNetwork(net.budgets, net.prices, {(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)})
+    assert edited == rebuilt
+    assert edited.buyer_goods == rebuilt.buyer_goods == ((0,), (0, 1), (1, 2))
+    assert edited.good_buyers == rebuilt.good_buyers == ((0, 1), (1, 2), (2,))
+    with pytest.raises(ValueError):
+        net.edited((F(-1), F(1), F(1)), net.prices, (), (), [])
 
 
 class TestMinCut:
@@ -169,6 +183,24 @@ class TestBalancedFlow:
             net = FlowNetwork(budgets, prices, {(0, 0)})
             with pytest.raises(InvariantError):
                 balanced_flow(net)
+
+    def test_components_are_refined_without_a_splitting_cut(self, monkeypatch):
+        # Two components at different levels, two goods each: buyer 0
+        # leaves 1 on goods 0 and 1, buyer 1 leaves 5/2 on goods 2 and 3.
+        # Each component is one leaf max-flow; a root block over the whole
+        # network spends a third max-flow on the cut between them.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _saturate(*args)
+
+        monkeypatch.setattr(fisheq.flow, "_saturate", counted)
+        net = FlowNetwork(
+            (F(2), F(1)), (F(2), F(2), F(3), F(3)), {(0, 0), (0, 1), (1, 2), (1, 3)}
+        )
+        assert balanced_flow(net).surpluses() == (F(1), F(1), F(5, 2), F(5, 2))
+        assert len(calls) == 2
 
     def test_levels_with_clamped_and_split_blocks(self):
         # Three price levels: a rich dedicated good, a pair forming its own
@@ -495,17 +527,7 @@ def fractional_networks(draw):
     return FlowNetwork(budgets, prices, edges)
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(fractional_networks())
-# no surplus, saturable; no surplus, unsaturable; two one-good blocks; a
-# one-good block whose second buyer has money but no edge to the good
-@example(FlowNetwork((F(1, 2), F(3, 2)), (F(3, 4), F(5, 4)), {(0, 0), (1, 0), (1, 1)}))
-@example(FlowNetwork((F(1, 2), F(3, 2)), (F(3, 2), F(1, 2)), {(0, 0), (1, 0)}))
-@example(FlowNetwork((F(1, 3), F(1, 2)), (F(7, 6), F(5)), {(0, 0), (1, 1)}))
-@example(FlowNetwork((F(1, 3), F(1, 2)), (F(7, 6),), {(0, 0)}))
-def test_balanced_flow_matches_the_probing_reference(net):
-    # Probing only at zero surplus and writing one-good blocks down must
-    # leave every flow, in dict order, and every rejection as they were.
+def _assert_matches_the_probing_reference(net):
     try:
         expected = reference_balanced_flow(net)
     except InvariantError:
@@ -515,6 +537,83 @@ def test_balanced_flow_matches_the_probing_reference(net):
     f = balanced_flow(net)
     assert list(edge_flow(f).items()) == list(edge_flow(expected).items())
     assert f.surpluses() == expected.surpluses()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(fractional_networks())
+# no surplus, saturable; no surplus, unsaturable; two one-good blocks; a
+# one-good block whose second buyer has money but no edge to the good
+@example(FlowNetwork((F(1, 2), F(3, 2)), (F(3, 4), F(5, 4)), {(0, 0), (1, 0), (1, 1)}))
+@example(FlowNetwork((F(1, 2), F(3, 2)), (F(3, 2), F(1, 2)), {(0, 0), (1, 0)}))
+@example(FlowNetwork((F(1, 3), F(1, 2)), (F(7, 6), F(5)), {(0, 0), (1, 1)}))
+@example(FlowNetwork((F(1, 3), F(1, 2)), (F(7, 6),), {(0, 0)}))
+# two two-good components at different levels, with interleaved indices;
+# two at one level (one leaf of a whole-network root block); a component
+# that splits inside; a buyer with money and no edges beside a component
+@example(FlowNetwork((F(2), F(1)), (F(2), F(3), F(2), F(3)), {(0, 0), (0, 2), (1, 1), (1, 3)}))
+@example(FlowNetwork((F(1), F(2)), (F(2), F(3), F(3), F(3)), {(0, 0), (0, 1), (1, 2), (1, 3)}))
+@example(
+    FlowNetwork(
+        (F(3), F(1, 2), F(1)),
+        (F(2), F(2), F(4), F(1, 2), F(7)),
+        {(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (2, 4)},
+    )
+)
+@example(FlowNetwork((F(1), F(1, 2)), (F(2), F(2)), {(0, 0), (0, 1)}))
+def test_balanced_flow_matches_the_probing_reference(net):
+    # Probing only at zero surplus, writing one-good blocks down and
+    # refining each connected component on its own must leave every flow,
+    # in dict order, and every rejection as they were.
+    _assert_matches_the_probing_reference(net)
+
+
+@st.composite
+def saturable_networks(draw):
+    """A random connected network of two or more goods whose sources can
+    saturate: buyer 0 has an edge to every good, each buyer splits its
+    budget over its edges, and each good is priced at the money it gets
+    plus a surplus."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))))
+    edges |= {(0, j) for j in range(m)}
+    share = st.builds(F, st.integers(0, 6), st.integers(1, 3))
+    budgets, paid = [], [F(0)] * m
+    for i in range(n):
+        total = F(0)
+        for j in sorted(j for h, j in edges if h == i):
+            v = draw(share)
+            paid[j] += v
+            total += v
+        budgets.append(total)
+    surplus = st.builds(F, st.integers(0, 8), st.integers(1, 3))
+    return FlowNetwork(budgets, [p + draw(surplus) for p in paid], edges)
+
+
+@st.composite
+def network_unions(draw):
+    """Two or three saturable connected networks and at most one network
+    of ``fractional_networks`` side by side, their buyers and goods
+    shuffled together."""
+    parts = draw(st.lists(saturable_networks(), min_size=2, max_size=3))
+    parts += draw(st.lists(fractional_networks(), max_size=1))
+    n, m = sum(net.n for net in parts), sum(net.m for net in parts)
+    buyer_at, good_at = draw(st.permutations(range(n))), draw(st.permutations(range(m)))
+    budgets, prices, edges = [None] * n, [None] * m, set()
+    i0 = j0 = 0
+    for net in parts:
+        for i, b in enumerate(net.budgets):
+            budgets[buyer_at[i0 + i]] = b
+        for j, p in enumerate(net.prices):
+            prices[good_at[j0 + j]] = p
+        edges |= {(buyer_at[i0 + i], good_at[j0 + j]) for i, j in net.edges}
+        i0, j0 = i0 + net.n, j0 + net.m
+    return FlowNetwork(budgets, prices, edges)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(network_unions())
+def test_balanced_flow_matches_the_probing_reference_on_unions(net):
+    _assert_matches_the_probing_reference(net)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -73,6 +73,23 @@ class TestNormalize:
         with pytest.raises(InvalidMarketError):
             Market(budgets, caps, utils)
 
+    # A float is already rounded (0.1 would be the budget
+    # 3602879701896397/36028797018963968) and a bool is not a quantity.
+    @pytest.mark.parametrize("value", [0.1, True])
+    def test_float_or_bool_budget_rejected(self, value):
+        with pytest.raises(InvalidMarketError, match="budget"):
+            Market((value,), (None,), ((F(1), F(3, 10)),))
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_float_or_bool_cap_rejected(self, value):
+        with pytest.raises(InvalidMarketError, match="cap"):
+            Market((F(1, 10),), (value,), ((F(1), F(3, 10)),))
+
+    @pytest.mark.parametrize("value", [0.3, True])
+    def test_float_or_bool_utility_rejected(self, value):
+        with pytest.raises(InvalidMarketError, match="utility"):
+            Market((F(1, 10),), (None,), ((F(1), value),))
+
 
 class TestMbbRatio:
     def test_linear_equilibrium_prices(self, capped_market):
