@@ -77,6 +77,10 @@ class SolveResult:
 class SolverState:
     """Mutable working state over the stripped, normalized market.
 
+    The market's entries are ints and the descent reads them as they are;
+    ``prices`` and ``budgets`` (the active budgets) are Fractions, and so
+    are the trace records built from them.
+
     Invariant: ``network`` is the live network at the current prices,
     budgets and live sets (dead ones are 0: their zero-price event scaled
     them by 0).  ``initialize`` builds it from the equality graph,
@@ -93,8 +97,6 @@ class SolverState:
 
     def __init__(self, market):
         self.market = market
-        # ``normalize`` makes every utility an integer; next_event reads them as ints
-        self.int_utilities = tuple(tuple(u.numerator for u in row) for row in market.utilities)
         self.prices = []
         self.budgets = []  # active budgets M^a
         self.capped = []
@@ -137,12 +139,11 @@ def _write_shares(alloc, flow, goods):
 def initialize(market):
     """Fresh state: every price at the total money supply."""
     state = SolverState(market)
-    total = sum(market.budgets, Fraction(0))
-    state.prices = [total] * market.m
+    state.prices = [Fraction(sum(market.budgets))] * market.m
     alphas, edges = equality_graph(market, state.prices)
     for i, alpha in enumerate(alphas):
         money, is_capped = active_budget_at(market, i, alpha)
-        state.budgets.append(money)
+        state.budgets.append(Fraction(money))  # M_i comes back as an int
         state.capped.append(is_capped)
     state.network = FlowNetwork(tuple(state.budgets), tuple(state.prices), edges)
     return state
@@ -243,9 +244,9 @@ def next_event(state):
         if c is None:
             continue
         k = network.buyer_goods[i][0]
-        M, u, p = market.budgets[i], state.int_utilities[i][k], prices[k]
-        num = M.numerator * u * c.denominator * p.denominator
-        den = M.denominator * c.numerator * p.numerator
+        p = prices[k]
+        num = market.budgets[i] * market.utilities[i][k] * p.denominator
+        den = c * p.numerator
         sign = ratio_sign(num, den, best_num, best_den) if cap_buyers else 1
         if sign > 0:
             best_num, best_den, cap_buyers = num, den, [i]
@@ -262,7 +263,7 @@ def next_event(state):
     for h in sorted(state.live_buyers - bprime):
         if not network.buyer_goods[h]:
             raise InvariantError(f"buyer {h} outside B' values nothing outside S")
-        row = state.int_utilities[h]
+        row = market.utilities[h]
         num, den, goods = 0, 1, []  # h's largest u_hj / p_j is num / den, at goods
         for j, p_num, p_den in in_s:
             u = row[j]

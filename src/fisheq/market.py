@@ -3,16 +3,17 @@
 A market has n buyers with money budgets M_i and happiness caps c_i, and m
 divisible goods of unit supply.  Buyer i gets utility min(c_i, sum_j u_ij
 x_ij) from bundle x_i; a cap of ``None`` means the buyer is an ordinary
-linear buyer.  Everything is exact: budgets, caps and utilities are
-Fractions and never floats.
+linear buyer.  Everything is exact: a raw ``Market`` holds Fractions and
+never floats, and ``normalize`` scales it once to a ``NormalizedMarket``
+of Python ints, the market the descent runs on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import InvalidMarketError
 from .exact import INF, as_fraction, ratio_sign
@@ -79,72 +80,61 @@ class Market:
 
 @dataclass(frozen=True)
 class NormalizedMarket(Market):
-    """Market whose entries are all integers, plus the scale factors that
-    map results back to the original units.
+    """The market the descent runs on: every budget, cap and utility is a
+    Python int, and ``budget_scale`` maps prices back to the original units.
 
-    Budgets were multiplied by the common factor ``budget_scale`` (prices of
-    any equilibrium scale with it, allocations do not); each buyer's
-    (utility row, cap) pair was multiplied by ``buyer_scales[i]`` (which
+    Budgets were multiplied by the common integer ``budget_scale`` (prices
+    of any equilibrium scale with it, allocations do not); each buyer's
+    utility row and cap were multiplied by their own integer factor (which
     changes no equilibrium at all).
     """
 
-    budget_scale: Fraction = Fraction(1)
-    buyer_scales: tuple = field(default=())
+    budget_scale: int = 1
+
+    def __post_init__(self):
+        """No checks: ``normalize`` builds the entries from a validated
+        ``Market``."""
 
     @property
     def U(self):
-        """Largest integer among the normalized budgets, caps, utilities."""
-        best = 1
-        for b in self.budgets:
-            best = max(best, int(b))
-        for c in self.caps:
-            if c is not None:
-                best = max(best, int(c))
-        for row in self.utilities:
-            for u in row:
-                best = max(best, int(u))
-        return best
+        """Largest normalized budget, cap or utility."""
+        caps = (c for c in self.caps if c is not None)
+        return max(chain(self.budgets, caps, *self.utilities))
 
 
 def normalize(market):
     """Scale a raw market to an equivalent all-integer one.
 
-    All budgets share one positive integer factor L; each buyer's utilities
-    and cap share a per-buyer positive integer factor.  Records both so the
-    solver can de-scale its output.
+    All budgets share one positive integer factor, the lcm of their
+    denominators; each buyer's utilities and cap share the lcm of theirs.
+    Each entry is written as numerator times (factor // denominator).
     """
-    L = math.lcm(*(b.denominator for b in market.budgets))
-    scales = []
-    for i in range(market.n):
-        dens = [u.denominator for u in market.utilities[i]]
-        if market.caps[i] is not None:
-            dens.append(market.caps[i].denominator)
-        scales.append(Fraction(math.lcm(*dens)))
+    scale = math.lcm(*(b.denominator for b in market.budgets))
+    caps, utilities = [], []
+    for cap, row in zip(market.caps, market.utilities):
+        s = math.lcm(*(u.denominator for u in row), 1 if cap is None else cap.denominator)
+        caps.append(None if cap is None else cap.numerator * (s // cap.denominator))
+        utilities.append(tuple(u.numerator * (s // u.denominator) for u in row))
     return NormalizedMarket(
-        budgets=tuple(b * L for b in market.budgets),
-        caps=tuple(
-            None if c is None else c * s for c, s in zip(market.caps, scales)
-        ),
-        utilities=tuple(
-            tuple(u * s for u in row)
-            for row, s in zip(market.utilities, scales)
-        ),
-        budget_scale=Fraction(L),
-        buyer_scales=tuple(scales),
+        budgets=tuple(b.numerator * (scale // b.denominator) for b in market.budgets),
+        caps=tuple(caps),
+        utilities=tuple(utilities),
+        budget_scale=scale,
     )
 
 
 def strip_trivial(market):
-    """Drop buyers that value nothing and goods that nobody values.
+    """Drop buyers that value nothing and goods that nobody values from
+    ``normalize``'s output.
 
     Such buyers get the empty bundle (trivially a demand bundle) and such
     goods get price zero in the assembled equilibrium; neither plays any
     role in the price dynamics.  Returns the reduced market together with
     the retained original indices.
     """
-    buyers = tuple(i for i in range(market.n) if any(u > 0 for u in market.utilities[i]))
+    buyers = tuple(i for i in range(market.n) if any(market.utilities[i]))
     goods = tuple(
-        j for j in range(market.m) if any(market.utilities[i][j] > 0 for i in buyers)
+        j for j in range(market.m) if any(market.utilities[i][j] for i in buyers)
     )
     if not buyers or not goods:
         raise InvalidMarketError("market is empty after preprocessing")
@@ -154,11 +144,7 @@ def strip_trivial(market):
         utilities=tuple(
             tuple(market.utilities[i][j] for j in goods) for i in buyers
         ),
-        budget_scale=getattr(market, "budget_scale", Fraction(1)),
-        buyer_scales=tuple(
-            getattr(market, "buyer_scales", (Fraction(1),) * market.n)[i]
-            for i in buyers
-        ),
+        budget_scale=market.budget_scale,
     )
     return reduced, buyers, goods
 
@@ -219,7 +205,8 @@ def active_budget_at(market, buyer, alpha):
     The cap counts as binding on equality (c_i/alpha == M_i).  Total on
     every input: a buyer that values nothing (alpha = 0) gets (0, False),
     an uncapped buyer gets (M_i, False) even at alpha = INF, and a capped
-    buyer at alpha = INF gets (0, True).
+    buyer at alpha = INF gets (0, True).  M_i is returned as the market
+    holds it, an int on a normalized market.
     """
     if alpha == 0:
         return Fraction(0), False

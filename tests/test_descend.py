@@ -435,7 +435,9 @@ PINNED_MARKETS = [generate_market(n, m, u, k) for n, m, u, k, _ in PINNED_EQUILI
 def test_allocation_read_matches_the_eager_rule(market, every_commit, monkeypatch):
     # Built on read, the allocation must equal the eager rule (rewrite it at
     # every balanced flow) after every flow and every commit, whether it is
-    # read after each commit or only where a solve reads it.
+    # read after each commit or only where a solve reads it.  The market
+    # holds ints, and every trace record still holds Fraction prices and
+    # active budgets.
     state, _ = _fresh_state(market)
     reference = [[F(0)] * state.market.m for _ in range(state.market.n)]
     recompute = fisheq.descend._recompute_flow
@@ -449,7 +451,8 @@ def test_allocation_read_matches_the_eager_rule(market, every_commit, monkeypatc
     monkeypatch.setattr(fisheq.descend, "_recompute_flow", replayed)
     while start_phase(state):
         while not state.phase_over:
-            commit_event(state, next_event(state))
+            record = commit_event(state, next_event(state))
+            assert all(type(v) is F for v in record.prices + record.active_budgets)
             if every_commit:
                 assert state.alloc == reference
     assert state.alloc == reference

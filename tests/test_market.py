@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -50,16 +52,16 @@ class TestNormalize:
         assert nm.budget_scale == 2
 
     def test_per_buyer_scaling(self):
+        # buyer 0's row and cap scale by lcm(2, 2, 3) = 6, buyer 1's by 1
         m = Market(
             (F(3), F(1)),
-            (F(1, 2), None),
+            (F(1, 3), None),
             ((F(5, 2), F(1, 2)), (F(2), F(1))),
         )
         nm = normalize(m)
-        assert nm.utilities[0] == (F(5), F(1))
-        assert nm.caps[0] == F(1)
-        assert nm.buyer_scales[0] == 2
-        assert nm.utilities[1] == (F(2), F(1))
+        assert nm.utilities == ((15, 3), (2, 1))
+        assert nm.caps == (2, None)
+        assert nm.budgets == (3, 1)
 
     @pytest.mark.parametrize(
         "budgets,caps,utils",
@@ -223,15 +225,53 @@ class TestStripTrivial:
             (None, None),
             ((F(0), F(0), F(0)), (F(1), F(0), F(2))),
         )
-        reduced, buyers, goods = strip_trivial(m)
+        reduced, buyers, goods = strip_trivial(normalize(m))
         assert buyers == (1,)
         assert goods == (0, 2)
-        assert reduced.utilities == ((F(1), F(2)),)
+        assert reduced.utilities == ((1, 2),)
 
     def test_empty_after_preprocessing(self):
         m = Market((F(1),), (None,), ((F(0),),))
         with pytest.raises(InvalidMarketError):
             strip_trivial(normalize(m))
+
+
+def _entries(market):
+    """Every budget, cap and utility of a market."""
+    caps = (c for c in market.caps if c is not None)
+    return [*market.budgets, *caps, *chain.from_iterable(market.utilities)]
+
+
+_positive = st.fractions(min_value=F(1, 12), max_value=20, max_denominator=12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_normalize_scales_to_ints_by_the_lcm_of_the_denominators(data):
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entries = st.just(F(0)) | _positive
+    market = Market(
+        tuple(data.draw(st.lists(_positive, min_size=n, max_size=n))),
+        tuple(data.draw(st.lists(st.none() | _positive, min_size=n, max_size=n))),
+        tuple(
+            tuple(data.draw(st.lists(entries, min_size=m, max_size=m))) for _ in range(n)
+        ),
+    )
+    nm = normalize(market)
+    assert all(type(v) is int for v in _entries(nm))
+    scale = math.lcm(*(b.denominator for b in market.budgets))
+    assert type(nm.budget_scale) is int and nm.budget_scale == scale
+    assert nm.budgets == tuple(b * scale for b in market.budgets)
+    for cap, row, n_cap, n_row in zip(market.caps, market.utilities, nm.caps, nm.utilities):
+        dens = [u.denominator for u in row] + ([] if cap is None else [cap.denominator])
+        s = math.lcm(*dens)
+        assert n_row == tuple(u * s for u in row)
+        assert n_cap == (None if cap is None else cap * s)
+    assert nm.U == max(_entries(nm))
+    if any(map(any, market.utilities)):
+        stripped, _, _ = strip_trivial(nm)
+        assert all(type(v) is int for v in _entries(stripped))
+        assert stripped.budget_scale == scale
 
 
 @settings(max_examples=60, deadline=None)
