@@ -8,6 +8,7 @@ invariant failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import re
@@ -84,18 +85,25 @@ def _load_json(path):
 
 def _cmd_solve(args):
     market = market_from_doc(_load_json(args.instance))
-    try:
-        result = solve_max_revenue(market)
-        equilibrium = result.equilibrium
-        if args.objective == "min-revenue":
-            equilibrium = min_revenue(market, equilibrium)
-    except InvalidMarketError:
-        raise  # bad input, e.g. nothing left after strip_trivial
-    except ValueError as bad:  # a solver-internal check, or its own output rejected
-        raise InvariantError(f"solver raised ValueError: {bad}") from None
+    # An unwritable --trace path is bad input: found before the solve.
+    trace = contextlib.nullcontext()
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(trace_to_ndjson(result.trace))
+        try:
+            trace = open(args.trace, "w", encoding="utf-8")
+        except OSError as bad:
+            raise FormatError(f"cannot write {args.trace}: {bad.strerror}") from None
+    with trace:
+        try:
+            result = solve_max_revenue(market)
+            equilibrium = result.equilibrium
+            if args.objective == "min-revenue":
+                equilibrium = min_revenue(market, equilibrium)
+        except InvalidMarketError:
+            raise  # bad input, e.g. nothing left after strip_trivial
+        except ValueError as bad:  # a solver-internal check, or its own output rejected
+            raise InvariantError(f"solver raised ValueError: {bad}") from None
+        if args.trace:
+            trace.write(trace_to_ndjson(result.trace))
     json.dump(equilibrium_to_doc(equilibrium), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK

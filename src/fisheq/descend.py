@@ -161,7 +161,7 @@ def _recompute_flow(state):
     state.flow = balanced_flow(state.network)
     state.surpluses = state.flow.surpluses()
     for j in state.live_goods:
-        if state.prices[j] <= 0:
+        if state.prices[j].numerator <= 0:
             raise InvariantError(f"live good {j} has nonpositive price")
 
 

@@ -158,32 +158,36 @@ class Flow:
         )
 
 
-def _search(network, seeds, budgets, prices, flow, fsrc, fsink):
-    """Shortest augmenting path search on integer capacities.
+def _search(network, rich, prices, flow, fsink, from_good, from_buyer):
+    """Shortest augmenting path search on integer capacities, as a
+    generator of the goods with sink capacity left that it reaches.
 
-    Breadth first from every buyer of ``seeds`` (ascending; every buyer
-    outside it has budget 0) with budget left; buyer -> good along any
-    edge, good -> buyer only against flow.  Returns the first good reached
-    with sink capacity left (None if there is none) and the search tree:
-    for each buyer the good it was reached from (-1 for the source), for
-    each good the buyer, None where the search did not reach.  A buyer or
-    good of zero capacity is a dead end,
-    so zeroing capacities masks the network without changing which paths
-    are found.
+    Breadth first from the buyers ``rich`` (ascending: the buyers with
+    budget left); buyer -> good along any edge, good -> buyer only against
+    flow.  The search tree goes into the marker lists it is given, all
+    None at the start: for each buyer the good it was reached from (-1
+    for the source), for each good the buyer, None where the search did
+    not reach.  A buyer or good of zero capacity is a dead end, so zeroing
+    capacities masks the network without changing which paths are found.
+    A good reached full with no sink flow (a zeroed good) is marked but
+    not expanded: no buyer pays it, so it leads to nobody.
 
     While a path over a single equality edge exists, the first layer
-    returns it: the lowest buyer with budget left and a good with room,
-    and that buyer's lowest good with room (a good seen earlier in the
-    layer is full).  ``_saturate`` routes all of those paths in one sweep
-    before it searches, so every path found here crosses at least three
-    equality edges.
+    yields it first: the lowest buyer with budget left and a good with
+    room, and that buyer's lowest good with room (a good seen earlier in
+    the layer is full).  ``_saturate`` routes all of those paths in one
+    sweep before it searches, so every path found here crosses at least
+    three equality edges.
+
+    The search goes on from a good it yielded as if that good had been
+    full when reached: marked and expanded.  ``_saturate`` resumes it only
+    after a push that filled that good and changed nothing else a search
+    reads (see there).
     """
     buyer_goods, good_buyers = network.buyer_goods, network.good_buyers
-    from_good = [None] * len(budgets)
-    from_buyer = [None] * len(prices)
-    layer = [i for i in seeds if fsrc[i] < budgets[i]]
-    for i in layer:
+    for i in rich:
         from_good[i] = -1
+    layer = rich
     while layer:
         goods = []
         for i in layer:
@@ -191,15 +195,15 @@ def _search(network, seeds, budgets, prices, flow, fsrc, fsink):
                 if from_buyer[j] is None:
                     from_buyer[j] = i
                     if fsink[j] < prices[j]:
-                        return j, from_good, from_buyer
-                    goods.append(j)
+                        yield j
+                    if fsink[j]:
+                        goods.append(j)
         layer = []
         for j in goods:
             for i in good_buyers[j]:
                 if from_good[i] is None and flow[i].get(j, 0) > 0:
                     from_good[i] = j
                     layer.append(i)
-    return None, from_good, from_buyer
 
 
 _EMPTY_ROW = {}  # the flow row of every buyer outside a block; never written
@@ -210,27 +214,39 @@ def _saturate(network, seeds, budgets, prices):
     the buyers ``seeds`` (ascending; every other buyer has budget 0).
 
     Returns the flow (one {good: amount} dict per buyer, entries may be
-    0), the money each buyer sends, and the last, failed search's marker
-    lists ``(from_good, from_buyer)``: the buyers and goods whose marker is
-    not None are the source side of a minimum cut.  Only seeds carry flow,
-    so every other buyer's row is the shared, empty ``_EMPTY_ROW``, and
-    nothing here walks the nodes outside the block.
+    0), the money each buyer sends, whether every seed sends its whole
+    budget, and the last, failed search's marker lists ``(from_good,
+    from_buyer)``: the buyers and goods whose marker is not None are the
+    source side of a minimum cut.  Only seeds carry flow, so every other
+    buyer's row is the shared, empty ``_EMPTY_ROW``, and nothing here walks
+    the nodes outside the block.
 
-    The result is that of augmenting from zero flow along the paths
-    ``_search`` finds, with fewer searches.  Those searches first return
-    every path over a single equality edge: each time the lowest buyer
-    with budget left and a good with room, and that buyer's lowest good
-    with room, pushed by the smaller of the two.  Such a push cancels no
-    flow and only fills goods, so a buyer passed over (out of money, or
+    The result is that of augmenting from zero flow along the paths a
+    fresh ``_search`` finds, with fewer searches.  Those searches first
+    return every path over a single equality edge: each time the lowest
+    buyer with budget left and a good with room, and that buyer's lowest
+    good with room, pushed by the smaller of the two.  Such a push cancels
+    no flow and only fills goods, so a buyer passed over (out of money, or
     every good full) never gets such a path again.  The sweep below makes
     the same pushes in the same order, so the flow (down to the insertion
     order of each buyer's dict), the money sent and every later search
-    come out the same.
+    come out the same.  The sweep also lists the buyers left with money,
+    ``rich``; a push that spends its root's last money takes the root off.
+
+    A push whose root keeps money and which empties no flow it cancels
+    fills its end good and changes nothing else a search reads: the
+    buyers with money are the same, and the new flow only opens arcs from
+    the path's goods back to the path's buyers, which the search reached
+    before those goods.  A fresh search would retrace the last one up to
+    the end good, then find it full, mark it and expand it, which is where
+    the resumed search goes on; so the same search serves the next path.
+    Any other push starts a fresh search.  The search that runs dry is one
+    a fresh search would repeat, so it leaves the same cut.
     """
     buyer_goods = network.buyer_goods
     n, m = len(budgets), len(prices)
     flow = [_EMPTY_ROW] * n
-    fsrc, fsink = [0] * n, [0] * m
+    fsrc, fsink, rich = [0] * n, [0] * m, []
     for i in seeds:
         flow[i] = row = {}
         left = budgets[i]
@@ -246,35 +262,43 @@ def _saturate(network, seeds, budgets, prices):
                 if not left:
                     break
         fsrc[i] = budgets[i] - left
+        if left:
+            rich.append(i)
     while True:
-        end, from_good, from_buyer = _search(
-            network, seeds, budgets, prices, flow, fsrc, fsink
-        )
-        if end is None:
-            return flow, fsrc, (from_good, from_buyer)
-        # Walk the path back to the source for the bottleneck, then push.
-        bottleneck = prices[end] - fsink[end]
-        i = from_buyer[end]
-        while from_good[i] != -1:
-            j = from_good[i]
-            bottleneck = min(bottleneck, flow[i][j])  # the arc j -> i cancels flow
-            i = from_buyer[j]
-        bottleneck = min(bottleneck, budgets[i] - fsrc[i])
-        fsrc[i] += bottleneck
-        fsink[end] += bottleneck
-        j = end
-        while j != -1:
-            i = from_buyer[j]
-            flow[i][j] = flow[i].get(j, 0) + bottleneck
-            j = from_good[i]
-            if j != -1:
-                flow[i][j] -= bottleneck
+        from_good, from_buyer = [None] * n, [None] * m
+        for end in _search(network, rich, prices, flow, fsink, from_good, from_buyer):
+            # Walk the path back to the source for the bottleneck, then push.
+            bottleneck = prices[end] - fsink[end]
+            i = from_buyer[end]
+            while from_good[i] != -1:
+                j = from_good[i]
+                bottleneck = min(bottleneck, flow[i][j])  # the arc j -> i cancels flow
+                i = from_buyer[j]
+            bottleneck = min(bottleneck, budgets[i] - fsrc[i])
+            fsrc[i] += bottleneck
+            fsink[end] += bottleneck
+            fresh = fsrc[i] == budgets[i]
+            if fresh:
+                rich.remove(i)
+            j = end
+            while j != -1:
+                i = from_buyer[j]
+                flow[i][j] = flow[i].get(j, 0) + bottleneck
+                j = from_good[i]
+                if j != -1:
+                    flow[i][j] -= bottleneck
+                    if not flow[i][j]:
+                        fresh = True
+            if fresh:
+                break
+        else:
+            return flow, fsrc, not rich, (from_good, from_buyer)
 
 
 def max_flow(network):
     """Deterministic exact maximum flow (shortest augmenting paths)."""
     scale, budgets, prices = network._cleared
-    flow, _, _ = _saturate(network, range(network.n), budgets, prices)
+    flow, _, _, _ = _saturate(network, range(network.n), budgets, prices)
     return Flow(network, flow, scale)
 
 
@@ -391,14 +415,16 @@ def balanced_flow(network):
     scale, B, P = network._cleared
     n, m = network.n, network.m
     leaves = []  # (k, [(buyer, row), ...]) of each block whose flow is final
+    budgets, prices = [0] * n, [0] * m  # one block's capacities, zero outside it
 
-    def refine(buyers, goods):
+    def refine(buyers, goods, money, cost):
+        # money and cost: the sums of the block's budgets and prices
         if not goods:
-            if any(B[i] > 0 for i in buyers):
+            if money:
                 raise InvariantError("money left with no goods to absorb it")
             return
         k = len(goods)
-        level = sum(P[j] for j in goods) - sum(B[i] for i in buyers)  # k * delta
+        level = cost - money  # k * delta
         if level < 0:
             raise InvariantError("negative water level; block not saturable")
         if k == 1:
@@ -408,29 +434,38 @@ def balanced_flow(network):
             leaves.append((1, [(i, {j: B[i]}) for i in buyers if B[i]]))
             return
         seeds = sorted(buyers)
-        budgets = [0] * n
         for i in seeds:
             budgets[i] = B[i] * k
-        prices = [0] * m
+        clamped = []
         for j in goods:
-            prices[j] = max(P[j] * k - level, 0)
-        flow, fsrc, (from_good, from_buyer) = _saturate(network, seeds, budgets, prices)
-        if all(fsrc[i] == budgets[i] for i in seeds):
-            clamped = {j for j in goods if P[j] * k < level}
+            price = P[j] * k - level
+            if price > 0:
+                prices[j] = price
+            elif price < 0:
+                clamped.append(j)
+        flow, _, saturated, (from_good, from_buyer) = _saturate(
+            network, seeds, budgets, prices
+        )
+        for i in seeds:
+            budgets[i] = 0
+        for j in goods:
+            prices[j] = 0
+        if saturated:
             if not clamped:
                 leaves.append((k, [(i, flow[i]) for i in seeds]))
                 return
             # Clamped goods sit below the block level: they end with zero
             # flow at their own surplus p_j; refine the rest.
-            refine(buyers, goods - clamped)
+            cost -= sum(P[j] for j in clamped)
+            refine(buyers, goods.difference(clamped), money, cost)
             return
         b1 = {i for i in buyers if from_good[i] is not None}
         g1 = {j for j in goods if from_buyer[j] is not None}
-        b2, g2 = buyers - b1, goods - g1
-        if not g1 or not g2:
+        if not g1 or len(g1) == k:
             raise InvariantError("degenerate min-cut split in water filling")
-        refine(b1, g1)
-        refine(b2, g2)
+        money1, cost1 = sum(B[i] for i in b1), sum(P[j] for j in g1)
+        refine(b1, g1, money1, cost1)
+        refine(buyers - b1, goods - g1, money - money1, cost - cost1)
 
     if sum(P) == sum(B):
         result = max_flow(network)
@@ -445,17 +480,20 @@ def balanced_flow(network):
                 continue
             seen_buyer[start] = True
             buyers, goods, stack = {start}, set(), [start]
+            money, cost = B[start], 0
             while stack:
                 for j in buyer_goods[stack.pop()]:
                     if not seen_good[j]:
                         seen_good[j] = True
                         goods.add(j)
+                        cost += P[j]
                         for i in good_buyers[j]:
                             if not seen_buyer[i]:
                                 seen_buyer[i] = True
                                 buyers.add(i)
+                                money += B[i]
                                 stack.append(i)
-            refine(buyers, goods)
+            refine(buyers, goods, money, cost)
         L = math.lcm(*(k for k, _ in leaves))
         rows = [{} for _ in range(n)]
         for k, block_rows in leaves:
@@ -505,8 +543,10 @@ def tight_set_scale(network, S, uncapped, capped):
         for j in S:
             prices[j] = P[j] * a
         seeds = sorted(bu | bc)
-        _, fsrc, (from_good, from_buyer) = _saturate(network, seeds, budgets, prices)
-        if all(fsrc[i] == budgets[i] for i in seeds):
+        _, _, saturated, (from_good, from_buyer) = _saturate(
+            network, seeds, budgets, prices
+        )
+        if saturated:
             return x, frozenset(bu | bc)
         new_bu = {i for i in bu if from_good[i] is not None}
         new_bc = {i for i in bc if from_good[i] is not None}

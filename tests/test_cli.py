@@ -48,6 +48,20 @@ def test_solve_writes_trace(ex1_path, tmp_path, capsys):
     assert {"phase", "iteration", "event", "x", "prices", "surpluses"} <= set(lines[0])
 
 
+def test_unwritable_trace_exits_2_before_solving(ex1_path, tmp_path, monkeypatch, capsys):
+    # It used to solve, then die with a FileNotFoundError traceback and exit 1.
+    def no_solve(market):
+        raise AssertionError("solved before the trace path was checked")
+
+    monkeypatch.setattr(fisheq.cli, "solve_max_revenue", no_solve)
+    missing = tmp_path / "no" / "such" / "dir" / "t.ndjson"
+    assert main(["solve", ex1_path, "--trace", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write")
+    assert not missing.parent.exists()
+
+
 def test_empty_instance_exits_2(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"buyers": []}))

@@ -490,8 +490,29 @@ def test_sweep_reproduces_reference_kernel(case):
     # minimum cut of augmenting every path by breadth-first search.  The
     # cut is read off the last search's marker lists, and the row shared
     # by the buyers outside the block is never written.
-    network, seeds, budgets, prices = case
-    flow, fsrc, (from_good, from_buyer) = _saturate(network, seeds, budgets, prices)
+    _assert_matches_reference_saturate(*case)
+
+
+def _assert_matches_reference_saturate(network, seeds, budgets, prices):
+    """Checks ``_saturate`` against ``reference_saturate`` on one masked
+    network; returns the number of paths each search ``_saturate``
+    started yielded, in order."""
+    started = []
+    search = fisheq.flow._search
+
+    def counted(*args):
+        started.append(0)
+        for end in search(*args):
+            started[-1] += 1
+            yield end
+
+    fisheq.flow._search = counted
+    try:
+        flow, fsrc, saturated, (from_good, from_buyer) = _saturate(
+            network, seeds, budgets, prices
+        )
+    finally:
+        fisheq.flow._search = search
     ref_flow, ref_fsrc, ref_cut = reference_saturate(network, seeds, budgets, prices)
 
     def entries(rows):
@@ -499,11 +520,60 @@ def test_sweep_reproduces_reference_kernel(case):
 
     assert entries(flow) == entries(ref_flow)
     assert fsrc == ref_fsrc
+    assert saturated == all(ref_fsrc[i] == budgets[i] for i in seeds)
     assert (
         {i for i, g in enumerate(from_good) if g is not None},
         {j for j, b in enumerate(from_buyer) if b is not None},
     ) == ref_cut
     assert _EMPTY_ROW == {}
+    # only the last search may find no path
+    assert started and 0 not in started[:-1]
+    return started
+
+
+@st.composite
+def long_path_networks(draw):
+    """A chain of buyers 0..L-1 and a last buyer L.  Buyer k < L spends
+    its whole budget on its gate, good k, the lowest of its goods; its
+    other edges go to the next gate and to some cheap goods (L and up).
+    Buyer L reaches only gate 0, so its money gets to a cheap good with
+    room only down the chain, over paths that cancel flow on the gates,
+    and one search often finds several of a link's cheap goods.  A few
+    random edges join."""
+    links, cheap = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    n, m = links + 1, links + cheap
+    gates = draw(st.lists(st.integers(1, 12), min_size=links, max_size=links))
+    budgets = gates + [draw(st.integers(1, 30))]
+    prices = gates + draw(st.lists(st.integers(0, 3), min_size=cheap, max_size=cheap))
+    edges = {(k, k) for k in range(links)} | {(k, k + 1) for k in range(links - 1)}
+    edges.add((links, 0))
+    for k in range(links):
+        edges |= {(k, j) for j in draw(st.sets(st.integers(links, m - 1)))}
+    edges |= draw(
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=2)
+    )
+    return FlowNetwork(budgets, prices, edges), list(range(n)), budgets, prices
+
+
+# buyer 1's money goes to good 1 and then good 2 through good 0 and buyer 0:
+# both paths come from one search
+ONE_SEARCH_TWO_PATHS = (
+    FlowNetwork((3, 5), (3, 1, 1), {(0, 0), (0, 1), (0, 2), (1, 0)}),
+    [0, 1],
+    [3, 5],
+    [3, 1, 1],
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(long_path_networks())
+@example(ONE_SEARCH_TWO_PATHS)
+def test_resumed_searches_reproduce_reference_kernel(case):
+    # A search resumed after a push that filled only its end good must
+    # leave the flow, money sent and minimum cut of a fresh search per path.
+    started = _assert_matches_reference_saturate(*case)
+    if case is ONE_SEARCH_TWO_PATHS:
+        assert started == [2]
 
 
 @st.composite
