@@ -1,8 +1,8 @@
 """Command-line interface: solve, verify, generate.
 
 All results go to stdout as UTF-8 JSON; diagnostics go to stderr.  Exit
-codes: 0 success, 1 failed verification, 2 malformed input, 3 internal
-invariant failure.
+codes: 0 success, 1 failed verification, 2 malformed input or an output
+that cannot be written, 3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -83,6 +83,17 @@ def _load_json(path):
         raise FormatError(f"cannot read {path}: {bad}") from None
 
 
+def _print_json(doc, **options):
+    """Write ``doc`` to stdout as JSON and flush it, so that a failed write
+    is reported here and not at interpreter exit."""
+    try:
+        json.dump(doc, sys.stdout, indent=2, **options)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except OSError as bad:
+        raise FormatError(f"cannot write stdout: {bad.strerror}") from None
+
+
 def _cmd_solve(args):
     market = market_from_doc(_load_json(args.instance))
     # An unwritable --trace path is bad input: found before the solve.
@@ -103,9 +114,12 @@ def _cmd_solve(args):
         except ValueError as bad:  # a solver-internal check, or its own output rejected
             raise InvariantError(f"solver raised ValueError: {bad}") from None
         if args.trace:
-            trace.write(trace_to_ndjson(result.trace))
-    json.dump(equilibrium_to_doc(equilibrium), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+            try:
+                trace.write(trace_to_ndjson(result.trace))
+                trace.close()
+            except OSError as bad:
+                raise FormatError(f"cannot write {args.trace}: {bad.strerror}") from None
+    _print_json(equilibrium_to_doc(equilibrium))
     return EXIT_OK
 
 
@@ -116,18 +130,15 @@ def _cmd_verify(args):
         report = verify(market, equilibrium)
     except ValueError as bad:  # the input was accepted, so the verifier is at fault
         raise InvariantError(f"verifier raised ValueError: {bad}") from None
-    json.dump(
+    _print_json(
         {
             "is_equilibrium": report.is_equilibrium,
             "is_modest": report.is_modest,
             "is_mbb": report.is_mbb,
             "kkt_ok": report.kkt_ok,
             "violations": [list(v) for v in report.violations],
-        },
-        sys.stdout,
-        indent=2,
+        }
     )
-    sys.stdout.write("\n")
     return EXIT_OK if report.ok else EXIT_FAILED
 
 
@@ -138,8 +149,7 @@ def _cmd_generate(args):
         )
     except ValueError as bad:
         raise FormatError(str(bad)) from None
-    json.dump(market_to_doc(market), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _print_json(market_to_doc(market), sort_keys=True)
     return EXIT_OK
 
 

@@ -7,10 +7,8 @@ the capped buyers attached to S) by a common factor x that decreases from 1
 until one of three events: an uncapped buyer caps out, a buyer outside
 gains an equality edge into S, or a subset of buyers goes tight (ending the
 phase).  When prices of a set hit zero, those goods and the capped buyers
-holding them leave the market with their allocations frozen; a departing
-buyer's utility is booked by the rule used for live buyers, alpha_i times
-its outflow, capped.  Termination is exact: the final surplus is asserted
-to be identically zero.
+holding them leave the market with their allocations frozen.  Termination
+is exact: the final surplus is asserted to be identically zero.
 
 The equality graph is built once and edited by each event: scaling S by
 x < 1 raises the ratio of each buyer of B' (those with an edge into S), so
@@ -28,7 +26,6 @@ from .exact import format_rational, ratio_sign
 from .flow import FlowNetwork, balanced_flow, residual_reach, tight_set_scale
 from .market import (
     active_budget_at,
-    capped_utility,
     equality_graph,
     normalize,
     strip_trivial,
@@ -61,7 +58,6 @@ class PhaseStats:
     live_buyers: int
     live_goods: int
     norm2_start: Fraction
-    utilities: tuple = ()  # booked buyer utilities at phase start
     norm2_end: Fraction = None
     iterations: int = 0
 
@@ -103,7 +99,6 @@ class SolverState:
         self.live_buyers = set(range(market.n))
         self.live_goods = set(range(market.m))
         self._frozen = [[Fraction(0)] * market.m for _ in range(market.n)]  # departed goods
-        self.departed = {}  # buyer -> utility, frozen at its zero-price event
         self.network = None
         self.tied_edges = []  # new-edge pairs at the scale of the pending event
         self.flow = None
@@ -149,12 +144,6 @@ def initialize(market):
     return state
 
 
-def _alpha(state, i):
-    """Bang-per-buck ratio of live buyer i, read off one of its edges."""
-    j = state.network.buyer_goods[i][0]
-    return state.market.utilities[i][j] / state.prices[j]
-
-
 def _recompute_flow(state):
     """Balanced flow on the live network; ``state.alloc`` follows it when
     read."""
@@ -163,19 +152,6 @@ def _recompute_flow(state):
     for j in state.live_goods:
         if state.prices[j].numerator <= 0:
             raise InvariantError(f"live good {j} has nonpositive price")
-
-
-def _booked_utilities(state):
-    """Each buyer's capped utility: a live buyer spends all its money on
-    equality edges, so its value is alpha_i times its outflow; a departed
-    buyer's value froze at its zero-price event."""
-    market = state.market
-    return tuple(
-        state.departed[i]
-        if i in state.departed
-        else capped_utility(market, i, _alpha(state, i) * state.flow.buyer_out(i))
-        for i in range(market.n)
-    )
 
 
 def start_phase(state):
@@ -204,7 +180,6 @@ def start_phase(state):
             live_buyers=len(state.live_buyers),
             live_goods=len(state.live_goods),
             norm2_start=norm2,
-            utilities=_booked_utilities(state),
         )
     )
     return True
@@ -318,16 +293,13 @@ def commit_event(state, event):
     bprime = {i for j in goods for i in state.network.good_buyers[j]}
     if event.kind == ZERO_PRICE:
         # Refresh the balanced flow first so the shares frozen for the
-        # departing goods and the utilities booked for the departing buyers
-        # reflect the current prices exactly; _alpha reads those prices.
+        # departing goods reflect the current prices exactly.
         _recompute_flow(state)
         for i in event.buyers:
-            out = state.flow.buyer_out(i)
-            if out == 0:
+            if not state.flow.buyer_out(i):
                 raise InvariantError(f"deleted buyer {i} held no allocation")
             if not state.capped[i]:
                 raise InvariantError(f"zero-price deletion of uncapped buyer {i}")
-            state.departed[i] = capped_utility(market, i, _alpha(state, i) * out)
         _write_shares(state._frozen, state.flow, goods)
     for j in goods:
         state.prices[j] *= x

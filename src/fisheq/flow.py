@@ -255,7 +255,7 @@ def _saturate(network, seeds, budgets, prices):
         for j in buyer_goods[i]:
             room = prices[j] - fsink[j]
             if room > 0:
-                push = min(left, room)
+                push = left if left < room else room
                 row[j] = push
                 fsink[j] += push
                 left -= push
@@ -272,9 +272,13 @@ def _saturate(network, seeds, budgets, prices):
             i = from_buyer[end]
             while from_good[i] != -1:
                 j = from_good[i]
-                bottleneck = min(bottleneck, flow[i][j])  # the arc j -> i cancels flow
+                v = flow[i][j]  # the arc j -> i cancels flow
+                if v < bottleneck:
+                    bottleneck = v
                 i = from_buyer[j]
-            bottleneck = min(bottleneck, budgets[i] - fsrc[i])
+            unspent = budgets[i] - fsrc[i]
+            if unspent < bottleneck:
+                bottleneck = unspent
             fsrc[i] += bottleneck
             fsink[end] += bottleneck
             fresh = fsrc[i] == budgets[i]
@@ -530,16 +534,14 @@ def tight_set_scale(network, S, uncapped, capped):
         raise InvariantError("goods of S carry negative surplus at scale 1")
     if U == 0:
         return Fraction(0), frozenset(bu | bc)
-    n, m = network.n, network.m
+    budgets, prices = [0] * network.n, [0] * network.m  # zero outside a test
     while True:
         x = Fraction(U, Q - V)
         a, b = x.numerator, x.denominator
-        budgets = [0] * n
         for i in bu:
             budgets[i] = B[i] * b
         for i in bc:
             budgets[i] = B[i] * a
-        prices = [0] * m
         for j in S:
             prices[j] = P[j] * a
         seeds = sorted(bu | bc)
@@ -548,14 +550,25 @@ def tight_set_scale(network, S, uncapped, capped):
         )
         if saturated:
             return x, frozenset(bu | bc)
-        new_bu = {i for i in bu if from_good[i] is not None}
-        new_bc = {i for i in bc if from_good[i] is not None}
-        new_S = {j for j in S if from_buyer[j] is not None}
-        if len(new_bu | new_bc) >= len(bu | bc):
+        # shrink to the source side of the cut, zeroing the capacities
+        cut_bu, cut_bc, cut_S, U, V, Q = set(), set(), set(), 0, 0, 0
+        for i in bu:
+            budgets[i] = 0
+            if from_good[i] is not None:
+                cut_bu.add(i)
+                U += B[i]
+        for i in bc:
+            budgets[i] = 0
+            if from_good[i] is not None:
+                cut_bc.add(i)
+                V += B[i]
+        for j in S:
+            prices[j] = 0
+            if from_buyer[j] is not None:
+                cut_S.add(j)
+                Q += P[j]
+        if len(cut_bu) + len(cut_bc) >= len(seeds):
             raise InvariantError("tight-set recursion failed to shrink")
-        bu, bc, S = new_bu, new_bc, new_S
-        U = sum(B[i] for i in bu)
-        V = sum(B[i] for i in bc)
-        Q = sum(P[j] for j in S)
+        bu, bc, S = cut_bu, cut_bc, cut_S
         if U == 0:
             raise InvariantError("tight-set recursion lost every uncapped buyer")

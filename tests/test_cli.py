@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -8,7 +10,7 @@ import fisheq.cli
 import fisheq.descend
 from fisheq import InvariantError, solve_max_revenue
 from fisheq.cli import generate_market, main
-from fisheq.serialize import market_from_doc, market_to_doc
+from fisheq.serialize import equilibrium_to_doc, market_from_doc, market_to_doc
 
 
 @pytest.fixture
@@ -60,6 +62,64 @@ def test_unwritable_trace_exits_2_before_solving(ex1_path, tmp_path, monkeypatch
     assert out == ""
     assert err.startswith("error: cannot write")
     assert not missing.parent.exists()
+
+
+FULL = os.strerror(errno.ENOSPC)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_trace_to_a_full_device_exits_2(ex1_path, capsys):
+    # The trace opens, and the write fails; it used to exit 1 with a traceback.
+    assert main(["solve", ex1_path, "--trace", "/dev/full"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write /dev/full: {FULL}\n"
+
+
+class FullStdout:
+    """A stdout on a full disk: ``write`` fails, or with ``buffered`` only
+    the flush that would empty its buffer does."""
+
+    def __init__(self, buffered=False):
+        self.buffered = buffered
+
+    def write(self, text):
+        if not self.buffered:
+            raise OSError(errno.ENOSPC, FULL)
+        return len(text)
+
+    def flush(self):
+        if self.buffered:
+            raise OSError(errno.ENOSPC, FULL)
+
+
+def _assert_full_stdout_exits_2(argv, monkeypatch, capsys, buffered=False):
+    # A failed output write used to exit 1, the failed-verification code,
+    # with an OSError traceback.
+    monkeypatch.setattr(sys, "stdout", FullStdout(buffered))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write stdout: {FULL}\n"
+
+
+def test_solve_to_a_full_stdout_exits_2(ex1_path, monkeypatch, capsys):
+    _assert_full_stdout_exits_2(["solve", ex1_path], monkeypatch, capsys)
+
+
+def test_solve_flushes_stdout_before_returning(ex1_path, monkeypatch, capsys):
+    _assert_full_stdout_exits_2(["solve", ex1_path], monkeypatch, capsys, buffered=True)
+
+
+def test_verify_to_a_full_stdout_exits_2(ex1_path, tmp_path, capped_market, monkeypatch, capsys):
+    eq_path = tmp_path / "eq.json"
+    eq = solve_max_revenue(capped_market).equilibrium
+    eq_path.write_text(json.dumps(equilibrium_to_doc(eq)))
+    argv = ["verify", ex1_path, "--equilibrium", str(eq_path)]
+    _assert_full_stdout_exits_2(argv, monkeypatch, capsys)
+
+
+def test_generate_to_a_full_stdout_exits_2(monkeypatch, capsys):
+    argv = ["generate", "--buyers", "2", "--goods", "2", "--max-value", "5"]
+    _assert_full_stdout_exits_2(argv, monkeypatch, capsys)
 
 
 def test_empty_instance_exits_2(tmp_path, capsys):

@@ -74,6 +74,29 @@ def _row_sum_utilities(state):
     )
 
 
+def _assert_booking_rule(state):
+    """A live buyer spends all its money on equality edges, so its row
+    utility is its capped alpha_i times its outflow, with alpha_i read off
+    one of its edges."""
+    market, rows = state.market, _row_sum_utilities(state)
+    for i in state.live_buyers:
+        j = state.network.buyer_goods[i][0]
+        alpha = market.utilities[i][j] / state.prices[j]
+        assert rows[i] == capped_utility(market, i, alpha * state.flow.buyer_out(i))
+
+
+def _checking_phase_starts(monkeypatch, check):
+    """Make the solver call ``check(state)`` at every phase start."""
+
+    def checked(state):
+        started = start_phase(state)
+        if started:
+            check(state)
+        return started
+
+    monkeypatch.setattr(fisheq.descend, "start_phase", checked)
+
+
 class TestInitialize:
     def test_example_market(self, capped_market):
         state, _ = _fresh_state(capped_market)
@@ -302,7 +325,7 @@ def test_network_is_live_after_every_commit(market):
     _assert_live(state)
     while start_phase(state):
         _assert_live(state)
-        assert state.phases[-1].utilities == _row_sum_utilities(state)
+        _assert_booking_rule(state)
         while not state.phase_over:
             commit_event(state, next_event(state))
             _assert_live(state)
@@ -356,11 +379,17 @@ def test_new_edge_wins_tie_with_cap(n, m, seed):
     assert verify(market, min_revenue(market, eq)).ok
 
 
-def test_invariants_on_random_markets():
+def test_invariants_on_random_markets(monkeypatch):
+    starts = []  # (row utilities, live buyers) at every phase start
+    _checking_phase_starts(
+        monkeypatch,
+        lambda state: starts.append((_row_sum_utilities(state), set(state.live_buyers))),
+    )
     rng = random.Random(42)
     for seed in range(25):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         market = generate_market(n, m, 15, 9_000 + seed)
+        starts.clear()
         result = solve_max_revenue(market)
         assert verify(market, result.equilibrium).ok
         # prices and active budgets never increase across commits; the
@@ -376,10 +405,13 @@ def test_invariants_on_random_markets():
                     assert new <= old
             prev_prices = list(record.prices)
             prev_budgets = list(record.active_budgets)
-        # booked utilities never decrease across phase boundaries
-        for earlier, later in zip(result.phases, result.phases[1:]):
-            for a, b in zip(earlier.utilities, later.utilities):
+        # row utilities never fall from one phase start to the next, and a
+        # departed buyer's stays as it froze
+        for (earlier, live), (later, _) in zip(starts, starts[1:]):
+            for i, (a, b) in enumerate(zip(earlier, later)):
                 assert b >= a
+                if i not in live:
+                    assert b == a
 
 
 # sha256 of the exact (prices, allocation) of solve_max_revenue.  The
@@ -409,14 +441,7 @@ PINNED_EQUILIBRIA = [
     ids=[f"{n}x{m}-U1e{len(str(u)) - 1}-{k}" for n, m, u, k, _ in PINNED_EQUILIBRIA],
 )
 def test_pinned_equilibria(n, m, max_value, seed, digest, monkeypatch):
-    # Every phase start books the utilities the allocation rows give.
-    def checked(state):
-        started = start_phase(state)
-        if started:
-            assert state.phases[-1].utilities == _row_sum_utilities(state)
-        return started
-
-    monkeypatch.setattr(fisheq.descend, "start_phase", checked)
+    _checking_phase_starts(monkeypatch, _assert_booking_rule)
     eq = solve_max_revenue(generate_market(n, m, max_value, seed)).equilibrium
     text = repr(
         (
