@@ -1,8 +1,12 @@
 """Command-line interface: solve, verify, generate.
 
 All results go to stdout as UTF-8 JSON; diagnostics go to stderr.  Exit
-codes: 0 success, 1 failed verification, 2 malformed input or an output
-that cannot be written, 3 internal invariant failure.
+codes: 0 success, 1 failed verification, 2 input rejected, 3 internal
+invariant failure.  ``main`` alone maps an exception to a code, by its
+type: the input layer raises ``FormatError`` (a file that cannot be read,
+decoded or parsed, a malformed document, an output that cannot be
+written) or ``InvalidMarketError`` (a market that violates a
+precondition), which exit 2; any other error is a bug and exits 3.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as bad:
+    except (OSError, ValueError, RecursionError) as bad:  # decode, nesting
         raise FormatError(f"cannot read {path}: {bad}") from None
 
 
@@ -104,15 +108,10 @@ def _cmd_solve(args):
         except OSError as bad:
             raise FormatError(f"cannot write {args.trace}: {bad.strerror}") from None
     with trace:
-        try:
-            result = solve_max_revenue(market)
-            equilibrium = result.equilibrium
-            if args.objective == "min-revenue":
-                equilibrium = min_revenue(market, equilibrium)
-        except InvalidMarketError:
-            raise  # bad input, e.g. nothing left after strip_trivial
-        except ValueError as bad:  # a solver-internal check, or its own output rejected
-            raise InvariantError(f"solver raised ValueError: {bad}") from None
+        result = solve_max_revenue(market)
+        equilibrium = result.equilibrium
+        if args.objective == "min-revenue":
+            equilibrium = min_revenue(market, equilibrium)
         if args.trace:
             try:
                 trace.write(trace_to_ndjson(result.trace))
@@ -126,10 +125,7 @@ def _cmd_solve(args):
 def _cmd_verify(args):
     market = market_from_doc(_load_json(args.instance))
     equilibrium = equilibrium_from_doc(_load_json(args.equilibrium), market)
-    try:
-        report = verify(market, equilibrium)
-    except ValueError as bad:  # the input was accepted, so the verifier is at fault
-        raise InvariantError(f"verifier raised ValueError: {bad}") from None
+    report = verify(market, equilibrium)
     _print_json(
         {
             "is_equilibrium": report.is_equilibrium,
@@ -190,17 +186,18 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FormatError, InvalidMarketError, ValueError) as bad:
+    except (FormatError, InvalidMarketError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_MALFORMED
-    except InvariantError as bug:
+    except Exception as bug:  # the input was accepted, so the program is at fault
+        name = "" if isinstance(bug, InvariantError) else f"{type(bug).__name__}: "
         where = ""
-        if bug.phase is not None:
+        if getattr(bug, "phase", None) is not None:
             where = (
                 f" (phase {bug.phase}, iteration {bug.iteration},"
                 f" S {list(bug.S)}, event {bug.event})"
             )
-        print(f"internal invariant failure: {bug}{where}", file=sys.stderr)
+        print(f"internal invariant failure: {name}{bug}{where}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -356,7 +356,10 @@ def commit_event(state, event):
 def solve_max_revenue(market):
     """Maximum-revenue modest MBB equilibrium of a market, by descending
     prices.  Returns the equilibrium in the units of the given market,
-    together with the committed-event trace and per-phase statistics."""
+    together with the committed-event trace and per-phase statistics.
+    Whatever the descent raises keeps its type and carries the state to
+    replay it from: ``phase``, ``iteration``, ``S`` and ``event`` (see
+    ``InvariantError``)."""
     normalized = normalize(market)
     stripped, kept_buyers, kept_goods = strip_trivial(normalized)
     state = initialize(stripped)
@@ -376,7 +379,7 @@ def solve_max_revenue(market):
                 pending = None
         if any(r != 0 for r in state.surpluses):
             raise InvariantError("descent ended with nonzero surplus")
-    except InvariantError as bug:
+    except Exception as bug:
         bug.phase, bug.iteration = state.phase, state.iteration
         bug.S, bug.event = tuple(sorted(state.S)), pending
         raise

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -324,24 +323,18 @@ def residual_reach(network, flow, targets):
     either.  X is closed under both flows, and the smallest closed set
     around the targets is the same for both.
     """
-    targets = set(targets)
-    seen_goods = set(targets)
-    seen_buyers = set()
-    queue = deque(("g", j) for j in sorted(targets))
-    while queue:
-        kind, idx = queue.popleft()
-        if kind == "g":
-            # predecessors of a good: buyers with an equality edge to it
-            for i in network.good_buyers[idx]:
-                if i not in seen_buyers:
-                    seen_buyers.add(i)
-                    queue.append(("b", i))
-        else:
-            # predecessors of a buyer: goods it currently pays money to
-            for j in network.buyer_goods[idx]:
-                if j not in seen_goods and j in flow.rows[idx]:
-                    seen_goods.add(j)
-                    queue.append(("g", j))
+    seen_goods, seen_buyers = set(targets), set()
+    stack = list(seen_goods)
+    while stack:
+        # predecessors of a good: buyers with an equality edge to it; of a
+        # buyer: the goods it pays, the keys of its (zero-free) flow row
+        for i in network.good_buyers[stack.pop()]:
+            if i not in seen_buyers:
+                seen_buyers.add(i)
+                for j in flow.rows[i]:
+                    if j not in seen_goods:
+                        seen_goods.add(j)
+                        stack.append(j)
     return frozenset(seen_goods)
 
 

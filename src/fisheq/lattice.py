@@ -109,17 +109,11 @@ def partition(market, first, second):
 def _splice(market, first, second, take_second):
     """Second's prices and allocation on the goods in ``take_second``,
     first's elsewhere; ``first`` and ``second`` are checked records."""
-    prices, columns = [], []
-    for j in range(market.m):
-        if j in take_second:
-            prices.append(second.prices[j])
-            columns.append([second.allocation[i][j] for i in range(market.n)])
-        else:
-            prices.append(first.prices[j])
-            columns.append([first.allocation[i][j] for i in range(market.n)])
-    prices = tuple(prices)
+    sides = [second if j in take_second else first for j in range(market.m)]
+    prices = tuple(side.prices[j] for j, side in enumerate(sides))
     alloc = tuple(
-        tuple(columns[j][i] for j in range(market.m)) for i in range(market.n)
+        tuple(side.allocation[i][j] for j, side in enumerate(sides))
+        for i in range(market.n)
     )
     for checked in (first, second):
         if prices == checked.prices and alloc == checked.allocation:

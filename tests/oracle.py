@@ -9,7 +9,8 @@ KKT point with a damped proportional-response iteration in floating point
 solve path.  ``min_cut`` reads the canonical minimum cut off a maximum
 flow, as a strong-duality certificate for the exact max-flow, and
 ``reference_saturate`` is the plain shortest-augmenting-path max-flow
-that the package's kernel must reproduce bit for bit, and
+that the package's kernel must reproduce bit for bit,
+``reference_residual_reach`` the residual closure as a plain fixpoint, and
 ``reference_balanced_flow`` the water filling as it was before it
 skipped the probe and the one-good blocks' max-flows.  ``reference_verify``
 and ``reference_equilibrium_from_allocation`` are the verifier and the
@@ -119,6 +120,21 @@ def _residual_source_side(network, flow):
                     buyers.add(i)
                     queue.append(("b", i))
     return buyers, goods
+
+
+def reference_residual_reach(network, flow, targets):
+    """Goods with a residual path to some target good, as a plain fixpoint
+    over the residual arcs (buyer -> good along every edge, good -> buyer
+    along an edge with positive rational flow): add every predecessor of
+    what is reached until nothing new is."""
+    paid = {edge for edge, v in edge_flow(flow).items() if v > 0}
+    goods = set(targets)
+    while True:
+        buyers = {i for i, j in network.edges if j in goods}
+        reached = goods | {j for i, j in paid if i in buyers}
+        if reached == goods:
+            return frozenset(goods)
+        goods = reached
 
 
 def min_cut(network, flow):

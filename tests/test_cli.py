@@ -160,6 +160,90 @@ def test_solver_invariant_failure_prints_replay_state(ex1_path, monkeypatch, cap
     assert "(phase 1, iteration 0, S [1], event None)" in err
 
 
+@pytest.fixture
+def ex1_eq_path(tmp_path, capped_market):
+    path = tmp_path / "ex1_eq.json"
+    eq = solve_max_revenue(capped_market).equilibrium
+    path.write_text(json.dumps(equilibrium_to_doc(eq)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "error", [KeyError, ZeroDivisionError, IndexError, TypeError, RecursionError]
+)
+@pytest.mark.parametrize("name", ["solve_max_revenue", "min_revenue", "verify"])
+def test_any_error_after_the_input_is_read_exits_3(
+    name, error, ex1_path, ex1_eq_path, monkeypatch, capsys
+):
+    # Only a ValueError used to reach exit 3; these escaped main as exit 1,
+    # the failed-verification code, with a traceback.
+    def broken(*args):
+        raise error(7)
+
+    monkeypatch.setattr(fisheq.cli, name, broken)
+    argv = {
+        "solve_max_revenue": ["solve", ex1_path],
+        "min_revenue": ["solve", ex1_path, "--objective", "min-revenue"],
+        "verify": ["verify", ex1_path, "--equilibrium", ex1_eq_path],
+    }[name]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"internal invariant failure: {error.__name__}: {error(7)}\n"
+
+
+def test_any_error_inside_the_descent_prints_replay_state(ex1_path, monkeypatch, capsys):
+    def broken_next_event(state):
+        raise KeyError(7)
+
+    monkeypatch.setattr(fisheq.descend, "next_event", broken_next_event)
+    assert main(["solve", ex1_path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal invariant failure: KeyError: 7")
+    assert err.endswith("(phase 1, iteration 0, S [1], event None)\n")
+
+
+def test_a_library_caller_sees_the_descent_error_type(capped_market, monkeypatch):
+    def broken_next_event(state):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(fisheq.descend, "next_event", broken_next_event)
+    with pytest.raises(ZeroDivisionError) as caught:
+        solve_max_revenue(capped_market)
+    assert (caught.value.phase, caught.value.iteration) == (1, 0)
+    assert (caught.value.S, caught.value.event) == ((1,), None)
+
+
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+def test_nested_instance_exits_2(tmp_path, capsys):
+    # json.load used to raise RecursionError: exit 1 with a traceback.
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED)
+    assert main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}")
+
+
+def test_nested_equilibrium_exits_2(ex1_path, tmp_path, capsys):
+    path = tmp_path / "nested_eq.json"
+    path.write_text(NESTED)
+    assert main(["verify", ex1_path, "--equilibrium", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}")
+
+
+def test_non_utf8_instance_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"buyers": "\u00e9"}'.encode("latin-1"))
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_all_zero_utilities_exit_2(tmp_path, capsys):
     path = tmp_path / "zero.json"
     buyers = [{"budget": "1", "cap": "inf", "utilities": ["0", "0"]}] * 2

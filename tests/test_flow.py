@@ -23,6 +23,7 @@ from oracle import (
     flow_from_edges,
     min_cut,
     reference_balanced_flow,
+    reference_residual_reach,
     reference_saturate,
 )
 
@@ -684,6 +685,23 @@ def network_unions(draw):
 @given(network_unions())
 def test_balanced_flow_matches_the_probing_reference_on_unions(net):
     _assert_matches_the_probing_reference(net)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(fractional_networks(), saturable_networks()))
+def test_residual_reach_matches_the_reference_fixpoint(net):
+    # The stack walk reads a buyer's predecessors off the keys of its flow
+    # row; the reference follows the residual arcs of the rational flow.
+    flows = [max_flow(net)]
+    try:
+        flows.append(balanced_flow(net))
+    except InvariantError:  # the sources cannot saturate
+        pass
+    for f in flows:
+        for size in range(1, net.m + 1):
+            for targets in itertools.combinations(range(net.m), size):
+                expected = reference_residual_reach(net, f, targets)
+                assert residual_reach(net, f, targets) == expected
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
