@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvariantError
 from .exact import format_rational, ratio_sign
-from .flow import FlowNetwork, balanced_flow, residual_reach, tight_set_scale
+from .flow import FlowNetwork, balanced_flow, residual_reach, shared_fractions, tight_set_scale
 from .market import (
     active_budget_at,
     equality_graph,
@@ -40,6 +41,13 @@ ZERO_PRICE = "zero-price"
 
 @dataclass(frozen=True)
 class EventRecord:
+    """One event, and once committed, the state it left.
+
+    ``surpluses`` are those of the latest balanced flow at the commit.  The
+    record keeps that flow's integer surpluses and their denominator, and
+    builds the Fractions on first read, one per distinct value.
+    """
+
     kind: str
     x: Fraction
     buyers: tuple  # affected buyers (newly capped / new-edge owners / witness)
@@ -49,7 +57,12 @@ class EventRecord:
     iteration: int = 0
     prices: tuple = ()  # committed prices (solver index space)
     active_budgets: tuple = ()
-    surpluses: tuple = ()  # as of the latest balanced-flow computation
+    surplus_ints: tuple = ()  # the surpluses, as integers over surplus_denom
+    surplus_denom: int = 1
+
+    @cached_property
+    def surpluses(self):
+        return shared_fractions(self.surplus_ints, self.surplus_denom)
 
 
 @dataclass
@@ -64,6 +77,10 @@ class PhaseStats:
 
 @dataclass
 class SolveResult:
+    """A solve's equilibrium in the input's units, its committed-event
+    trace and per-phase statistics (solver index space), and the surpluses
+    of its final balanced flow, all zero."""
+
     equilibrium: object
     trace: list
     phases: list
@@ -102,7 +119,6 @@ class SolverState:
         self.network = None
         self.tied_edges = []  # new-edge pairs at the scale of the pending event
         self.flow = None
-        self.surpluses = (Fraction(0),) * market.m
         self.S = set()
         self.phase = 0
         self.iteration = 0
@@ -148,7 +164,6 @@ def _recompute_flow(state):
     """Balanced flow on the live network; ``state.alloc`` follows it when
     read."""
     state.flow = balanced_flow(state.network)
-    state.surpluses = state.flow.surpluses()
     for j in state.live_goods:
         if state.prices[j].numerator <= 0:
             raise InvariantError(f"live good {j} has nonpositive price")
@@ -160,7 +175,7 @@ def start_phase(state):
     Returns False (phase not started) once the total surplus is zero."""
     _recompute_flow(state)
     # the surpluses as integers over one denominator order as the rationals
-    r, denom = state.flow._surplus_ints(), state.flow.denom
+    r, denom = state.flow._surplus_ints, state.flow.denom
     norm2 = Fraction(sum(v * v for v in r), denom * denom)
     if state.phases and state.phases[-1].norm2_end is None:
         state.phases[-1].norm2_end = norm2
@@ -193,10 +208,10 @@ def next_event(state):
     must extend S before a capping buyer's money is counted as fixed, or an
     uncapped buyer of B' can be left spending outside S.
 
-    Each cap and new-edge candidate scale is an integer pair (num, den)
-    with den > 0; the largest and its ties are found with ``ratio_sign``
-    against the running best, and only each kind's winner becomes a
-    Fraction.
+    Every candidate scale is an integer pair (num, den) with den > 0,
+    ranked with ``ratio_sign``: the largest cap and new-edge scales and
+    their ties against each kind's running best, then the kinds' winners
+    against each other.  Only the winning scale becomes a Fraction.
 
     Whatever kind wins, the (h, j) pairs whose new-edge scale equals the
     event's are left on ``state.tied_edges``: after the scale they are the
@@ -209,8 +224,9 @@ def next_event(state):
     b_c = {i for i in bprime if state.capped[i]}
     b_u = bprime - b_c
 
-    # (x, priority, kind, buyers); with no event the scale runs out at x = 0
-    candidates = [(Fraction(0), -1, ZERO_PRICE, tuple(sorted(bprime)))]
+    # (num, den, kind, buyers) in ascending priority; with no event the
+    # scale runs out at x = 0
+    candidates = [(0, 1, ZERO_PRICE, tuple(sorted(bprime)))]
 
     # i caps at x = M_i alpha_i / c_i, alpha_i = u_ik / p_k on an edge (i, k)
     best_num, best_den, cap_buyers = 0, 1, []
@@ -228,7 +244,7 @@ def next_event(state):
         elif not sign:
             cap_buyers.append(i)
     if cap_buyers:
-        candidates.append((Fraction(best_num, best_den), 0, CAP, tuple(cap_buyers)))
+        candidates.append((best_num, best_den, CAP, tuple(cap_buyers)))
 
     # h outside B' gains (h, j) at x = u_hj / (alpha_h p_j).  alpha_h is
     # fixed (its edges all leave S), so h's pairs are the j of S with the
@@ -260,20 +276,23 @@ def next_event(state):
             best_num, best_den, eq_pairs = num, den, []
         if sign >= 0:
             eq_pairs.extend((h, j) for j in goods)
-    best_eq = None
     if eq_pairs:
-        best_eq = Fraction(best_num, best_den)
         eq_buyers = tuple(sorted({h for h, _ in eq_pairs}))
-        candidates.append((best_eq, 1, NEW_EDGE, eq_buyers))
+        candidates.append((best_num, best_den, NEW_EDGE, eq_buyers))
 
     x_ts, witness = tight_set_scale(network, state.S, b_u, b_c)
     if x_ts > 0:
-        candidates.append((x_ts, 2, TIGHT_SET, tuple(sorted(witness))))
+        witness = tuple(sorted(witness))
+        candidates.append((x_ts.numerator, x_ts.denominator, TIGHT_SET, witness))
 
-    x_star, _, kind, affected = max(candidates, key=lambda c: (c[0], c[1]))
-    if x_star > 1:
+    num, den, kind, affected = candidates[0]
+    for candidate in candidates[1:]:
+        if ratio_sign(candidate[0], candidate[1], num, den) >= 0:
+            num, den, kind, affected = candidate
+    x_star = x_ts if kind == TIGHT_SET else Fraction(num, den)
+    if num > den:
         raise InvariantError(f"event scale {format_rational(x_star)} above 1")
-    state.tied_edges = eq_pairs if best_eq == x_star else []
+    state.tied_edges = [] if ratio_sign(best_num, best_den, num, den) else eq_pairs
     return EventRecord(
         kind=kind,
         x=x_star,
@@ -345,7 +364,8 @@ def commit_event(state, event):
         iteration=state.iteration,
         prices=tuple(state.prices),
         active_budgets=tuple(state.budgets),
-        surpluses=tuple(state.surpluses),
+        surplus_ints=state.flow._surplus_ints,
+        surplus_denom=state.flow.denom,
     )
     state.trace.append(record)
     if state.phases:
@@ -377,7 +397,7 @@ def solve_max_revenue(market):
                 pending = event.kind
                 commit_event(state, event)
                 pending = None
-        if any(r != 0 for r in state.surpluses):
+        if any(state.flow._surplus_ints):
             raise InvariantError("descent ended with nonzero surplus")
     except Exception as bug:
         bug.phase, bug.iteration = state.phase, state.iteration
@@ -399,5 +419,5 @@ def solve_max_revenue(market):
         equilibrium=equilibrium,
         trace=list(state.trace),
         phases=list(state.phases),
-        final_surpluses=tuple(state.surpluses),
+        final_surpluses=state.flow.surpluses(),
     )

@@ -95,12 +95,17 @@ class FlowNetwork:
     @cached_property
     def _cleared(self):
         """(D, budgets * D, prices * D): every capacity as an integer over
-        D, the lcm of their denominators."""
-        scale = math.lcm(*(c.denominator for c in self.budgets + self.prices))
+        D, the lcm of their denominators.  Capacities share denominators
+        (an event scales S's prices and B''s capped budgets by one x, and
+        many are integers), so the lcm and the quotients D / d are taken
+        once per distinct denominator d."""
+        denominators = {c.denominator for c in self.budgets + self.prices}
+        scale = math.lcm(*denominators)
+        factor = {d: scale // d for d in denominators}
         return (
             scale,
-            [b.numerator * (scale // b.denominator) for b in self.budgets],
-            [p.numerator * (scale // p.denominator) for p in self.prices],
+            [b.numerator * factor[b.denominator] for b in self.budgets],
+            [p.numerator * factor[p.denominator] for p in self.prices],
         )
 
 
@@ -134,18 +139,15 @@ class Flow:
     def buyer_out(self, i):
         return Fraction(self._out[i], self.denom)
 
+    @cached_property
     def _surplus_ints(self):
         """p_j - f_jt for every good, as integers over denom."""
-        return [p - f for p, f in zip(self._capacities[1], self._into)]
+        return tuple(p - f for p, f in zip(self._capacities[1], self._into))
 
     def surpluses(self):
         """r_j = p_j - f_jt for every good; goods at one level (the goods
         of a water-filling leaf) share one Fraction."""
-        denom, made = self.denom, {}
-        return tuple(
-            made[r] if r in made else made.setdefault(r, Fraction(r, denom))
-            for r in self._surplus_ints()
-        )
+        return shared_fractions(self._surplus_ints, self.denom)
 
     def sources_saturated(self):
         return self._out == self._capacities[0]
@@ -155,6 +157,15 @@ class Flow:
         return all(f <= b for f, b in zip(self._out, budgets)) and all(
             f <= p for f, p in zip(self._into, prices)
         )
+
+
+def shared_fractions(values, denom):
+    """The Fractions v / denom for the integers ``values``, one Fraction
+    per distinct value."""
+    made = {}
+    return tuple(
+        made[v] if v in made else made.setdefault(v, Fraction(v, denom)) for v in values
+    )
 
 
 def _search(network, rich, prices, flow, fsink, from_good, from_buyer):
@@ -351,7 +362,7 @@ def is_balanced(network, flow):
     """
     if not flow.sources_saturated() or not flow.is_feasible():
         return False
-    r = flow._surplus_ints()  # over one denominator: compares as the surpluses
+    r = flow._surplus_ints  # over one denominator: compares as the surpluses
     rows = flow.rows
     reached_goods = [False] * network.m
     reached_buyers = [False] * network.n

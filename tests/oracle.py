@@ -31,7 +31,9 @@ it; ``reference_min_revenue`` reads its edges from it.
 ``edge_flow`` reads a ``Flow``'s rational edge flows back, which only the
 tests need, and ``flow_from_edges`` builds a ``Flow`` from rational edge
 flows, as the package's flow constructor did before it took integer rows
-only.
+only.  ``reference_cleared`` clears a network's capacities with one lcm
+over all n + m denominators, as ``FlowNetwork._cleared`` did before it
+took one per distinct denominator.
 """
 
 from __future__ import annotations
@@ -96,6 +98,17 @@ def flow_from_edges(network, flows):
     for (i, j), v in cleared.items():
         rows[i][j] = v.numerator * (denom // v.denominator)
     return Flow(network, rows, denom)
+
+
+def reference_cleared(network):
+    """(D, budgets * D, prices * D) with D the lcm of all n + m capacity
+    denominators, and each capacity's quotient D / d taken on its own."""
+    scale = math.lcm(*(c.denominator for c in network.budgets + network.prices))
+    return (
+        scale,
+        [b.numerator * (scale // b.denominator) for b in network.budgets],
+        [p.numerator * (scale // p.denominator) for p in network.prices],
+    )
 
 
 def _residual_source_side(network, flow):

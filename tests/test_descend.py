@@ -19,8 +19,9 @@ from fisheq.descend import (
     start_phase,
 )
 from fisheq.cli import generate_market
-from fisheq.flow import FlowNetwork
+from fisheq.flow import FlowNetwork, balanced_flow
 from fisheq.market import buyer_pass, capped_utility, equality_graph
+from fisheq.serialize import trace_to_ndjson
 from hypothesis import given, settings
 from oracle import (
     _reference_active_budget,
@@ -144,18 +145,18 @@ class TestStartPhase:
     def test_example_first_phase(self, capped_market):
         state, _ = _fresh_state(capped_market)
         assert start_phase(state)
-        assert state.surpluses == (F(11, 5), F(4))
+        assert state.flow.surpluses() == (F(11, 5), F(4))
         assert state.S == {1}
 
     def test_zero_surplus_terminates(self):
         state, _ = _fresh_state(Market((F(1),), (None,), ((F(2),),)))
         assert not start_phase(state)
-        assert state.surpluses == (F(0),)
+        assert state.flow.surpluses() == (F(0),)
 
     def test_tie_breaks_to_lowest_index(self, overlap_market):
         state, _ = _fresh_state(overlap_market)
         assert start_phase(state)
-        assert state.surpluses == (F(1), F(1))
+        assert state.flow.surpluses() == (F(1), F(1))
         assert state.S == {0}
 
 
@@ -208,7 +209,7 @@ class TestCommitEvent:
         assert state.prices == [F(4), F(2)]
         assert edge_flow(state.flow) == old_flow  # balanced flow unchanged
         assert state.S == {0, 1}  # reach closure pulls good 0 in
-        assert state.surpluses == (F(11, 5), F(2))
+        assert state.flow.surpluses() == (F(11, 5), F(2))
 
     def test_zero_price_commit_removes_component(self):
         market = Market((F(5),), (F(1),), ((F(1), F(1)),))
@@ -459,28 +460,41 @@ PINNED_MARKETS = [generate_market(n, m, u, k) for n, m, u, k, _ in PINNED_EQUILI
 @pytest.mark.parametrize("market", LIVE_MARKETS + PINNED_MARKETS)
 def test_allocation_read_matches_the_eager_rule(market, every_commit, monkeypatch):
     # Built on read, the allocation must equal the eager rule (rewrite it at
-    # every balanced flow) after every flow and every commit, whether it is
-    # read after each commit or only where a solve reads it.  The market
-    # holds ints, and every trace record still holds Fraction prices and
-    # active budgets.
-    state, _ = _fresh_state(market)
-    reference = [[F(0)] * state.market.m for _ in range(state.market.n)]
+    # every balanced flow).  every-commit drives the descent here and reads
+    # it after every flow and every commit; solve-reads lets
+    # solve_max_revenue make its one read and embed it back into the
+    # market's index space.  The market holds ints, and every trace record
+    # still holds Fraction prices, active budgets and surpluses.
+    stripped, kept_buyers, kept_goods = strip_trivial(normalize(market))
+    reference = [[F(0)] * stripped.m for _ in range(stripped.n)]
     recompute = fisheq.descend._recompute_flow
 
     def replayed(state):
         previous = state.flow
         recompute(state)
         reference_allocation(reference, state, previous)
-        assert state.alloc == reference
+        if every_commit:
+            assert state.alloc == reference
 
     monkeypatch.setattr(fisheq.descend, "_recompute_flow", replayed)
-    while start_phase(state):
-        while not state.phase_over:
-            record = commit_event(state, next_event(state))
-            assert all(type(v) is F for v in record.prices + record.active_budgets)
-            if every_commit:
+    if every_commit:
+        state, trace = initialize(stripped), []
+        while start_phase(state):
+            while not state.phase_over:
+                trace.append(commit_event(state, next_event(state)))
                 assert state.alloc == reference
-    assert state.alloc == reference
+        assert state.alloc == reference
+    else:
+        result = solve_max_revenue(market)
+        trace = result.trace
+        expected = [[F(0)] * market.m for _ in range(market.n)]
+        for i_s, i in enumerate(kept_buyers):
+            for j_s, j in enumerate(kept_goods):
+                expected[i][j] = reference[i_s][j_s]
+        assert result.equilibrium.allocation == tuple(map(tuple, expected))
+    for record in trace:
+        values = record.prices + record.active_budgets + record.surpluses
+        assert all(type(v) is F for v in values)
 
 
 def _events_match_the_fraction_search(market):
@@ -556,6 +570,48 @@ def test_pinned_traces(n, m, max_value, seed, digest):
     text = repr(
         tuple((r.kind, str(r.x), r.buyers, r.goods, r.scaled_buyers) for r in trace)
     )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of trace_to_ndjson, every field of every record, over the
+# 6x6-U1e60 markets and two 8x8-U100 markets of PINNED_TRACES.  The digests
+# predate the surpluses built on read.
+PINNED_TRACE_RECORDS = [
+    (6, 6, 10**60, 0, "e5943bab0579bb2e56dac5619fc920f56d947309e66bf20271e1f5eff5a7210f"),
+    (6, 6, 10**60, 1, "5332d18c2075fd5da61c61f029d21f170ef34df590b039092bd078aa9ab6086c"),
+    (6, 6, 10**60, 2, "0ac3c333714be63244c9339655a7fab8993d68acefb487cbf17f0d776f241a07"),
+    (6, 6, 10**60, 3, "ec05f05d20fdb3dfa53e87d4900c8cbe825ead0bf7956296c41147c50c64b642"),
+    (8, 8, 100, 0, "08798dcd4413717683d7d3a6a00610374ffb3073606f72f9b5ef621505695720"),
+    (8, 8, 100, 1, "f93a14800bc1939475a358d9b6186fc3b070e3c6c3b53c2578bce5c70316ecb5"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, m, max_value, seed, digest",
+    PINNED_TRACE_RECORDS,
+    ids=[
+        f"{n}x{m}-U{'1e60' if u == 10**60 else u}-{k}" for n, m, u, k, _ in PINNED_TRACE_RECORDS
+    ],
+)
+def test_pinned_trace_records(n, m, max_value, seed, digest, monkeypatch):
+    # A record built on read holds a snapshot of its flow's surpluses: read
+    # at a commit that recomputes the flow, they are a fresh balanced
+    # flow's; read only after the solve, they are the flow's at the commit.
+    at_commit = []
+
+    def checked(state, event):
+        before = state.network  # a zero-price commit computes its flow on it
+        record = commit_event(state, event)
+        at_commit.append(state.flow.surpluses())
+        recomputed_on = {ZERO_PRICE: before, NEW_EDGE: state.network}.get(event.kind)
+        if recomputed_on is not None:
+            assert record.surpluses == balanced_flow(recomputed_on).surpluses()
+        return record
+
+    monkeypatch.setattr(fisheq.descend, "commit_event", checked)
+    trace = solve_max_revenue(generate_market(n, m, max_value, seed)).trace
+    assert [record.surpluses for record in trace] == at_commit
+    text = trace_to_ndjson(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -23,6 +23,7 @@ from oracle import (
     flow_from_edges,
     min_cut,
     reference_balanced_flow,
+    reference_cleared,
     reference_residual_reach,
     reference_saturate,
 )
@@ -75,6 +76,32 @@ def test_network_capacities_converted_and_validated():
             FlowNetwork(budgets, (F(1),), set())
     with pytest.raises(ValueError):
         FlowNetwork((F(1),), (1,), {(0, 1)})
+
+
+@st.composite
+def shared_denominator_networks(draw):
+    """Capacities over a few denominators, as after events that scale
+    several of them by one x: big denominators repeat, many capacities are
+    integers and some are 0."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    shared = draw(st.lists(st.integers(2, 10**40), min_size=1, max_size=3))
+    capacity = st.one_of(
+        st.builds(F, st.integers(0, 10**50), st.sampled_from(shared)),
+        st.integers(0, 10**20).map(F),
+        st.just(F(0)),
+    )
+    budgets = draw(st.lists(capacity, min_size=n, max_size=n))
+    prices = draw(st.lists(capacity, min_size=m, max_size=m))
+    return FlowNetwork(budgets, prices, set())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(shared_denominator_networks())
+@example(FlowNetwork((F(0), F(3), F(1, 6)), (F(5, 4), F(7, 6), F(0), F(2)), set()))
+def test_cleared_matches_the_reference_lcm(net):
+    # One lcm and one quotient per distinct denominator clear every
+    # capacity to the integers of one lcm over all n + m of them.
+    assert net._cleared == reference_cleared(net)
 
 
 def test_edited_network_equals_the_rebuilt_one():
