@@ -1,29 +1,19 @@
 """Exact equilibrium computation for Fisher markets with budget-additive
-(capped linear) utilities."""
+(capped linear) utilities.
+
+The names exported here are the package's API: the market model, the
+maximum- and minimum-revenue solvers, the verifier, the lattice
+operations, exact number formatting and the errors they raise.  The flow
+layer (``fisheq.flow``), the buyer-pass helpers of ``fisheq.market`` and
+the state functions of ``fisheq.descend`` are importable from their
+modules, with no compatibility promise.
+"""
 
 from .descend import EventRecord, SolveResult, solve_max_revenue
 from .errors import FormatError, InvalidMarketError, InvariantError
 from .exact import INF, format_rational, parse_rational
-from .flow import (
-    Flow,
-    FlowNetwork,
-    balanced_flow,
-    is_balanced,
-    max_flow,
-    residual_reach,
-    tight_set_scale,
-)
 from .lattice import PricePartition, join, meet, partition
-from .market import (
-    Market,
-    NormalizedMarket,
-    active_budget_at,
-    buyer_pass,
-    capped_utility,
-    equality_graph,
-    normalize,
-    strip_trivial,
-)
+from .market import Market, capped_utility, normalize, strip_trivial
 from .minrev import min_revenue
 from .verify import (
     Equilibrium,
@@ -37,35 +27,24 @@ __all__ = [
     "INF",
     "Equilibrium",
     "EventRecord",
-    "Flow",
-    "FlowNetwork",
     "FormatError",
     "InvalidMarketError",
     "InvariantError",
     "Market",
-    "NormalizedMarket",
     "PricePartition",
     "SolveResult",
     "VerificationReport",
-    "active_budget_at",
-    "balanced_flow",
-    "buyer_pass",
     "capped_utility",
-    "equality_graph",
     "equilibrium_from_allocation",
     "format_rational",
-    "is_balanced",
     "join",
-    "max_flow",
     "meet",
     "min_revenue",
     "normalize",
     "parse_rational",
     "partition",
-    "residual_reach",
     "solve_max_revenue",
     "strip_trivial",
-    "tight_set_scale",
     "verify",
     "verify_allocation",
 ]

@@ -280,16 +280,15 @@ def next_event(state):
         eq_buyers = tuple(sorted({h for h, _ in eq_pairs}))
         candidates.append((best_num, best_den, NEW_EDGE, eq_buyers))
 
-    x_ts, witness = tight_set_scale(network, state.S, b_u, b_c)
-    if x_ts > 0:
-        witness = tuple(sorted(witness))
-        candidates.append((x_ts.numerator, x_ts.denominator, TIGHT_SET, witness))
+    num, den, witness = tight_set_scale(network, state.S, b_u, b_c)
+    if num:
+        candidates.append((num, den, TIGHT_SET, tuple(sorted(witness))))
 
     num, den, kind, affected = candidates[0]
     for candidate in candidates[1:]:
         if ratio_sign(candidate[0], candidate[1], num, den) >= 0:
             num, den, kind, affected = candidate
-    x_star = x_ts if kind == TIGHT_SET else Fraction(num, den)
+    x_star = Fraction(num, den)
     if num > den:
         raise InvariantError(f"event scale {format_rational(x_star)} above 1")
     state.tied_edges = [] if ratio_sign(best_num, best_den, num, den) else eq_pairs

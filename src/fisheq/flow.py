@@ -520,13 +520,15 @@ def tight_set_scale(network, S, uncapped, capped):
 
     Prices of S and the budgets of capped buyers scale with x while
     uncapped budgets stay fixed, so the candidate scale for a buyer set
-    solves U + xV = Px.  Starting from the full set, an unsaturated test
+    solves U + xV = Qx.  Starting from the full set, an unsaturated test
     max-flow localizes the tight set on the source side of the minimum cut
     and the candidate is recomputed there; at most |B'| max-flows, each on
-    the network's integer capacities times the denominator of x.
+    the network's integer capacities with x = a/b in lowest terms: the
+    uncapped budgets times b, the capped budgets and the prices times a.
 
-    Returns (x, witness buyer set); x = 0 with the full set as witness
-    marks the all-capped (zero-price) case.
+    Returns (num, den, witness buyer set), x = num/den with num and den
+    coprime integers and den > 0; (0, 1, the full set) marks the
+    all-capped (zero-price) case.
     """
     S = set(S)
     bu, bc = set(uncapped), set(capped)
@@ -537,11 +539,11 @@ def tight_set_scale(network, S, uncapped, capped):
     if U > 0 and Q < U + V:
         raise InvariantError("goods of S carry negative surplus at scale 1")
     if U == 0:
-        return Fraction(0), frozenset(bu | bc)
+        return 0, 1, frozenset(bu | bc)
     budgets, prices = [0] * network.n, [0] * network.m  # zero outside a test
     while True:
-        x = Fraction(U, Q - V)
-        a, b = x.numerator, x.denominator
+        g = math.gcd(U, Q - V)
+        a, b = U // g, (Q - V) // g
         for i in bu:
             budgets[i] = B[i] * b
         for i in bc:
@@ -553,7 +555,7 @@ def tight_set_scale(network, S, uncapped, capped):
             network, seeds, budgets, prices
         )
         if saturated:
-            return x, frozenset(bu | bc)
+            return a, b, frozenset(bu | bc)
         # shrink to the source side of the cut, zeroing the capacities
         cut_bu, cut_bc, cut_S, U, V, Q = set(), set(), set(), 0, 0, 0
         for i in bu:

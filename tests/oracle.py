@@ -25,6 +25,8 @@ separately.  ``reference_allocation`` is the descent's
 allocation as it was written at every balanced flow, before it was built
 from the flow when read, and ``reference_next_event`` is the event search
 on Fractions, before its candidates became integer pairs.
+``reference_tight_set_scale`` is the tight-set scale by enumerating every
+buyer set, with no max-flow.
 ``reference_equality_graph`` is the equality graph on Fractions, before
 the pass that finds each buyer's ratio also collected the goods attaining
 it; ``reference_min_revenue`` reads its edges from it.
@@ -38,6 +40,7 @@ took one per distinct denominator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from fractions import Fraction
@@ -48,20 +51,16 @@ from fisheq import (
     INF,
     EventRecord,
     Equilibrium,
-    Flow,
-    FlowNetwork,
     InvariantError,
     PricePartition,
     VerificationReport,
-    active_budget_at,
     equilibrium_from_allocation,
-    is_balanced,
     format_rational,
-    max_flow,
-    tight_set_scale,
     verify,
 )
 from fisheq.descend import CAP, NEW_EDGE, TIGHT_SET, ZERO_PRICE
+from fisheq.flow import Flow, FlowNetwork, is_balanced, max_flow, tight_set_scale
+from fisheq.market import active_budget_at
 
 _ENUMERATION_LIMIT = 14
 
@@ -668,6 +667,33 @@ def reference_allocation(alloc, state, previous):
     return alloc
 
 
+def set_scale(network, S, uncapped, buyers):
+    """U_T / (Q_T - V_T) for the buyer set T = ``buyers``, on the network's
+    Fractions: U_T and V_T are the budgets of T's uncapped and capped
+    buyers and Q_T the prices of the goods of S with an edge from T.  At
+    that price scale T's money first fills those goods.  None when U_T is
+    0."""
+    U = sum((network.budgets[i] for i in buyers if i in uncapped), Fraction(0))
+    if not U:
+        return None
+    V = sum((network.budgets[i] for i in buyers if i not in uncapped), Fraction(0))
+    goods = {j for i in buyers for j in network.buyer_goods[i] if j in S}
+    return U / (sum((network.prices[j] for j in goods), Fraction(0)) - V)
+
+
+def reference_tight_set_scale(network, S, uncapped, capped):
+    """The tight-set scale by brute force: the largest ``set_scale`` over
+    every set of the buyers ``uncapped`` and ``capped`` with an uncapped
+    buyer; 0 when there is none."""
+    buyers = sorted(set(uncapped) | set(capped))
+    scales = (
+        set_scale(network, S, uncapped, T)
+        for size in range(1, len(buyers) + 1)
+        for T in itertools.combinations(buyers, size)
+    )
+    return max((x for x in scales if x is not None), default=Fraction(0))
+
+
 def _reference_alpha(state, i):
     j = state.network.buyer_goods[i][0]
     return state.market.utilities[i][j] / state.prices[j]
@@ -730,9 +756,9 @@ def reference_next_event(state):
         eq_buyers = tuple(sorted({h for h, _ in eq_pairs}))
         candidates.append((best_eq, 1, NEW_EDGE, eq_buyers))
 
-    x_ts, witness = tight_set_scale(network, state.S, b_u, b_c)
-    if x_ts > 0:
-        candidates.append((x_ts, 2, TIGHT_SET, tuple(sorted(witness))))
+    num, den, witness = tight_set_scale(network, state.S, b_u, b_c)
+    if num:
+        candidates.append((Fraction(num, den), 2, TIGHT_SET, tuple(sorted(witness))))
 
     x_star, _, kind, affected = max(candidates, key=lambda c: (c[0], c[1]))
     if x_star > 1:

@@ -11,11 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from fisheq import (
-    FlowNetwork,
-    balanced_flow,
-    is_balanced,
     join,
-    max_flow,
     meet,
     min_revenue,
     normalize,
@@ -24,6 +20,7 @@ from fisheq import (
     verify,
 )
 from fisheq.cli import generate_market
+from fisheq.flow import FlowNetwork, balanced_flow, is_balanced, max_flow
 from oracle import equalize_balanced, solve_eg_numeric
 
 CORPUS_SIZE = 500

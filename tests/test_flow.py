@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,17 +7,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fisheq.descend
 import fisheq.flow
-from fisheq import (
+from fisheq import InvariantError, solve_max_revenue
+from fisheq.cli import generate_market
+from fisheq.flow import (
+    _EMPTY_ROW,
     FlowNetwork,
-    InvariantError,
+    _saturate,
     balanced_flow,
     is_balanced,
     max_flow,
     residual_reach,
     tight_set_scale,
 )
-from fisheq.flow import _EMPTY_ROW, _saturate
 from oracle import (
     edge_flow,
     equalize_balanced,
@@ -26,6 +30,8 @@ from oracle import (
     reference_cleared,
     reference_residual_reach,
     reference_saturate,
+    reference_tight_set_scale,
+    set_scale,
 )
 
 
@@ -274,34 +280,61 @@ class TestIsBalanced:
 class TestTightSetScale:
     def test_first_tight_set_of_example(self):
         net = ex1_after_first_event()
-        x, witness = tight_set_scale(net, {0}, uncapped={1}, capped={0})
-        assert x == F(5, 16)
-        assert witness == {0, 1}
+        assert tight_set_scale(net, {0}, uncapped={1}, capped={0}) == (5, 16, {0, 1})
 
     def test_all_capped_marks_zero_price(self):
         net = ex1_after_first_event()
-        x, witness = tight_set_scale(net, {0}, uncapped=set(), capped={0, 1})
-        assert x == 0
-        assert witness == {0, 1}
+        assert tight_set_scale(net, {0}, uncapped=set(), capped={0, 1}) == (0, 1, {0, 1})
 
     def test_final_tight_set_of_example(self):
         net = FlowNetwork(
             (F(1, 4), F(1)), (F(5, 4), F(5, 8)), {(0, 0), (1, 0), (1, 1)}
         )
-        x, witness = tight_set_scale(net, {0, 1}, uncapped={1}, capped={0})
-        assert x == F(8, 13)
-        assert witness == {0, 1}
+        assert tight_set_scale(net, {0, 1}, uncapped={1}, capped={0}) == (8, 13, {0, 1})
 
     def test_recursion_narrows_to_subset(self):
         net = FlowNetwork((F(1), F(1)), (F(2), F(10)), {(0, 0), (1, 1)})
-        x, witness = tight_set_scale(net, {0, 1}, uncapped={0, 1}, capped=set())
-        assert x == F(1, 2)
-        assert witness == {0}
+        assert tight_set_scale(net, {0, 1}, uncapped={0, 1}, capped=set()) == (1, 2, {0})
 
     def test_negative_surplus_rejected(self):
         net = FlowNetwork((F(3), F(3)), (F(4),), {(0, 0), (1, 0)})
         with pytest.raises(InvariantError):
             tight_set_scale(net, {0}, uncapped={0, 1}, capped=set())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from([20, 10**30]),
+    st.integers(0, 2**32),
+)
+def test_tight_set_scale_equals_the_reference_brute_force(n, m, max_value, seed):
+    # Every tight-set search of a solve against the enumeration of every
+    # buyer set: the same scale, in lowest terms, and a witness that
+    # attains it (the full set when no buyer is uncapped).  Tight sets are
+    # not unique, so the witness may be any set attaining the scale.
+    calls = []
+    search = fisheq.descend.tight_set_scale
+
+    def checked(network, S, uncapped, capped):
+        num, den, witness = search(network, S, uncapped, capped)
+        x = reference_tight_set_scale(network, S, uncapped, capped)
+        assert (num, den) == (x.numerator, x.denominator)
+        assert math.gcd(num, den) == 1
+        if num:
+            assert set_scale(network, S, uncapped, witness) == x
+        else:
+            assert witness == set(uncapped) | set(capped)
+        calls.append(None)
+        return num, den, witness
+
+    fisheq.descend.tight_set_scale = checked
+    try:
+        trace = solve_max_revenue(generate_market(n, m, max_value, seed)).trace
+    finally:
+        fisheq.descend.tight_set_scale = search
+    assert len(calls) == len(trace)  # one search per committed event
 
 
 def _random_saturable_network(rng, density=0.55):

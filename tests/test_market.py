@@ -10,14 +10,12 @@ from fisheq import (
     INF,
     InvalidMarketError,
     Market,
-    active_budget_at,
-    buyer_pass,
     capped_utility,
-    equality_graph,
     normalize,
     strip_trivial,
     verify_allocation,
 )
+from fisheq.market import active_budget_at, buyer_pass, equality_graph
 from oracle import reference_equality_graph
 
 

@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from fisheq import FlowNetwork, Market, is_balanced
+from fisheq import Market
+from fisheq.flow import FlowNetwork, is_balanced
 from oracle import (
     ConvergenceError,
     balanced_surplus_levels,

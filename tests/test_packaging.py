@@ -3,6 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import fisheq
+import fisheq.flow
+import fisheq.market
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -14,3 +18,54 @@ def test_import_does_not_load_numpy():
         env=env,
         check=True,
     )
+
+
+PUBLIC = [
+    "INF",
+    "Equilibrium",
+    "EventRecord",
+    "FormatError",
+    "InvalidMarketError",
+    "InvariantError",
+    "Market",
+    "PricePartition",
+    "SolveResult",
+    "VerificationReport",
+    "capped_utility",
+    "equilibrium_from_allocation",
+    "format_rational",
+    "join",
+    "meet",
+    "min_revenue",
+    "normalize",
+    "parse_rational",
+    "partition",
+    "solve_max_revenue",
+    "strip_trivial",
+    "verify",
+    "verify_allocation",
+]
+
+# solver internals, importable from their modules only
+INTERNAL = [
+    "Flow",
+    "FlowNetwork",
+    "balanced_flow",
+    "is_balanced",
+    "max_flow",
+    "residual_reach",
+    "tight_set_scale",
+    "NormalizedMarket",
+    "active_budget_at",
+    "buyer_pass",
+    "equality_graph",
+]
+
+
+def test_public_api_is_the_users_api():
+    assert sorted(fisheq.__all__) == sorted(PUBLIC)
+    for name in PUBLIC:
+        assert getattr(fisheq, name) is not None
+    for name in INTERNAL:
+        assert not hasattr(fisheq, name)
+        assert hasattr(fisheq.flow, name) or hasattr(fisheq.market, name)
