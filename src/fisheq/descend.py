@@ -37,6 +37,7 @@ CAP = "cap"
 NEW_EDGE = "new-edge"
 TIGHT_SET = "tight-set"
 ZERO_PRICE = "zero-price"
+PHASE_ENDS = (TIGHT_SET, ZERO_PRICE)  # the kinds whose commit ends a phase
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,17 @@ class SolveResult:
 class SolverState:
     """Mutable working state over the stripped, normalized market.
 
-    The market's entries are ints and the descent reads them as they are;
-    ``prices`` and ``budgets`` (the active budgets) are Fractions, and so
-    are the trace records built from them.
+    The market's entries are ints and the descent reads them as they are.
+    ``network`` is the live network and the only copy of the current
+    prices and active budgets: ``network.prices`` and ``network.budgets``
+    are tuples of Fractions, 0 for the dead goods and buyers (their
+    zero-price event scaled them by 0).  ``initialize`` builds it from the
+    equality graph, ``commit_event`` replaces it by the network the event
+    leaves, whose tuples the trace record shares, and the rest reads it.
 
-    Invariant: ``network`` is the live network at the current prices,
-    budgets and live sets (dead ones are 0: their zero-price event scaled
-    them by 0).  ``initialize`` builds it from the equality graph,
-    ``commit_event`` edits it by the event's rule, and the rest reads it.
+    The phase under way is ``len(phases)``, and ``iteration`` counts its
+    evented iterations; a phase ends when an event of ``PHASE_ENDS``
+    commits.
 
     ``alloc`` is built when read, in practice once, at the end of a
     solve.  A zero-price commit freezes S's columns from the flow it
@@ -110,8 +114,6 @@ class SolverState:
 
     def __init__(self, market):
         self.market = market
-        self.prices = []
-        self.budgets = []  # active budgets M^a
         self.capped = []
         self.live_buyers = set(range(market.n))
         self.live_goods = set(range(market.m))
@@ -120,9 +122,7 @@ class SolverState:
         self.tied_edges = []  # new-edge pairs at the scale of the pending event
         self.flow = None
         self.S = set()
-        self.phase = 0
         self.iteration = 0
-        self.phase_over = False
         self.trace = []
         self.phases = []
         n, m, U = market.n, market.m, market.U
@@ -150,13 +150,12 @@ def _write_shares(alloc, flow, goods):
 def initialize(market):
     """Fresh state: every price at the total money supply."""
     state = SolverState(market)
-    state.prices = [Fraction(sum(market.budgets))] * market.m
-    alphas, edges = equality_graph(market, state.prices)
-    for i, alpha in enumerate(alphas):
-        money, is_capped = active_budget_at(market, i, alpha)
-        state.budgets.append(Fraction(money))  # M_i comes back as an int
-        state.capped.append(is_capped)
-    state.network = FlowNetwork(tuple(state.budgets), tuple(state.prices), edges)
+    prices = (Fraction(sum(market.budgets)),) * market.m
+    alphas, edges = equality_graph(market, prices)
+    active = [active_budget_at(market, i, alpha) for i, alpha in enumerate(alphas)]
+    state.capped = [is_capped for _, is_capped in active]
+    # an uncapped M_i comes back as the market's int; the network makes it a Fraction
+    state.network = FlowNetwork(tuple(money for money, _ in active), prices, edges)
     return state
 
 
@@ -165,7 +164,7 @@ def _recompute_flow(state):
     read."""
     state.flow = balanced_flow(state.network)
     for j in state.live_goods:
-        if state.prices[j].numerator <= 0:
+        if state.network.prices[j].numerator <= 0:
             raise InvariantError(f"live good {j} has nonpositive price")
 
 
@@ -181,22 +180,20 @@ def start_phase(state):
         state.phases[-1].norm2_end = norm2
     if sum(r) == 0:
         return False
-    state.phase += 1
-    if state.phase > state.max_phases:
-        raise InvariantError("phase guard exceeded; norm decrease law broken")
-    delta = max(r[j] for j in state.live_goods)
-    top = min(j for j in state.live_goods if r[j] == delta)
-    state.S = set(residual_reach(state.network, state.flow, (top,)))
-    state.iteration = 0
-    state.phase_over = False
     state.phases.append(
         PhaseStats(
-            phase=state.phase,
+            phase=len(state.phases) + 1,
             live_buyers=len(state.live_buyers),
             live_goods=len(state.live_goods),
             norm2_start=norm2,
         )
     )
+    if len(state.phases) > state.max_phases:
+        raise InvariantError("phase guard exceeded; norm decrease law broken")
+    delta = max(r[j] for j in state.live_goods)
+    top = min(j for j in state.live_goods if r[j] == delta)
+    state.S = set(residual_reach(state.network, state.flow, (top,)))
+    state.iteration = 0
     return True
 
 
@@ -219,7 +216,7 @@ def next_event(state):
     """
     market = state.market
     network = state.network
-    prices = state.prices
+    prices = network.prices
     bprime = {i for j in state.S for i in network.good_buyers[j]}
     b_c = {i for i in bprime if state.capped[i]}
     b_u = bprime - b_c
@@ -305,10 +302,11 @@ def commit_event(state, event):
     """Apply an event: scale prices/budgets, run its bookkeeping and edit
     the live network by the event's rule.
 
-    Returns the completed trace record."""
-    market = state.market
+    Returns the completed trace record; a record of a kind in
+    ``PHASE_ENDS`` ends the phase."""
+    market, network = state.market, state.network
     x, goods = event.x, set(event.goods)
-    bprime = {i for j in goods for i in state.network.good_buyers[j]}
+    bprime = {i for j in goods for i in network.good_buyers[j]}
     if event.kind == ZERO_PRICE:
         # Refresh the balanced flow first so the shares frozen for the
         # departing goods reflect the current prices exactly.
@@ -319,30 +317,26 @@ def commit_event(state, event):
             if not state.capped[i]:
                 raise InvariantError(f"zero-price deletion of uncapped buyer {i}")
         _write_shares(state._frozen, state.flow, goods)
-    for j in goods:
-        state.prices[j] *= x
-    for i in event.scaled_buyers:
-        state.budgets[i] *= x
+    prices = tuple(p * x if j in goods else p for j, p in enumerate(network.prices))
+    scaled = set(event.scaled_buyers)
+    budgets = tuple(b * x if i in scaled else b for i, b in enumerate(network.budgets))
 
     if event.kind == CAP:
         for i in event.buyers:
             state.capped[i] = True
-    elif event.kind == TIGHT_SET:
-        state.phase_over = True
     elif event.kind == ZERO_PRICE:
         state.live_goods -= goods
         state.live_buyers -= set(event.buyers)
         for i in state.live_buyers:
             if any(market.utilities[i][j] > 0 for j in goods):
                 raise InvariantError("live buyer still values a deleted good")
-        state.phase_over = True
     # B' keeps its edges into S for 0 < x < 1, loses every edge at x = 0 and
     # keeps edges leaving S at x = 1 (a cap that lost a tie to a new edge);
     # then the new-edge pairs at scale x join: any kind may add them, a
     # tight set ties with a new edge
-    state.network = state.network.edited(
-        tuple(state.budgets),
-        tuple(state.prices),
+    state.network = network.edited(
+        budgets,
+        prices,
         () if x == 1 else bprime,
         goods if x > 0 else (),
         state.tied_edges,
@@ -353,21 +347,21 @@ def commit_event(state, event):
         state.S |= set(residual_reach(state.network, state.flow, state.S))
 
     for j in state.live_goods:
-        p = state.prices[j]
+        p = prices[j]
         if abs(p.numerator) > state.price_bound or p.denominator > state.price_bound:
             raise InvariantError(f"price bit-length bound violated at good {j}")
 
     record = replace(
         event,
-        phase=state.phase,
+        phase=len(state.phases),
         iteration=state.iteration,
-        prices=tuple(state.prices),
-        active_budgets=tuple(state.budgets),
+        prices=prices,
+        active_budgets=budgets,
         surplus_ints=state.flow._surplus_ints,
         surplus_denom=state.flow.denom,
     )
     state.trace.append(record)
-    if state.phases:
+    if event.kind in PHASE_ENDS:
         state.phases[-1].iterations = state.iteration
     return record
 
@@ -385,7 +379,8 @@ def solve_max_revenue(market):
     pending = None  # kind of the event being committed
     try:
         while start_phase(state):
-            while not state.phase_over:
+            kind = None  # of the latest committed record
+            while kind not in PHASE_ENDS:
                 event = next_event(state)
                 if event.kind != ZERO_PRICE:
                     # The zero-price ending is not an evented iteration: the
@@ -394,12 +389,12 @@ def solve_max_revenue(market):
                     if state.iteration > 2 * stripped.n:
                         raise InvariantError("iteration guard exceeded within a phase")
                 pending = event.kind
-                commit_event(state, event)
+                kind = commit_event(state, event).kind
                 pending = None
         if any(state.flow._surplus_ints):
             raise InvariantError("descent ended with nonzero surplus")
     except Exception as bug:
-        bug.phase, bug.iteration = state.phase, state.iteration
+        bug.phase, bug.iteration = len(state.phases), state.iteration
         bug.S, bug.event = tuple(sorted(state.S)), pending
         raise
 
@@ -410,13 +405,13 @@ def solve_max_revenue(market):
     alloc = [[Fraction(0)] * market.m for _ in range(market.n)]
     solved = state.alloc
     for j_s, j in enumerate(kept_goods):
-        prices[j] = state.prices[j_s] / scale
+        prices[j] = state.network.prices[j_s] / scale
         for i_s, i in enumerate(kept_buyers):
             alloc[i][j] = solved[i_s][j_s]
     equilibrium = equilibrium_from_allocation(market, tuple(prices), tuple(map(tuple, alloc)))
     return SolveResult(
         equilibrium=equilibrium,
-        trace=list(state.trace),
-        phases=list(state.phases),
+        trace=state.trace,
+        phases=state.phases,
         final_surpluses=state.flow.surpluses(),
     )

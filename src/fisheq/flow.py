@@ -224,12 +224,11 @@ def _saturate(network, seeds, budgets, prices):
     the buyers ``seeds`` (ascending; every other buyer has budget 0).
 
     Returns the flow (one {good: amount} dict per buyer, entries may be
-    0), the money each buyer sends, whether every seed sends its whole
-    budget, and the last, failed search's marker lists ``(from_good,
-    from_buyer)``: the buyers and goods whose marker is not None are the
-    source side of a minimum cut.  Only seeds carry flow, so every other
-    buyer's row is the shared, empty ``_EMPTY_ROW``, and nothing here walks
-    the nodes outside the block.
+    0), whether every seed sends its whole budget, and the last, failed
+    search's marker lists ``(from_good, from_buyer)``: the buyers and
+    goods whose marker is not None are the source side of a minimum cut.
+    Only seeds carry flow, so every other buyer's row is the shared, empty
+    ``_EMPTY_ROW``, and nothing here walks the nodes outside the block.
 
     The result is that of augmenting from zero flow along the paths a
     fresh ``_search`` finds, with fewer searches.  Those searches first
@@ -306,13 +305,13 @@ def _saturate(network, seeds, budgets, prices):
             if fresh:
                 break
         else:
-            return flow, fsrc, not rich, (from_good, from_buyer)
+            return flow, not rich, (from_good, from_buyer)
 
 
 def max_flow(network):
     """Deterministic exact maximum flow (shortest augmenting paths)."""
     scale, budgets, prices = network._cleared
-    flow, _, _, _ = _saturate(network, range(network.n), budgets, prices)
+    flow, _, _ = _saturate(network, range(network.n), budgets, prices)
     return Flow(network, flow, scale)
 
 
@@ -451,9 +450,7 @@ def balanced_flow(network):
                 prices[j] = price
             elif price < 0:
                 clamped.append(j)
-        flow, _, saturated, (from_good, from_buyer) = _saturate(
-            network, seeds, budgets, prices
-        )
+        flow, saturated, (from_good, from_buyer) = _saturate(network, seeds, budgets, prices)
         for i in seeds:
             budgets[i] = 0
         for j in goods:
@@ -551,9 +548,7 @@ def tight_set_scale(network, S, uncapped, capped):
         for j in S:
             prices[j] = P[j] * a
         seeds = sorted(bu | bc)
-        _, _, saturated, (from_good, from_buyer) = _saturate(
-            network, seeds, budgets, prices
-        )
+        _, saturated, (from_good, from_buyer) = _saturate(network, seeds, budgets, prices)
         if saturated:
             return a, b, frozenset(bu | bc)
         # shrink to the source side of the cut, zeroing the capacities

@@ -659,10 +659,10 @@ def reference_allocation(alloc, state, previous):
             for j in goods:
                 if j in live:
                     row[j] = zero
-    denom = state.flow.denom
+    denom, prices = state.flow.denom, state.network.prices
     for i, row in enumerate(state.flow.rows):
         for j, v in row.items():
-            p = state.prices[j]
+            p = prices[j]
             alloc[i][j] = Fraction(v * p.denominator, denom * p.numerator)
     return alloc
 
@@ -696,7 +696,7 @@ def reference_tight_set_scale(network, S, uncapped, capped):
 
 def _reference_alpha(state, i):
     j = state.network.buyer_goods[i][0]
-    return state.market.utilities[i][j] / state.prices[j]
+    return state.market.utilities[i][j] / state.network.prices[j]
 
 
 def reference_next_event(state):
@@ -704,6 +704,7 @@ def reference_next_event(state):
     Sets ``state.tied_edges`` as the solver's search does."""
     market = state.market
     network = state.network
+    prices = network.prices
     bprime = {i for j in state.S for i in network.good_buyers[j]}
     b_c = {i for i in bprime if state.capped[i]}
     b_u = bprime - b_c
@@ -727,7 +728,7 @@ def reference_next_event(state):
     # h outside B' gains (h, j) at x = u_hj / (alpha_h p_j).  alpha_h is
     # fixed (its edges all leave S), so h's pairs are the j of S with the
     # largest u_hj / p_j, found by integer cross-multiplication.
-    in_s = [(j, state.prices[j].numerator, state.prices[j].denominator) for j in state.S]
+    in_s = [(j, prices[j].numerator, prices[j].denominator) for j in state.S]
     best_eq, eq_pairs = None, []
     for h in sorted(state.live_buyers - bprime):
         if not network.buyer_goods[h]:
@@ -746,7 +747,7 @@ def reference_next_event(state):
         if not goods:
             continue
         k = network.buyer_goods[h][0]  # alpha_h = u_hk / p_k
-        u, p = row[k], state.prices[k]
+        u, p = row[k], prices[k]
         x = Fraction(num * u.denominator * p.numerator, den * u.numerator * p.denominator)
         if best_eq is None or x > best_eq:
             best_eq, eq_pairs = x, []

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from fisheq import InvariantError, Market, min_revenue, normalize, strip_trivial
 from fisheq.descend import (
     CAP,
     NEW_EDGE,
+    PHASE_ENDS,
     TIGHT_SET,
     ZERO_PRICE,
     commit_event,
@@ -18,10 +20,10 @@ from fisheq.descend import (
     solve_max_revenue,
     start_phase,
 )
-from fisheq.cli import generate_market
+from fisheq.cli import generate_market, main
 from fisheq.flow import FlowNetwork, balanced_flow
 from fisheq.market import buyer_pass, capped_utility, equality_graph
-from fisheq.serialize import trace_to_ndjson
+from fisheq.serialize import market_to_doc, trace_to_ndjson
 from hypothesis import given, settings
 from oracle import (
     _reference_active_budget,
@@ -40,20 +42,24 @@ def _fresh_state(market):
     return initialize(stripped), stripped
 
 
-def _reference_network(state):
-    """The live network built from scratch: the equality graph at the
-    current prices, restricted to the live buyers and goods."""
+def _network_at(state, budgets, prices):
+    """The live network at the given capacities, built from scratch: the
+    equality graph at ``prices``, restricted to the live buyers and goods,
+    whose dead buyers and goods have capacity 0."""
     market = state.market
     edges = {
         (i, j)
-        for i, j in reference_equality_graph(market, state.prices)[1]
+        for i, j in reference_equality_graph(market, prices)[1]
         if i in state.live_buyers and j in state.live_goods
     }
-    budgets = [
-        state.budgets[i] if i in state.live_buyers else F(0) for i in range(market.n)
-    ]
-    prices = [state.prices[j] if j in state.live_goods else F(0) for j in range(market.m)]
+    budgets = [budgets[i] if i in state.live_buyers else F(0) for i in range(market.n)]
+    prices = [prices[j] if j in state.live_goods else F(0) for j in range(market.m)]
     return FlowNetwork(tuple(budgets), tuple(prices), frozenset(edges))
+
+
+def _reference_network(state):
+    """The live network rebuilt from scratch at its own capacities."""
+    return _network_at(state, state.network.budgets, state.network.prices)
 
 
 def _assert_live(state):
@@ -70,7 +76,7 @@ def _row_sum_utilities(state):
     """Each buyer's capped utility summed over its whole allocation row."""
     market, alloc = state.market, state.alloc
     return tuple(
-        capped_utility(market, i, buyer_pass(market, state.prices, i, alloc[i])[4])
+        capped_utility(market, i, buyer_pass(market, state.network.prices, i, alloc[i])[4])
         for i in range(market.n)
     )
 
@@ -82,7 +88,7 @@ def _assert_booking_rule(state):
     market, rows = state.market, _row_sum_utilities(state)
     for i in state.live_buyers:
         j = state.network.buyer_goods[i][0]
-        alpha = market.utilities[i][j] / state.prices[j]
+        alpha = market.utilities[i][j] / state.network.prices[j]
         assert rows[i] == capped_utility(market, i, alpha * state.flow.buyer_out(i))
 
 
@@ -101,19 +107,19 @@ def _checking_phase_starts(monkeypatch, check):
 class TestInitialize:
     def test_example_market(self, capped_market):
         state, _ = _fresh_state(capped_market)
-        assert state.prices == [F(4), F(4)]
-        assert state.budgets == [F(4, 5), F(1)]
+        assert state.network.prices == (F(4), F(4))
+        assert state.network.budgets == (F(4, 5), F(1))
         assert state.capped == [True, False]
 
     def test_single_buyer(self):
         state, _ = _fresh_state(Market((F(1),), (None,), ((F(2),),)))
-        assert state.prices == [F(1)]
-        assert state.budgets == [F(1)]
+        assert state.network.prices == (F(1),)
+        assert state.network.budgets == (F(1),)
 
     def test_overlap_market(self, overlap_market):
         state, _ = _fresh_state(overlap_market)
-        assert state.prices == [F(2), F(2)]
-        assert state.budgets == [F(1), F(1)]
+        assert state.network.prices == (F(2), F(2))
+        assert state.network.budgets == (F(1), F(1))
         assert state.capped == [False, False]
 
     def test_one_buyer_pass_per_buyer(self, buyer_passes):
@@ -130,9 +136,9 @@ def test_initialize_matches_the_reference_rules(market):
     # Budgets, capped flags and equality edges from one pass per buyer equal
     # the reference bang-per-buck and active-budget rules at the start prices.
     state, stripped = _fresh_state(market)
-    prices = state.prices
+    prices = state.network.prices
     expected = [_reference_active_budget(stripped, prices, i) for i in range(stripped.n)]
-    assert state.budgets == [money for money, _ in expected]
+    assert list(state.network.budgets) == [money for money, _ in expected]
     assert state.capped == [capped for _, capped in expected]
     edges = set()
     for i, row in enumerate(stripped.utilities):
@@ -189,9 +195,8 @@ class TestNextEvent:
         # the uncapped buyer's budget 1 spends on S = {0}, priced 1/2
         market = Market((F(1),), (None,), ((F(1), F(1)),))
         state, _ = _fresh_state(market)
-        state.prices = [F(1, 2), F(1, 2)]
         state.network = FlowNetwork(
-            tuple(state.budgets), tuple(state.prices), state.network.edges
+            state.network.budgets, (F(1, 2), F(1, 2)), state.network.edges
         )
         state.S = {0}
         with pytest.raises(InvariantError, match="negative surplus"):
@@ -206,7 +211,7 @@ class TestCommitEvent:
         event = next_event(state)
         state.iteration = 1
         commit_event(state, event)
-        assert state.prices == [F(4), F(2)]
+        assert state.network.prices == (F(4), F(2))
         assert edge_flow(state.flow) == old_flow  # balanced flow unchanged
         assert state.S == {0, 1}  # reach closure pulls good 0 in
         assert state.flow.surpluses() == (F(11, 5), F(2))
@@ -216,11 +221,10 @@ class TestCommitEvent:
         state, _ = _fresh_state(market)
         start_phase(state)
         event = next_event(state)
-        commit_event(state, event)
-        assert state.prices == [F(0), F(0)]
+        assert commit_event(state, event).kind in PHASE_ENDS
+        assert state.network.prices == (F(0), F(0))
         assert state.live_buyers == set() and state.live_goods == set()
         assert state.alloc[0] == [F(1, 2), F(1, 2)]  # frozen allocation
-        assert state.phase_over
 
     def test_final_tight_set_from_intermediate_state(self, capped_market):
         # An alternative two-phase route reaches p = (5/4, 5/8) with
@@ -228,16 +232,14 @@ class TestCommitEvent:
         # 8/13 lands on the same final prices.
         state, _ = _fresh_state(capped_market)
         start_phase(state)
-        state.prices = [F(5, 4), F(5, 8)]
-        state.budgets = [F(1, 4), F(1)]
+        state.network = _network_at(state, (F(1, 4), F(1)), (F(5, 4), F(5, 8)))
         state.capped = [True, False]
         state.S = {0, 1}
-        state.network = _reference_network(state)
         event = next_event(state)
         assert event.kind == TIGHT_SET and event.x == F(8, 13)
         commit_event(state, event)
-        assert state.prices == [F(10, 13), F(5, 13)]
-        assert state.budgets == [F(2, 13), F(1)]
+        assert state.network.prices == (F(10, 13), F(5, 13))
+        assert state.network.budgets == (F(2, 13), F(1))
 
 
 class TestSolveMaxRevenue:
@@ -327,8 +329,9 @@ def test_network_is_live_after_every_commit(market):
     while start_phase(state):
         _assert_live(state)
         _assert_booking_rule(state)
-        while not state.phase_over:
-            commit_event(state, next_event(state))
+        kind = None
+        while kind not in PHASE_ENDS:
+            kind = commit_event(state, next_event(state)).kind
             _assert_live(state)
 
 
@@ -480,8 +483,10 @@ def test_allocation_read_matches_the_eager_rule(market, every_commit, monkeypatc
     if every_commit:
         state, trace = initialize(stripped), []
         while start_phase(state):
-            while not state.phase_over:
+            kind = None
+            while kind not in PHASE_ENDS:
                 trace.append(commit_event(state, next_event(state)))
+                kind = trace[-1].kind
                 assert state.alloc == reference
         assert state.alloc == reference
     else:
@@ -503,14 +508,15 @@ def _events_match_the_fraction_search(market):
     state, _ = _fresh_state(market)
     events = []
     while start_phase(state):
-        while not state.phase_over:
+        kind = None
+        while kind not in PHASE_ENDS:
             expected = reference_next_event(state)
             expected_tied = state.tied_edges
             event = next_event(state)
             assert event == expected
             assert state.tied_edges == expected_tied
             events.append(event)
-            commit_event(state, event)
+            kind = commit_event(state, event).kind
     return events
 
 
@@ -653,3 +659,52 @@ def test_invariant_error_names_the_event_being_committed(capped_market, monkeypa
         solve_max_revenue(capped_market)
     bug = caught.value
     assert (bug.phase, bug.iteration, bug.S, bug.event) == (1, 1, (1,), NEW_EDGE)
+
+
+def _committing_nothing(state, event):
+    # without the iteration guard the descent would call this forever
+    assert state.iteration <= 2 * state.market.n
+    return event
+
+
+@pytest.mark.parametrize(
+    "limits, commit, message, replay",
+    [
+        # no phase may start
+        ({"max_phases": 0}, None, "phase guard exceeded", (1, 0, (), None)),
+        # the first commit, a new edge, leaves a price past the bound 1
+        ({"price_bound": 1}, None, "price bit-length bound violated", (1, 1, (0,), NEW_EDGE)),
+        # the same new edge comes back until 2n = 8 iterations are spent
+        ({}, _committing_nothing, "iteration guard exceeded", (1, 9, (0,), None)),
+    ],
+    ids=["phase-guard", "bit-length-guard", "iteration-guard"],
+)
+def test_paper_guard_fires(limits, commit, message, replay, tmp_path, monkeypatch, capsys):
+    # The paper's bounds on the phases, the price bit lengths and the
+    # iterations of a phase each stop the descent with its replay state,
+    # raised to a library caller and as exit 3 of ``fisheq solve``.
+    market = generate_market(4, 4, 20, 3)
+    initialize = fisheq.descend.initialize
+
+    def limited(stripped):
+        state = initialize(stripped)
+        for name, value in limits.items():
+            setattr(state, name, value)
+        return state
+
+    monkeypatch.setattr(fisheq.descend, "initialize", limited)
+    if commit is not None:
+        monkeypatch.setattr(fisheq.descend, "commit_event", commit)
+    with pytest.raises(InvariantError, match=message) as caught:
+        solve_max_revenue(market)
+    bug = caught.value
+    assert (bug.phase, bug.iteration, bug.S, bug.event) == replay
+
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(market_to_doc(market)))
+    assert main(["solve", str(path)]) == 3
+    out, err = capsys.readouterr()
+    phase, iteration, S, event = replay
+    assert out == ""
+    assert err.startswith(f"internal invariant failure: {message}")
+    assert err.endswith(f"(phase {phase}, iteration {iteration}, S {list(S)}, event {event})\n")

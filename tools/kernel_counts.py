@@ -50,9 +50,9 @@ def count(pool):
         caller = sys._getframe(1).f_code.co_name
         result = saturate(network, seeds, budgets, prices)
         if caller == "refine":
-            fsrc = result[1]
-            saturated = all(fsrc[i] == budgets[i] for i in seeds)
-            counts["leaf/clamped" if saturated else "split"] += 1
+            # the saturated flag is next to last both here and in the older
+            # kernel that also returned the money sent, so either is counted
+            counts["leaf/clamped" if result[-2] else "split"] += 1
         else:
             counts[CALLERS[caller]] += 1
         return result
