@@ -60,6 +60,7 @@ class EventRecord:
     active_budgets: tuple = ()
     surplus_ints: tuple = ()  # the surpluses, as integers over surplus_denom
     surplus_denom: int = 1
+    new_edges: tuple = ()  # (buyer, good) pairs that are equality edges from x on
 
     @cached_property
     def surpluses(self):
@@ -97,7 +98,8 @@ class SolverState:
     are tuples of Fractions, 0 for the dead goods and buyers (their
     zero-price event scaled them by 0).  ``initialize`` builds it from the
     equality graph, ``commit_event`` replaces it by the network the event
-    leaves, whose tuples the trace record shares, and the rest reads it.
+    leaves (the record carries the new edges it adds, and shares the new
+    network's tuples), and the rest reads it.
 
     The phase under way is ``len(phases)``, and ``iteration`` counts its
     evented iterations; a phase ends when an event of ``PHASE_ENDS``
@@ -119,7 +121,6 @@ class SolverState:
         self.live_goods = set(range(market.m))
         self._frozen = [[Fraction(0)] * market.m for _ in range(market.n)]  # departed goods
         self.network = None
-        self.tied_edges = []  # new-edge pairs at the scale of the pending event
         self.flow = None
         self.S = set()
         self.iteration = 0
@@ -155,7 +156,7 @@ def initialize(market):
     active = [active_budget_at(market, i, alpha) for i, alpha in enumerate(alphas)]
     state.capped = [is_capped for _, is_capped in active]
     # an uncapped M_i comes back as the market's int; the network makes it a Fraction
-    state.network = FlowNetwork(tuple(money for money, _ in active), prices, edges)
+    state.network = FlowNetwork.from_edges(tuple(money for money, _ in active), prices, edges)
     return state
 
 
@@ -192,7 +193,7 @@ def start_phase(state):
         raise InvariantError("phase guard exceeded; norm decrease law broken")
     delta = max(r[j] for j in state.live_goods)
     top = min(j for j in state.live_goods if r[j] == delta)
-    state.S = set(residual_reach(state.network, state.flow, (top,)))
+    state.S = set(residual_reach(state.flow, (top,)))
     state.iteration = 0
     return True
 
@@ -210,9 +211,9 @@ def next_event(state):
     their ties against each kind's running best, then the kinds' winners
     against each other.  Only the winning scale becomes a Fraction.
 
-    Whatever kind wins, the (h, j) pairs whose new-edge scale equals the
-    event's are left on ``state.tied_edges``: after the scale they are the
-    new equality edges, and ``commit_event`` adds exactly those.
+    Whatever kind wins, the record's ``new_edges`` are the (h, j) pairs
+    whose new-edge scale equals the event's: at that scale they are the
+    new equality edges.
     """
     market = state.market
     network = state.network
@@ -288,13 +289,13 @@ def next_event(state):
     x_star = Fraction(num, den)
     if num > den:
         raise InvariantError(f"event scale {format_rational(x_star)} above 1")
-    state.tied_edges = [] if ratio_sign(best_num, best_den, num, den) else eq_pairs
     return EventRecord(
         kind=kind,
         x=x_star,
         buyers=affected,
         goods=tuple(sorted(state.S)),
         scaled_buyers=tuple(sorted(b_c)),
+        new_edges=() if ratio_sign(best_num, best_den, num, den) else tuple(eq_pairs),
     )
 
 
@@ -332,19 +333,18 @@ def commit_event(state, event):
                 raise InvariantError("live buyer still values a deleted good")
     # B' keeps its edges into S for 0 < x < 1, loses every edge at x = 0 and
     # keeps edges leaving S at x = 1 (a cap that lost a tie to a new edge);
-    # then the new-edge pairs at scale x join: any kind may add them, a
-    # tight set ties with a new edge
+    # then the record's new edges join: any kind may add them, a tight set
+    # ties with a new edge
     state.network = network.edited(
         budgets,
         prices,
         () if x == 1 else bprime,
         goods if x > 0 else (),
-        state.tied_edges,
+        event.new_edges,
     )
-    state.tied_edges = []
     if event.kind == NEW_EDGE:
         _recompute_flow(state)
-        state.S |= set(residual_reach(state.network, state.flow, state.S))
+        state.S |= set(residual_reach(state.flow, state.S))
 
     for j in state.live_goods:
         p = prices[j]

@@ -23,26 +23,34 @@ from .exact import as_fraction
 
 @dataclass(frozen=True)
 class FlowNetwork:
+    """Capacities ``budgets`` (source -> buyer) and ``prices`` (good ->
+    sink), tuples of Fractions, and the equality edges as adjacency rows
+    only, each an ascending tuple: ``buyer_goods[i]``, ``good_buyers[j]``.
+    ``from_edges`` builds and checks one; ``edited`` derives the next."""
+
     budgets: tuple
     prices: tuple
-    edges: frozenset
+    buyer_goods: tuple
+    good_buyers: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "budgets", tuple(map(as_fraction, self.budgets)))
-        object.__setattr__(self, "prices", tuple(map(as_fraction, self.prices)))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if any(c.numerator < 0 for c in self.budgets + self.prices):
+    @classmethod
+    def from_edges(cls, budgets, prices, edges):
+        """The network with the (buyer, good) pairs ``edges``; Fractions are
+        kept, other capacities go through ``Fraction``.  ValueError on a
+        negative capacity or an edge out of range."""
+        budgets, prices = tuple(map(as_fraction, budgets)), tuple(map(as_fraction, prices))
+        if any(c.numerator < 0 for c in budgets + prices):
             raise ValueError("capacities must be nonnegative")
-        n, m = self.n, self.m
+        n, m = len(budgets), len(prices)
         buyer_goods = [[] for _ in range(n)]
         good_buyers = [[] for _ in range(m)]
-        for i, j in sorted(self.edges):  # (i, j) order keeps both lists ascending
+        for i, j in sorted(set(edges)):  # (i, j) order keeps both lists ascending
             if not (0 <= i < n and 0 <= j < m):
                 raise ValueError(f"edge ({i}, {j}) out of range")
             buyer_goods[i].append(j)
             good_buyers[j].append(i)
-        object.__setattr__(self, "buyer_goods", tuple(map(tuple, buyer_goods)))
-        object.__setattr__(self, "good_buyers", tuple(map(tuple, good_buyers)))
+        rows = tuple(map(tuple, buyer_goods)), tuple(map(tuple, good_buyers))
+        return cls(budgets, prices, *rows)
 
     def edited(self, budgets, prices, buyers, keep, added):
         """This network at the capacities ``budgets`` and ``prices`` (tuples
@@ -55,7 +63,7 @@ class FlowNetwork:
         """
         if any(c.numerator < 0 for c in budgets + prices):
             raise ValueError("capacities must be nonnegative")
-        goods_of, buyers_of, dropped = {}, {}, []
+        goods_of, buyers_of = {}, {}
         for i in buyers:
             row = self.buyer_goods[i]
             kept = [j for j in row if j in keep]
@@ -64,7 +72,6 @@ class FlowNetwork:
             goods_of[i] = kept
             for j in row:
                 if j not in keep:
-                    dropped.append((i, j))
                     buyers_of.setdefault(j, list(self.good_buyers[j])).remove(i)
         for i, j in added:
             insort(goods_of.setdefault(i, list(self.buyer_goods[i])), j)
@@ -74,15 +81,7 @@ class FlowNetwork:
             buyer_goods[i] = tuple(row)
         for j, column in buyers_of.items():
             good_buyers[j] = tuple(column)
-        network = object.__new__(FlowNetwork)  # skips __post_init__'s full pass
-        network.__dict__.update(
-            budgets=budgets,
-            prices=prices,
-            edges=self.edges.difference(dropped).union(added),
-            buyer_goods=tuple(buyer_goods),
-            good_buyers=tuple(good_buyers),
-        )
-        return network
+        return FlowNetwork(budgets, prices, tuple(buyer_goods), tuple(good_buyers))
 
     @property
     def n(self):
@@ -315,11 +314,11 @@ def max_flow(network):
     return Flow(network, flow, scale)
 
 
-def residual_reach(network, flow, targets):
+def residual_reach(flow, targets):
     """Goods with a residual path to some target good, avoiding s and t.
 
-    Arcs: buyer -> good always (uncapacitated equality edge), good -> buyer
-    only where the edge carries flow.  Targets are included.
+    Arcs of the flow's network: buyer -> good always (equality edge),
+    good -> buyer only where the edge carries flow.  Targets are included.
 
     The result is the same for every maximum flow with the same source and
     sink flows, for example every balanced flow of the network (the
@@ -338,7 +337,7 @@ def residual_reach(network, flow, targets):
     while stack:
         # predecessors of a good: buyers with an equality edge to it; of a
         # buyer: the goods it pays, the keys of its (zero-free) flow row
-        for i in network.good_buyers[stack.pop()]:
+        for i in flow.network.good_buyers[stack.pop()]:
             if i not in seen_buyers:
                 seen_buyers.add(i)
                 for j in flow.rows[i]:
@@ -348,11 +347,11 @@ def residual_reach(network, flow, targets):
     return frozenset(seen_goods)
 
 
-def is_balanced(network, flow):
-    """Certificate for minimum-norm surplus: source edges are saturated (so
-    the flow is maximum), no good is over its price, and no residual
-    good-to-good path leads from a lower-surplus good to a higher-surplus
-    one.
+def is_balanced(flow):
+    """Certificate for minimum-norm surplus on the flow's network: source
+    edges are saturated (so the flow is maximum), no good is over its
+    price, and no residual good-to-good path leads from a lower-surplus
+    good to a higher-surplus one.
 
     The last condition takes one sweep: searches start from the goods in
     ascending surplus and enter only goods no earlier search reached, so
@@ -362,7 +361,7 @@ def is_balanced(network, flow):
     if not flow.sources_saturated() or not flow.is_feasible():
         return False
     r = flow._surplus_ints  # over one denominator: compares as the surpluses
-    rows = flow.rows
+    rows, network = flow.rows, flow.network
     reached_goods = [False] * network.m
     reached_buyers = [False] * network.n
     for start in sorted(range(network.m), key=r.__getitem__):
@@ -436,7 +435,7 @@ def balanced_flow(network):
             raise InvariantError("negative water level; block not saturable")
         if k == 1:
             (j,) = goods
-            if any(B[i] and (i, j) not in network.edges for i in buyers):
+            if any(B[i] and j not in network.buyer_goods[i] for i in buyers):
                 raise InvariantError("degenerate min-cut split in water filling")
             leaves.append((1, [(i, {j: B[i]}) for i in buyers if B[i]]))
             return
@@ -506,7 +505,7 @@ def balanced_flow(network):
             for i, row in block_rows:
                 rows[i] = {j: v * factor for j, v in row.items()}
         result = Flow(network, rows, scale * L)
-    if not is_balanced(network, result):
+    if not is_balanced(result):
         raise InvariantError("water filling produced an unbalanced flow")
     return result
 

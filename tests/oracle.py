@@ -30,8 +30,9 @@ buyer set, with no max-flow.
 ``reference_equality_graph`` is the equality graph on Fractions, before
 the pass that finds each buyer's ratio also collected the goods attaining
 it; ``reference_min_revenue`` reads its edges from it.
-``edge_flow`` reads a ``Flow``'s rational edge flows back, which only the
-tests need, and ``flow_from_edges`` builds a ``Flow`` from rational edge
+``edge_flow`` reads a ``Flow``'s rational edge flows back and ``edges_of``
+a ``FlowNetwork``'s edge set off its adjacency rows, which only the tests
+need, and ``flow_from_edges`` builds a ``Flow`` from rational edge
 flows, as the package's flow constructor did before it took integer rows
 only.  ``reference_cleared`` clears a network's capacities with one lcm
 over all n + m denominators, as ``FlowNetwork._cleared`` did before it
@@ -78,15 +79,20 @@ def edge_flow(flow):
     }
 
 
+def edges_of(network):
+    """The network's equality edges, {(buyer, good)}, off its buyer rows."""
+    return frozenset((i, j) for i, row in enumerate(network.buyer_goods) for j in row)
+
+
 def flow_from_edges(network, flows):
     """The ``Flow`` carrying the rational money ``flows[(i, j)]`` on each
     edge, cleared to integer rows over one denominator, a multiple of the
     network's D."""
-    cleared = {}
+    cleared, edges = {}, edges_of(network)
     for (i, j), v in flows.items():
         if not v:
             continue
-        if (i, j) not in network.edges:
+        if (i, j) not in edges:
             raise ValueError(f"flow on non-edge ({i}, {j})")
         v = Fraction(v)
         if v < 0:
@@ -140,9 +146,9 @@ def reference_residual_reach(network, flow, targets):
     along an edge with positive rational flow): add every predecessor of
     what is reached until nothing new is."""
     paid = {edge for edge, v in edge_flow(flow).items() if v > 0}
-    goods = set(targets)
+    edges, goods = edges_of(network), set(targets)
     while True:
-        buyers = {i for i, j in network.edges if j in goods}
+        buyers = {i for i, j in edges if j in goods}
         reached = goods | {j for i, j in paid if i in buyers}
         if reached == goods:
             return frozenset(goods)
@@ -287,7 +293,7 @@ def reference_balanced_flow(network):
         for i in seeds:
             rows[i] = {j: v * factor for j, v in flow[i].items()}
     result = Flow(network, rows, scale * L)
-    if not is_balanced(network, result):
+    if not is_balanced(result):
         raise InvariantError("water filling produced an unbalanced flow")
     return result
 
@@ -700,8 +706,9 @@ def _reference_alpha(state, i):
 
 
 def reference_next_event(state):
-    """The largest event scale, each cap and new-edge candidate a Fraction.
-    Sets ``state.tied_edges`` as the solver's search does."""
+    """The largest event scale, each cap and new-edge candidate a Fraction,
+    and the new-edge pairs at that scale on the record, as the solver's
+    search puts them there."""
     market = state.market
     network = state.network
     prices = network.prices
@@ -764,13 +771,13 @@ def reference_next_event(state):
     x_star, _, kind, affected = max(candidates, key=lambda c: (c[0], c[1]))
     if x_star > 1:
         raise InvariantError(f"event scale {x_star} above 1")
-    state.tied_edges = eq_pairs if best_eq == x_star else []
     return EventRecord(
         kind=kind,
         x=x_star,
         buyers=affected,
         goods=tuple(sorted(state.S)),
         scaled_buyers=tuple(sorted(b_c)),
+        new_edges=tuple(eq_pairs) if best_eq == x_star else (),
     )
 
 
@@ -821,12 +828,12 @@ def equalize_balanced(network):
         raise InvariantError("source edges not saturable")
     levels = balanced_surplus_levels(network)
     targets = tuple(p - r for p, r in zip(network.prices, levels))
-    realization = FlowNetwork(network.budgets, targets, network.edges)
+    realization = FlowNetwork.from_edges(network.budgets, targets, edges_of(network))
     f = max_flow(realization)
     if not f.sources_saturated():
         raise InvariantError("enumerated levels are not realizable")
     result = flow_from_edges(network, edge_flow(f))
-    if not is_balanced(network, result):
+    if not is_balanced(result):
         raise InvariantError("enumeration oracle produced an unbalanced flow")
     return result
 

@@ -23,6 +23,7 @@ from fisheq.flow import (
 )
 from oracle import (
     edge_flow,
+    edges_of,
     equalize_balanced,
     flow_from_edges,
     min_cut,
@@ -37,15 +38,15 @@ from oracle import (
 
 def ex1_initial_network():
     # Active budgets (4/5, 1) against prices (4, 4); only good 0 has edges.
-    return FlowNetwork((F(4, 5), F(1)), (F(4), F(4)), {(0, 0), (1, 0)})
+    return FlowNetwork.from_edges((F(4, 5), F(1)), (F(4), F(4)), {(0, 0), (1, 0)})
 
 
 def ex1_after_first_event():
-    return FlowNetwork((F(4, 5), F(1)), (F(4), F(2)), {(0, 0), (1, 0), (1, 1)})
+    return FlowNetwork.from_edges((F(4, 5), F(1)), (F(4), F(2)), {(0, 0), (1, 0), (1, 1)})
 
 
 def ex2_initial_network():
-    return FlowNetwork((F(1), F(1)), (F(2), F(2)), {(0, 0), (0, 1), (1, 1)})
+    return FlowNetwork.from_edges((F(1), F(1)), (F(2), F(2)), {(0, 0), (0, 1), (1, 1)})
 
 
 def _value(flow):
@@ -60,11 +61,11 @@ class TestMaxFlow:
         assert edge_flow(f) == {(0, 0): F(4, 5), (1, 0): F(1)}
 
     def test_no_edges(self):
-        f = max_flow(FlowNetwork((F(1),), (F(1),), set()))
+        f = max_flow(FlowNetwork.from_edges((F(1),), (F(1),), set()))
         assert _value(f) == 0
 
     def test_sink_bottleneck(self):
-        f = max_flow(FlowNetwork((F(1), F(1)), (F(1),), {(0, 0), (1, 0)}))
+        f = max_flow(FlowNetwork.from_edges((F(1), F(1)), (F(1),), {(0, 0), (1, 0)}))
         assert _value(f) == 1
 
     def test_deterministic(self):
@@ -74,14 +75,21 @@ class TestMaxFlow:
 
 def test_network_capacities_converted_and_validated():
     # Fractions are kept, anything else goes through Fraction().
-    net = FlowNetwork((1, F(1, 2)), ("3/4",), {(0, 0)})
+    net = FlowNetwork.from_edges((1, F(1, 2)), ("3/4",), {(0, 0)})
     assert all(type(c) is F for c in net.budgets + net.prices)
     assert net.budgets == (F(1), F(1, 2)) and net.prices == (F(3, 4),)
-    for budgets in ((-1,), (F(-1, 2),)):
-        with pytest.raises(ValueError):
-            FlowNetwork(budgets, (F(1),), set())
-    with pytest.raises(ValueError):
-        FlowNetwork((F(1),), (1,), {(0, 1)})
+    # A negative capacity or an edge out of range is rejected.  edited
+    # checks only the new capacities, the one input it does not take from
+    # a checked network.
+    for budgets, prices in (((-1,), (1,)), ((F(-1, 2),), (1,)), ((1,), (F(-1, 3),))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            FlowNetwork.from_edges(budgets, prices, set())
+    for edge in ((0, 1), (1, 0), (0, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            FlowNetwork.from_edges((F(1),), (1,), {edge})
+    for budgets, prices in (((F(-1), F(1)), net.prices), (net.budgets, (F(-3, 4),))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            net.edited(budgets, prices, (), (), ())
 
 
 @st.composite
@@ -98,12 +106,12 @@ def shared_denominator_networks(draw):
     )
     budgets = draw(st.lists(capacity, min_size=n, max_size=n))
     prices = draw(st.lists(capacity, min_size=m, max_size=m))
-    return FlowNetwork(budgets, prices, set())
+    return FlowNetwork.from_edges(budgets, prices, set())
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(shared_denominator_networks())
-@example(FlowNetwork((F(0), F(3), F(1, 6)), (F(5, 4), F(7, 6), F(0), F(2)), set()))
+@example(FlowNetwork.from_edges((F(0), F(3), F(1, 6)), (F(5, 4), F(7, 6), F(0), F(2)), set()))
 def test_cleared_matches_the_reference_lcm(net):
     # One lcm and one quotient per distinct denominator clear every
     # capacity to the integers of one lcm over all n + m of them.
@@ -113,9 +121,11 @@ def test_cleared_matches_the_reference_lcm(net):
 def test_edited_network_equals_the_rebuilt_one():
     # Buyer 0 keeps only its edge to good 0, then two edges join; every
     # row stays ascending, as the constructor sorts it.
-    net = FlowNetwork((F(1),) * 3, (F(2),) * 3, {(0, 0), (0, 2), (1, 1), (2, 2)})
+    net = FlowNetwork.from_edges((F(1),) * 3, (F(2),) * 3, {(0, 0), (0, 2), (1, 1), (2, 2)})
     edited = net.edited(net.budgets, net.prices, {0}, {0}, [(2, 1), (1, 0)])
-    rebuilt = FlowNetwork(net.budgets, net.prices, {(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)})
+    rebuilt = FlowNetwork.from_edges(
+        net.budgets, net.prices, {(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)}
+    )
     assert edited == rebuilt
     assert edited.buyer_goods == rebuilt.buyer_goods == ((0,), (0, 1), (1, 2))
     assert edited.good_buyers == rebuilt.good_buyers == ((0, 1), (1, 2), (2,))
@@ -131,12 +141,12 @@ class TestMinCut:
         assert ("good", 1) in sink_side
 
     def test_saturated_trivial(self):
-        net = FlowNetwork((F(1),), (F(1),), {(0, 0)})
+        net = FlowNetwork.from_edges((F(1),), (F(1),), {(0, 0)})
         source_side, _ = min_cut(net, max_flow(net))
         assert source_side == {"s"}
 
     def test_sink_edge_cut(self):
-        net = FlowNetwork((F(1), F(1)), (F(1),), {(0, 0), (1, 0)})
+        net = FlowNetwork.from_edges((F(1), F(1)), (F(1),), {(0, 0), (1, 0)})
         source_side, sink_side = min_cut(net, max_flow(net))
         assert source_side == {"s", ("buyer", 0), ("buyer", 1), ("good", 0)}
         assert sink_side == {"t"}
@@ -150,7 +160,7 @@ class TestMinCut:
         rng = random.Random(5)
         for _ in range(60):
             n, m = rng.randint(1, 5), rng.randint(1, 5)
-            net = FlowNetwork(
+            net = FlowNetwork.from_edges(
                 tuple(F(rng.randint(0, 8)) for _ in range(n)),
                 tuple(F(rng.randint(0, 8)) for _ in range(m)),
                 {(i, j) for i in range(n) for j in range(m) if rng.random() < 0.5},
@@ -159,7 +169,7 @@ class TestMinCut:
             source_side, _ = min_cut(net, f)
             buyers_in = {i for k, i in source_side - {"s"} if k == "buyer"}
             goods_in = {j for k, j in source_side - {"s"} if k == "good"}
-            for i, j in net.edges:  # no uncapacitated edge may cross the cut
+            for i, j in edges_of(net):  # no uncapacitated edge may cross the cut
                 assert not (i in buyers_in and j not in goods_in)
             capacity = sum(
                 (net.budgets[i] for i in range(n) if i not in buyers_in), F(0)
@@ -171,16 +181,16 @@ class TestResidualReach:
     def test_only_target_without_back_edges(self):
         net = ex1_after_first_event()
         f = flow_from_edges(net, {(0, 0): F(4, 5), (1, 0): F(1)})
-        assert residual_reach(net, f, {0}) == {0}
+        assert residual_reach(f, {0}) == {0}
 
     def test_empty_flow_reaches_targets_only(self):
         net = ex1_after_first_event()
-        assert residual_reach(net, flow_from_edges(net, {}), {0}) == {0}
+        assert residual_reach(flow_from_edges(net, {}), {0}) == {0}
 
     def test_reach_through_carried_flow(self):
         net = ex1_after_first_event()
         f = flow_from_edges(net, {(0, 0): F(4, 5), (1, 0): F(1)})
-        assert residual_reach(net, f, {1}) == {0, 1}
+        assert residual_reach(f, {1}) == {0, 1}
 
 
 class TestBalancedFlow:
@@ -190,7 +200,7 @@ class TestBalancedFlow:
         assert edge_flow(f) == {(0, 0): F(4, 5), (1, 0): F(1)}
 
     def test_single_pair(self):
-        net = FlowNetwork((F(1),), (F(3),), {(0, 0)})
+        net = FlowNetwork.from_edges((F(1),), (F(3),), {(0, 0)})
         f = balanced_flow(net)
         assert f.surpluses() == (F(2),)
 
@@ -214,7 +224,7 @@ class TestBalancedFlow:
             # no surplus to balance, and the max-flow leaves money behind
             ((F(2),), (F(1), F(1))),
         ):
-            net = FlowNetwork(budgets, prices, {(0, 0)})
+            net = FlowNetwork.from_edges(budgets, prices, {(0, 0)})
             with pytest.raises(InvariantError):
                 balanced_flow(net)
 
@@ -230,7 +240,7 @@ class TestBalancedFlow:
             return _saturate(*args)
 
         monkeypatch.setattr(fisheq.flow, "_saturate", counted)
-        net = FlowNetwork(
+        net = FlowNetwork.from_edges(
             (F(2), F(1)), (F(2), F(2), F(3), F(3)), {(0, 0), (0, 1), (1, 2), (1, 3)}
         )
         assert balanced_flow(net).surpluses() == (F(1), F(1), F(5, 2), F(5, 2))
@@ -239,7 +249,7 @@ class TestBalancedFlow:
     def test_levels_with_clamped_and_split_blocks(self):
         # Three price levels: a rich dedicated good, a pair forming its own
         # block, and a cheap good nobody needs to touch.
-        net = FlowNetwork(
+        net = FlowNetwork.from_edges(
             (F(10), F(8)),
             (F(100), F(2), F(41), F(3)),
             {(0, 0), (1, 2), (1, 3)},
@@ -252,29 +262,29 @@ class TestBalancedFlow:
 
 class TestIsBalanced:
     def test_certifies_balanced_output(self):
-        assert is_balanced(ex2_initial_network(), balanced_flow(ex2_initial_network()))
+        assert is_balanced(balanced_flow(ex2_initial_network()))
 
     def test_rejects_skewed_split(self):
         net = ex2_initial_network()
         skewed = flow_from_edges(net, {(0, 1): F(1), (1, 1): F(1)})
         assert skewed.surpluses() == (F(2), F(0))
-        assert not is_balanced(net, skewed)
+        assert not is_balanced(skewed)
 
     def test_rejects_non_maximum(self):
         net = ex1_initial_network()
-        assert not is_balanced(net, flow_from_edges(net, {}))
+        assert not is_balanced(flow_from_edges(net, {}))
 
     def test_denominator_of_the_flow_not_the_network(self):
         # Integer capacities (D = 1), flows in halves and thirds: the one
         # buyer's split must leave both goods the same surplus.
-        net = FlowNetwork((F(1),), (F(2), F(2)), {(0, 0), (0, 1)})
+        net = FlowNetwork.from_edges((F(1),), (F(2), F(2)), {(0, 0), (0, 1)})
         halves = flow_from_edges(net, {(0, 0): F(1, 2), (0, 1): F(1, 2)})
         thirds = flow_from_edges(net, {(0, 0): F(1, 3), (0, 1): F(2, 3)})
         assert net._cleared[0] == 1 and thirds.denom == 3
         assert thirds.sources_saturated() and thirds.is_feasible()
         assert thirds.surpluses() == (F(5, 3), F(4, 3))
-        assert is_balanced(net, halves)
-        assert not is_balanced(net, thirds)
+        assert is_balanced(halves)
+        assert not is_balanced(thirds)
 
 
 class TestTightSetScale:
@@ -287,17 +297,17 @@ class TestTightSetScale:
         assert tight_set_scale(net, {0}, uncapped=set(), capped={0, 1}) == (0, 1, {0, 1})
 
     def test_final_tight_set_of_example(self):
-        net = FlowNetwork(
+        net = FlowNetwork.from_edges(
             (F(1, 4), F(1)), (F(5, 4), F(5, 8)), {(0, 0), (1, 0), (1, 1)}
         )
         assert tight_set_scale(net, {0, 1}, uncapped={1}, capped={0}) == (8, 13, {0, 1})
 
     def test_recursion_narrows_to_subset(self):
-        net = FlowNetwork((F(1), F(1)), (F(2), F(10)), {(0, 0), (1, 1)})
+        net = FlowNetwork.from_edges((F(1), F(1)), (F(2), F(10)), {(0, 0), (1, 1)})
         assert tight_set_scale(net, {0, 1}, uncapped={0, 1}, capped=set()) == (1, 2, {0})
 
     def test_negative_surplus_rejected(self):
-        net = FlowNetwork((F(3), F(3)), (F(4),), {(0, 0), (1, 0)})
+        net = FlowNetwork.from_edges((F(3), F(3)), (F(4),), {(0, 0), (1, 0)})
         with pytest.raises(InvariantError):
             tight_set_scale(net, {0}, uncapped={0, 1}, capped=set())
 
@@ -345,10 +355,10 @@ def _random_saturable_network(rng, density=0.55):
     for i in range(n):
         if not any(e[0] == i for e in edges):
             budgets[i] = F(0)
-    net = FlowNetwork(tuple(budgets), prices, frozenset(edges))
+    net = FlowNetwork.from_edges(tuple(budgets), prices, frozenset(edges))
     if not max_flow(net).sources_saturated():
         total = sum(budgets, F(0))
-        net = FlowNetwork(
+        net = FlowNetwork.from_edges(
             tuple(budgets), tuple(p + total for p in prices), frozenset(edges)
         )
     return net if max_flow(net).sources_saturated() else None
@@ -363,7 +373,7 @@ def _random_feasible_variant(net, flow, rng):
         moved = False
         for src in goods:
             current = flow_from_edges(net, flows)
-            reachable = residual_reach(net, current, (src,)) - {src}
+            reachable = residual_reach(current, (src,)) - {src}
             if not reachable:
                 continue
             dst = rng.choice(sorted(reachable))
@@ -428,7 +438,7 @@ def _balanced_by_definition(net, flow):
         return False
     r = flow.surpluses()
     return all(
-        r[j] >= r[k] for k in range(net.m) for j in residual_reach(net, flow, (k,))
+        r[j] >= r[k] for k in range(net.m) for j in residual_reach(flow, (k,))
     )
 
 
@@ -447,7 +457,7 @@ def test_one_pass_certificate_matches_per_good_definition():
             _random_feasible_variant(net, balanced, rng),
         ):
             expected = _balanced_by_definition(net, flow)
-            assert is_balanced(net, flow) == expected
+            assert is_balanced(flow) == expected
             verdicts[expected] += 1
         done += 1
     # both verdicts occur among feasible, source-saturating flows
@@ -462,7 +472,7 @@ def test_balanced_flow_self_certifies_on_random_networks():
         if net is None:
             continue
         f = balanced_flow(net)
-        assert is_balanced(net, f)
+        assert is_balanced(f)
         done += 1
 
 
@@ -487,7 +497,7 @@ def test_max_surplus_closure_has_uniform_surplus():
         f = balanced_flow(net)
         r = f.surpluses()
         top = max(r)
-        closure = residual_reach(net, f, (min(j for j in range(net.m) if r[j] == top),))
+        closure = residual_reach(f, (min(j for j in range(net.m) if r[j] == top),))
         assert all(r[j] == top for j in closure)
         done += 1
 
@@ -541,7 +551,7 @@ def masked_networks(draw):
     goods = draw(st.sets(st.integers(0, m - 1), min_size=1))
     budgets = [draw(st.integers(0, 12)) if i in seeds else 0 for i in range(n)]
     prices = [draw(st.integers(0, 12)) if j in goods else 0 for j in range(m)]
-    return FlowNetwork(budgets, prices, edges), seeds, budgets, prices
+    return FlowNetwork.from_edges(budgets, prices, edges), seeds, budgets, prices
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -611,13 +621,13 @@ def long_path_networks(draw):
     edges |= draw(
         st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=2)
     )
-    return FlowNetwork(budgets, prices, edges), list(range(n)), budgets, prices
+    return FlowNetwork.from_edges(budgets, prices, edges), list(range(n)), budgets, prices
 
 
 # buyer 1's money goes to good 1 and then good 2 through good 0 and buyer 0:
 # both paths come from one search
 ONE_SEARCH_TWO_PATHS = (
-    FlowNetwork((3, 5), (3, 1, 1), {(0, 0), (0, 1), (0, 2), (1, 0)}),
+    FlowNetwork.from_edges((3, 5), (3, 1, 1), {(0, 0), (0, 1), (0, 2), (1, 0)}),
     [0, 1],
     [3, 5],
     [3, 1, 1],
@@ -653,7 +663,7 @@ def fractional_networks(draw):
     else:
         price = st.builds(F, st.integers(0, 40), st.integers(1, 4))
         prices = draw(st.lists(price, min_size=m, max_size=m))
-    return FlowNetwork(budgets, prices, edges)
+    return FlowNetwork.from_edges(budgets, prices, edges)
 
 
 def _assert_matches_the_probing_reference(net):
@@ -672,23 +682,31 @@ def _assert_matches_the_probing_reference(net):
 @given(fractional_networks())
 # no surplus, saturable; no surplus, unsaturable; two one-good blocks; a
 # one-good block whose second buyer has money but no edge to the good
-@example(FlowNetwork((F(1, 2), F(3, 2)), (F(3, 4), F(5, 4)), {(0, 0), (1, 0), (1, 1)}))
-@example(FlowNetwork((F(1, 2), F(3, 2)), (F(3, 2), F(1, 2)), {(0, 0), (1, 0)}))
-@example(FlowNetwork((F(1, 3), F(1, 2)), (F(7, 6), F(5)), {(0, 0), (1, 1)}))
-@example(FlowNetwork((F(1, 3), F(1, 2)), (F(7, 6),), {(0, 0)}))
+@example(FlowNetwork.from_edges((F(1, 2), F(3, 2)), (F(3, 4), F(5, 4)), {(0, 0), (1, 0), (1, 1)}))
+@example(FlowNetwork.from_edges((F(1, 2), F(3, 2)), (F(3, 2), F(1, 2)), {(0, 0), (1, 0)}))
+@example(FlowNetwork.from_edges((F(1, 3), F(1, 2)), (F(7, 6), F(5)), {(0, 0), (1, 1)}))
+@example(FlowNetwork.from_edges((F(1, 3), F(1, 2)), (F(7, 6),), {(0, 0)}))
 # two two-good components at different levels, with interleaved indices;
 # two at one level (one leaf of a whole-network root block); a component
 # that splits inside; a buyer with money and no edges beside a component
-@example(FlowNetwork((F(2), F(1)), (F(2), F(3), F(2), F(3)), {(0, 0), (0, 2), (1, 1), (1, 3)}))
-@example(FlowNetwork((F(1), F(2)), (F(2), F(3), F(3), F(3)), {(0, 0), (0, 1), (1, 2), (1, 3)}))
 @example(
-    FlowNetwork(
+    FlowNetwork.from_edges(
+        (F(2), F(1)), (F(2), F(3), F(2), F(3)), {(0, 0), (0, 2), (1, 1), (1, 3)}
+    )
+)
+@example(
+    FlowNetwork.from_edges(
+        (F(1), F(2)), (F(2), F(3), F(3), F(3)), {(0, 0), (0, 1), (1, 2), (1, 3)}
+    )
+)
+@example(
+    FlowNetwork.from_edges(
         (F(3), F(1, 2), F(1)),
         (F(2), F(2), F(4), F(1, 2), F(7)),
         {(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (2, 4)},
     )
 )
-@example(FlowNetwork((F(1), F(1, 2)), (F(2), F(2)), {(0, 0), (0, 1)}))
+@example(FlowNetwork.from_edges((F(1), F(1, 2)), (F(2), F(2)), {(0, 0), (0, 1)}))
 def test_balanced_flow_matches_the_probing_reference(net):
     # Probing only at zero surplus, writing one-good blocks down and
     # refining each connected component on its own must leave every flow,
@@ -715,7 +733,7 @@ def saturable_networks(draw):
             total += v
         budgets.append(total)
     surplus = st.builds(F, st.integers(0, 8), st.integers(1, 3))
-    return FlowNetwork(budgets, [p + draw(surplus) for p in paid], edges)
+    return FlowNetwork.from_edges(budgets, [p + draw(surplus) for p in paid], edges)
 
 
 @st.composite
@@ -734,9 +752,9 @@ def network_unions(draw):
             budgets[buyer_at[i0 + i]] = b
         for j, p in enumerate(net.prices):
             prices[good_at[j0 + j]] = p
-        edges |= {(buyer_at[i0 + i], good_at[j0 + j]) for i, j in net.edges}
+        edges |= {(buyer_at[i0 + i], good_at[j0 + j]) for i, j in edges_of(net)}
         i0, j0 = i0 + net.n, j0 + net.m
-    return FlowNetwork(budgets, prices, edges)
+    return FlowNetwork.from_edges(budgets, prices, edges)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -759,7 +777,7 @@ def test_residual_reach_matches_the_reference_fixpoint(net):
         for size in range(1, net.m + 1):
             for targets in itertools.combinations(range(net.m), size):
                 expected = reference_residual_reach(net, f, targets)
-                assert residual_reach(net, f, targets) == expected
+                assert residual_reach(f, targets) == expected
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -775,10 +793,10 @@ def test_residual_reach_is_the_same_for_every_balanced_flow(seed):
     assume(net is not None)
     buyers, goods = rng.sample(range(net.n), net.n), rng.sample(range(net.m), net.m)
     relabelled = balanced_flow(
-        FlowNetwork(
+        FlowNetwork.from_edges(
             [net.budgets[i] for i in buyers],
             [net.prices[j] for j in goods],
-            {(buyers.index(i), goods.index(j)) for i, j in net.edges},
+            {(buyers.index(i), goods.index(j)) for i, j in edges_of(net)},
         )
     )
     flows = (
@@ -791,4 +809,4 @@ def test_residual_reach_is_the_same_for_every_balanced_flow(seed):
     )
     for size in range(1, net.m + 1):
         for targets in itertools.combinations(range(net.m), size):
-            assert len({residual_reach(net, f, targets) for f in flows}) == 1
+            assert len({residual_reach(f, targets) for f in flows}) == 1

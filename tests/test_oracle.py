@@ -15,23 +15,23 @@ from oracle import (
 
 class TestEqualizeBalanced:
     def test_overlap_initial_network(self):
-        net = FlowNetwork((F(1), F(1)), (F(2), F(2)), {(0, 0), (0, 1), (1, 1)})
+        net = FlowNetwork.from_edges((F(1), F(1)), (F(2), F(2)), {(0, 0), (0, 1), (1, 1)})
         f = equalize_balanced(net)
         assert f.surpluses() == (F(1), F(1))
-        assert is_balanced(net, f)
+        assert is_balanced(f)
 
     def test_stable_on_repeat(self):
-        net = FlowNetwork((F(1), F(1)), (F(2), F(2)), {(0, 0), (0, 1), (1, 1)})
+        net = FlowNetwork.from_edges((F(1), F(1)), (F(2), F(2)), {(0, 0), (0, 1), (1, 1)})
         first = equalize_balanced(net)
         second = equalize_balanced(net)
         assert edge_flow(first) == edge_flow(second)
 
     def test_example_initial_network(self):
-        net = FlowNetwork((F(4, 5), F(1)), (F(4), F(4)), {(0, 0), (1, 0)})
+        net = FlowNetwork.from_edges((F(4, 5), F(1)), (F(4), F(4)), {(0, 0), (1, 0)})
         assert equalize_balanced(net).surpluses() == (F(11, 5), F(4))
 
     def test_levels_match_direct_peel(self):
-        net = FlowNetwork(
+        net = FlowNetwork.from_edges(
             (F(10), F(8)),
             (F(100), F(2), F(41), F(3)),
             {(0, 0), (1, 2), (1, 3)},
@@ -39,7 +39,7 @@ class TestEqualizeBalanced:
         assert balanced_surplus_levels(net) == (F(90), F(2), F(33), F(3))
 
     def test_enumeration_guard(self):
-        big = FlowNetwork(
+        big = FlowNetwork.from_edges(
             (F(1),), tuple(F(1) for _ in range(20)), {(0, j) for j in range(20)}
         )
         with pytest.raises(ValueError):

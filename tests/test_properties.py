@@ -4,6 +4,11 @@ Both endpoints are unique (pointwise largest and smallest prices), and so
 are the buyers' utilities, so relabelling buyers or goods must relabel the
 output, scaling all budgets must scale the prices alone, and scaling one
 buyer's utilities and cap together must scale that buyer's utility alone.
+A linear market has unique equilibrium prices (Eisenberg and Gale, 1959),
+so its two endpoints meet.
+
+Every property draws from ``markets`` and from ``tied_markets``, whose
+few small values make the events of the descent land on one scale.
 """
 
 from fractions import Fraction as F
@@ -33,6 +38,35 @@ def markets(draw, max_buyers=4, max_goods=4, max_value=20):
     return Market(tuple(budgets), tuple(caps), tuple(map(tuple, rows)))
 
 
+@st.composite
+def tied_markets(draw):
+    """Markets whose events tie often: utilities from {0..k} for a small
+    k, budgets from {1/2, 1, 2, 3}, and caps that are none (about 40%),
+    one of a few small values, or a whole-number share of the row sum."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    budget = st.sampled_from([F(1, 2), F(1), F(2), F(3)])
+    budgets = draw(st.lists(budget, min_size=n, max_size=n))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, k), min_size=m, max_size=m), min_size=n, max_size=n
+        ).filter(lambda rows: any(any(row) for row in rows))
+    )
+    caps = []
+    for row in rows:
+        kind = draw(st.integers(0, 4))  # 0, 1: none; 2, 3: a fixed value; 4: a share
+        if kind < 2:
+            caps.append(None)
+        elif kind < 4 or not any(row):
+            caps.append(draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(3)])))
+        else:
+            caps.append(draw(st.integers(1, sum(row))))
+    return Market(tuple(budgets), tuple(caps), tuple(map(tuple, rows)))
+
+
+ANY_MARKETS = markets() | tied_markets()
+
+
 def _endpoints(market):
     high = solve_max_revenue(market).equilibrium
     return high, min_revenue(market, high)
@@ -41,7 +75,7 @@ def _endpoints(market):
 @SETTINGS
 @given(st.data())
 def test_permuting_buyers_and_goods_permutes_the_endpoints(data):
-    market = data.draw(markets())
+    market = data.draw(ANY_MARKETS)
     sigma = data.draw(st.permutations(range(market.n)))  # new buyer k is old sigma[k]
     tau = data.draw(st.permutations(range(market.m)))  # new good k is old tau[k]
     permuted = Market(
@@ -55,7 +89,7 @@ def test_permuting_buyers_and_goods_permutes_the_endpoints(data):
 
 
 @SETTINGS
-@given(markets(), st.sampled_from([F(2), F(3), F(1, 2), F(7, 3)]))
+@given(ANY_MARKETS, st.sampled_from([F(2), F(3), F(1, 2), F(7, 3)]))
 def test_scaling_budgets_scales_prices_only(market, k):
     scaled = Market(
         tuple(k * b for b in market.budgets), market.caps, market.utilities
@@ -68,7 +102,7 @@ def test_scaling_budgets_scales_prices_only(market, k):
 @SETTINGS
 @given(st.data())
 def test_rescaling_one_buyer_scales_its_utility_only(data):
-    market = data.draw(markets())
+    market = data.draw(ANY_MARKETS)
     b = data.draw(st.integers(0, market.n - 1))
     k = data.draw(st.sampled_from([F(2), F(1, 3), F(7, 2)]))
     factor = [k if i == b else 1 for i in range(market.n)]
@@ -84,10 +118,18 @@ def test_rescaling_one_buyer_scales_its_utility_only(data):
 
 
 @SETTINGS
-@given(markets())
+@given(ANY_MARKETS)
 def test_meet_and_join_of_the_endpoints_are_the_endpoints(market):
     high, low = _endpoints(market)
     for first, second in ((high, low), (low, high)):
         bottom, top = meet(market, first, second), join(market, first, second)
         assert bottom.prices == low.prices and top.prices == high.prices
         assert bottom.utilities == top.utilities == high.utilities
+
+
+@SETTINGS
+@given(ANY_MARKETS)
+def test_linear_min_revenue_returns_the_solve_prices(market):
+    linear = Market(market.budgets, (None,) * market.n, market.utilities)
+    high = solve_max_revenue(linear).equilibrium
+    assert min_revenue(linear, high).prices == high.prices

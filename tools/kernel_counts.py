@@ -16,10 +16,8 @@ it prints:
 - augmenting paths (goods a search returned, each one a push);
 - paths found by resumed searches (every path after a search's first).
 
-The counts are deterministic and compare two versions of the kernel on
-the same markets.  A search that returns one ``(end, markers)`` tuple, as
-the kernel did before it resumed searches, is counted as one search with
-at most one path, so the script measures both versions.
+The counts are deterministic, so two checkouts compare on the same
+markets; the script measures the kernel of the checkout it lives in.
 """
 
 from __future__ import annotations
@@ -50,20 +48,15 @@ def count(pool):
         caller = sys._getframe(1).f_code.co_name
         result = saturate(network, seeds, budgets, prices)
         if caller == "refine":
-            # the saturated flag is next to last both here and in the older
-            # kernel that also returned the money sent, so either is counted
-            counts["leaf/clamped" if result[-2] else "split"] += 1
+            _, saturated, _ = result
+            counts["leaf/clamped" if saturated else "split"] += 1
         else:
             counts[CALLERS[caller]] += 1
         return result
 
     def counted_search(*args):
         counts["searches"] += 1
-        found = search(*args)
-        if isinstance(found, tuple):
-            counts["paths"] += found[0] is not None
-            return found
-        return resumed(found)
+        return resumed(search(*args))
 
     def resumed(ends):
         for k, end in enumerate(ends):
