@@ -95,11 +95,12 @@ class SolverState:
     The market's entries are ints and the descent reads them as they are.
     ``network`` is the live network and the only copy of the current
     prices and active budgets: ``network.prices`` and ``network.budgets``
-    are tuples of Fractions, 0 for the dead goods and buyers (their
-    zero-price event scaled them by 0).  ``initialize`` builds it from the
-    equality graph, ``commit_event`` replaces it by the network the event
-    leaves (the record carries the new edges it adds, and shares the new
-    network's tuples), and the rest reads it.
+    are tuples of Fractions.  A good or buyer is live exactly when its
+    capacity there is positive: only a zero-price event scales by 0, and
+    it scales exactly the departing goods and buyers.  ``initialize``
+    builds the network from the equality graph, ``commit_event`` replaces
+    it by the network the event leaves (the record carries the new edges
+    it adds, and shares the new network's tuples), and the rest reads it.
 
     The phase under way is ``len(phases)``, and ``iteration`` counts its
     evented iterations; a phase ends when an event of ``PHASE_ENDS``
@@ -108,17 +109,15 @@ class SolverState:
     ``alloc`` is built when read, in practice once, at the end of a
     solve.  A zero-price commit freezes S's columns from the flow it
     computes before S's prices fall to 0; a read copies the frozen grid
-    and writes the current flow over the live columns.  Both write
-    x_ij = f_ij / p_j at the prices of the flow's own network, the prices
-    it was computed at: cap and tight-set commits scale prices without a
-    new flow.
+    and writes the current flow over the live columns, the goods priced
+    above 0.  Both write x_ij = f_ij / p_j at the prices of the flow's own
+    network, the prices it was computed at: cap and tight-set commits
+    scale prices without a new flow.
     """
 
     def __init__(self, market):
         self.market = market
         self.capped = []
-        self.live_buyers = set(range(market.n))
-        self.live_goods = set(range(market.m))
         self._frozen = [[Fraction(0)] * market.m for _ in range(market.n)]  # departed goods
         self.network = None
         self.flow = None
@@ -133,7 +132,7 @@ class SolverState:
     @property
     def alloc(self):
         alloc = [row[:] for row in self._frozen]
-        _write_shares(alloc, self.flow, self.live_goods)
+        _write_shares(alloc, self.flow, {j for j, p in enumerate(self.network.prices) if p})
         return alloc
 
 
@@ -164,9 +163,6 @@ def _recompute_flow(state):
     """Balanced flow on the live network; ``state.alloc`` follows it when
     read."""
     state.flow = balanced_flow(state.network)
-    for j in state.live_goods:
-        if state.network.prices[j].numerator <= 0:
-            raise InvariantError(f"live good {j} has nonpositive price")
 
 
 def start_phase(state):
@@ -184,16 +180,15 @@ def start_phase(state):
     state.phases.append(
         PhaseStats(
             phase=len(state.phases) + 1,
-            live_buyers=len(state.live_buyers),
-            live_goods=len(state.live_goods),
+            live_buyers=sum(1 for b in state.network.budgets if b),
+            live_goods=sum(1 for p in state.network.prices if p),
             norm2_start=norm2,
         )
     )
     if len(state.phases) > state.max_phases:
         raise InvariantError("phase guard exceeded; norm decrease law broken")
-    delta = max(r[j] for j in state.live_goods)
-    top = min(j for j in state.live_goods if r[j] == delta)
-    state.S = set(residual_reach(state.flow, (top,)))
+    # a dead good has surplus 0 and some surplus is positive
+    state.S = set(residual_reach(state.flow, (r.index(max(r)),)))
     state.iteration = 0
     return True
 
@@ -249,7 +244,9 @@ def next_event(state):
     # largest u_hj / p_j.
     in_s = [(j, prices[j].numerator, prices[j].denominator) for j in state.S]
     best_num, best_den, eq_pairs = 0, 1, []
-    for h in sorted(state.live_buyers - bprime):
+    for h, money in enumerate(network.budgets):
+        if h in bprime or not money:
+            continue
         if not network.buyer_goods[h]:
             raise InvariantError(f"buyer {h} outside B' values nothing outside S")
         row = market.utilities[h]
@@ -318,6 +315,10 @@ def commit_event(state, event):
             if not state.capped[i]:
                 raise InvariantError(f"zero-price deletion of uncapped buyer {i}")
         _write_shares(state._frozen, state.flow, goods)
+    # x > 0 for all but a zero-price event: a cap or new-edge scale has a
+    # positive utility in its numerator, a tight-set scale is U / g with
+    # U > 0, and the candidate at 0 wins only when it is alone.  So a good or
+    # buyer dies here, at x = 0, and nowhere else.
     prices = tuple(p * x if j in goods else p for j, p in enumerate(network.prices))
     scaled = set(event.scaled_buyers)
     budgets = tuple(b * x if i in scaled else b for i, b in enumerate(network.budgets))
@@ -326,10 +327,8 @@ def commit_event(state, event):
         for i in event.buyers:
             state.capped[i] = True
     elif event.kind == ZERO_PRICE:
-        state.live_goods -= goods
-        state.live_buyers -= set(event.buyers)
-        for i in state.live_buyers:
-            if any(market.utilities[i][j] > 0 for j in goods):
+        for i, money in enumerate(budgets):
+            if money and any(market.utilities[i][j] > 0 for j in goods):
                 raise InvariantError("live buyer still values a deleted good")
     # B' keeps its edges into S for 0 < x < 1, loses every edge at x = 0 and
     # keeps edges leaving S at x = 1 (a cap that lost a tie to a new edge);
@@ -346,8 +345,7 @@ def commit_event(state, event):
         _recompute_flow(state)
         state.S |= set(residual_reach(state.flow, state.S))
 
-    for j in state.live_goods:
-        p = prices[j]
+    for j, p in enumerate(prices):  # a dead good's price is 0
         if abs(p.numerator) > state.price_bound or p.denominator > state.price_bound:
             raise InvariantError(f"price bit-length bound violated at good {j}")
 

@@ -24,7 +24,10 @@ splice and every boundary equilibrium with ``verify`` and rebuild records
 separately.  ``reference_allocation`` is the descent's
 allocation as it was written at every balanced flow, before it was built
 from the flow when read, and ``reference_next_event`` is the event search
-on Fractions, before its candidates became integer pairs.
+on Fractions, before its candidates became integer pairs.  ``live_sets``
+reads a descent's live buyers and goods off its trace's zero-price
+records, as the descent kept them before a positive capacity in the live
+network was the only record of liveness.
 ``reference_tight_set_scale`` is the tight-set scale by enumerating every
 buyer set, with no max-flow.
 ``reference_equality_graph`` is the equality graph on Fractions, before
@@ -654,13 +657,24 @@ def reference_min_revenue(market, equilibrium):
     )
 
 
+def live_sets(state):
+    """The buyers and goods of the descent ``state`` that no zero-price
+    record of its trace has deleted."""
+    buyers, goods = set(range(state.market.n)), set(range(state.market.m))
+    for record in state.trace:
+        if record.kind == ZERO_PRICE:
+            buyers -= set(record.buyers)
+            goods -= set(record.goods)
+    return buyers, goods
+
+
 def reference_allocation(alloc, state, previous):
     """Replay the eager allocation rule after a balanced flow: zero the
     live-good entries that ``previous`` (the flow before ``state.flow``)
     wrote, then write ``state.flow`` at the current prices.  ``alloc`` is
     updated in place and returned."""
     if previous is not None:
-        zero, live = Fraction(0), state.live_goods
+        zero, live = Fraction(0), live_sets(state)[1]
         for row, goods in zip(alloc, previous.rows):
             for j in goods:
                 if j in live:
@@ -737,7 +751,7 @@ def reference_next_event(state):
     # largest u_hj / p_j, found by integer cross-multiplication.
     in_s = [(j, prices[j].numerator, prices[j].denominator) for j in state.S]
     best_eq, eq_pairs = None, []
-    for h in sorted(state.live_buyers - bprime):
+    for h in sorted(live_sets(state)[0] - bprime):
         if not network.buyer_goods[h]:
             raise InvariantError(f"buyer {h} outside B' values nothing outside S")
         row = market.utilities[h]

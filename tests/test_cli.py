@@ -1,3 +1,4 @@
+import copy
 import errno
 import json
 import os
@@ -5,12 +6,20 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fisheq.cli
 import fisheq.descend
-from fisheq import InvariantError, solve_max_revenue
+from fisheq import InvariantError, min_revenue, solve_max_revenue
 from fisheq.cli import generate_market, main
-from fisheq.serialize import equilibrium_to_doc, market_from_doc, market_to_doc
+from fisheq.serialize import (
+    equilibrium_from_doc,
+    equilibrium_to_doc,
+    market_from_doc,
+    market_to_doc,
+)
+from oracle import reference_verify
 
 
 @pytest.fixture
@@ -390,3 +399,88 @@ def test_generator_markets_are_well_posed():
         assert all(any(u > 0 for u in row) for row in market.utilities)
         for j in range(market.m):
             assert any(market.utilities[i][j] > 0 for i in range(market.n))
+
+
+# Values for a corrupted document, some of them valid rationals.  Each key
+# of RAW_VALUES stands for a JSON text that ``json.dumps`` cannot write: a
+# number past the int <-> str digit limit (Python 3.10.7 and 3.11 on), and
+# lists nested past the parser's recursion limit.
+RAW_VALUES = {
+    "<huge literal>": "1" + "0" * 5000,
+    "<deep list>": "[" * 100_000 + "]" * 100_000,
+}
+ODD_VALUES = [
+    "0", "1/2", "3", " 2 ", "-1", "1/0", "nan", "NaN", "inf", "-inf", "", "1/2/3", "1.5",
+    "x", "1" + "0" * 5000, 10**40, 7, 0.5, 1e308, -0.0, float("nan"), None, True,
+    [], ["1"], [[]], {}, {"budget": "1"}, *RAW_VALUES,
+]
+
+
+@st.composite
+def corrupted(draw, doc):
+    """``doc`` after 1-3 mutations: a value replaced by an odd one, deleted,
+    or replaced by a copy of a sibling (a duplicated list entry, or a
+    duplicated key whose later value wins).  Each mutation walks down from
+    the root to the value it changes, and stops at the root 1 time in 10
+    and at each value below it 1 time in 3."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, node, stop = None, doc, 9
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, stop)):
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            parent, node, stop = node, node[key], 2
+        odd = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        if parent is None:
+            doc = odd
+            continue
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace":
+            parent[key] = odd
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(node))
+        else:
+            parent[key] = copy.deepcopy(parent[draw(st.sampled_from(list(parent)))])
+    return doc
+
+
+def _json_text(doc):
+    """``doc`` as JSON, with each key of RAW_VALUES replaced by its text."""
+    text = json.dumps(doc)
+    for key, raw in RAW_VALUES.items():
+        text = text.replace(json.dumps(key), raw)
+    return text
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_corrupted_documents_exit_0_1_or_2(tmp_path, capsys, data):
+    # A corrupted instance or equilibrium file is bad input or a valid one:
+    # solve and verify exit 0, 1 or 2, never 3, and no exception escapes.
+    # verify exits 0 only when the files parse to a market and an
+    # equilibrium that the reference verifier accepts.
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    market = generate_market(n, m, 20, data.draw(st.integers(0, 99)))
+    high = solve_max_revenue(market).equilibrium
+    equilibrium = data.draw(st.sampled_from([high, min_revenue(market, high)]))
+    docs = [market_to_doc(market), equilibrium_to_doc(equilibrium)]
+    target = data.draw(st.integers(0, 1))
+    docs[target] = data.draw(corrupted(docs[target]))
+    texts = [_json_text(doc) for doc in docs]
+    instance, answer = tmp_path / "instance.json", tmp_path / "equilibrium.json"
+    instance.write_text(texts[0])
+    answer.write_text(texts[1])
+
+    assert main(["solve", str(instance)]) in (0, 2)
+    code = main(["verify", str(instance), "--equilibrium", str(answer)])
+    assert code in (0, 1, 2)
+    capsys.readouterr()
+    if code == 0:
+        parsed = market_from_doc(json.loads(texts[0]))
+        assert reference_verify(parsed, equilibrium_from_doc(json.loads(texts[1]), parsed)).ok

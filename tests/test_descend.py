@@ -38,6 +38,7 @@ from oracle import (
     _reference_mbb_ratio,
     edge_flow,
     edges_of,
+    live_sets,
     reference_allocation,
     reference_equality_graph,
     reference_next_event,
@@ -53,16 +54,18 @@ def _fresh_state(market):
 
 def _network_at(state, budgets, prices):
     """The live network at the given capacities, built from scratch: the
-    equality graph at ``prices``, restricted to the live buyers and goods,
-    whose dead buyers and goods have capacity 0."""
+    equality graph at ``prices``, restricted to the buyers and goods that
+    no zero-price record deleted (``live_sets``), with capacity 0 for the
+    deleted ones."""
     market = state.market
+    live_buyers, live_goods = live_sets(state)
     edges = {
         (i, j)
         for i, j in reference_equality_graph(market, prices)[1]
-        if i in state.live_buyers and j in state.live_goods
+        if i in live_buyers and j in live_goods
     }
-    budgets = [budgets[i] if i in state.live_buyers else F(0) for i in range(market.n)]
-    prices = [prices[j] if j in state.live_goods else F(0) for j in range(market.m)]
+    budgets = [budgets[i] if i in live_buyers else F(0) for i in range(market.n)]
+    prices = [prices[j] if j in live_goods else F(0) for j in range(market.m)]
     return FlowNetwork.from_edges(tuple(budgets), tuple(prices), frozenset(edges))
 
 
@@ -91,7 +94,7 @@ def _assert_booking_rule(state):
     utility is its capped alpha_i times its outflow, with alpha_i read off
     one of its edges."""
     market, rows = state.market, _row_sum_utilities(state)
-    for i in state.live_buyers:
+    for i in live_sets(state)[0]:
         j = state.network.buyer_goods[i][0]
         alpha = market.utilities[i][j] / state.network.prices[j]
         assert rows[i] == capped_utility(market, i, alpha * state.flow.buyer_out(i))
@@ -228,7 +231,7 @@ class TestCommitEvent:
         event = next_event(state)
         assert commit_event(state, event).kind in PHASE_ENDS
         assert state.network.prices == (F(0), F(0))
-        assert state.live_buyers == set() and state.live_goods == set()
+        assert state.network.budgets == (F(0),)
         assert state.alloc[0] == [F(1, 2), F(1, 2)]  # frozen allocation
 
     def test_final_tight_set_from_intermediate_state(self, capped_market):
@@ -392,7 +395,7 @@ def test_invariants_on_random_markets(monkeypatch):
     starts = []  # (row utilities, live buyers) at every phase start
     _checking_phase_starts(
         monkeypatch,
-        lambda state: starts.append((_row_sum_utilities(state), set(state.live_buyers))),
+        lambda state: starts.append((_row_sum_utilities(state), live_sets(state)[0])),
     )
     rng = random.Random(42)
     for seed in range(25):
@@ -673,6 +676,25 @@ def test_invariant_error_names_the_event_being_committed(capped_market, monkeypa
     assert (bug.phase, bug.iteration, bug.S, bug.event) == (1, 1, (1,), NEW_EDGE)
 
 
+def _assert_replayed(market, message, replay, tmp_path, capsys):
+    """Solving ``market`` stops with ``message`` and the replay state
+    ``replay``, raised to a library caller and as exit 3 of ``fisheq
+    solve``."""
+    with pytest.raises(InvariantError, match=message) as caught:
+        solve_max_revenue(market)
+    bug = caught.value
+    assert (bug.phase, bug.iteration, bug.S, bug.event) == replay
+
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(market_to_doc(market)))
+    assert main(["solve", str(path)]) == 3
+    out, err = capsys.readouterr()
+    phase, iteration, S, event = replay
+    assert out == ""
+    assert err.startswith(f"internal invariant failure: {message}")
+    assert err.endswith(f"(phase {phase}, iteration {iteration}, S {list(S)}, event {event})\n")
+
+
 def _committing_nothing(state, event):
     # without the iteration guard the descent would call this forever
     assert state.iteration <= 2 * state.market.n
@@ -707,19 +729,7 @@ def test_paper_guard_fires(limits, commit, message, replay, tmp_path, monkeypatc
     monkeypatch.setattr(fisheq.descend, "initialize", limited)
     if commit is not None:
         monkeypatch.setattr(fisheq.descend, "commit_event", commit)
-    with pytest.raises(InvariantError, match=message) as caught:
-        solve_max_revenue(market)
-    bug = caught.value
-    assert (bug.phase, bug.iteration, bug.S, bug.event) == replay
-
-    path = tmp_path / "market.json"
-    path.write_text(json.dumps(market_to_doc(market)))
-    assert main(["solve", str(path)]) == 3
-    out, err = capsys.readouterr()
-    phase, iteration, S, event = replay
-    assert out == ""
-    assert err.startswith(f"internal invariant failure: {message}")
-    assert err.endswith(f"(phase {phase}, iteration {iteration}, S {list(S)}, event {event})\n")
+    _assert_replayed(market, message, replay, tmp_path, capsys)
 
 
 ZERO_PRICE_GUARDS = [
@@ -727,6 +737,7 @@ ZERO_PRICE_GUARDS = [
     (
         Market((3, 1), (1, None), ((5, 1), (2, 1))),
         (1,),
+        (),
         "zero-price deletion of uncapped buyer 1",
         (1, 0, (1,), ZERO_PRICE),
     ),
@@ -735,22 +746,35 @@ ZERO_PRICE_GUARDS = [
     (
         Market((5, 6), (1, None), ((1, 1, 0), (0, 0, 1))),
         (0,),
+        (),
         "deleted buyer 0 held no allocation",
         (2, 0, (2,), ZERO_PRICE),
+    ),
+    # phase 1 starts with S = {0, 1} and buyer 0 capped; deleting buyer 0
+    # alone leaves buyer 1 live (budget 3), valuing both deleted goods
+    (
+        generate_market(2, 2, 5, 8),
+        (0,),
+        (0,),
+        "live buyer still values a deleted good",
+        (1, 0, (0, 1), ZERO_PRICE),
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "market, buyers, message, replay",
+    "market, buyers, scaled_buyers, message, replay",
     ZERO_PRICE_GUARDS,
-    ids=["uncapped-buyer", "buyer-without-allocation"],
+    ids=["uncapped-buyer", "buyer-without-allocation", "live-buyer-values-deleted-good"],
 )
-def test_zero_price_guard_fires(market, buyers, message, replay, tmp_path, monkeypatch, capsys):
-    # A zero-price event may delete only capped buyers that hold goods.  A
-    # record naming other buyers, committed when its phase starts, stops the
-    # descent: in commit_event, through solve_max_revenue with the replay
-    # state, and as exit 3 of ``fisheq solve``.
+def test_zero_price_guard_fires(
+    market, buyers, scaled_buyers, message, replay, tmp_path, monkeypatch, capsys
+):
+    # A zero-price event may delete only capped buyers that hold goods, and
+    # only with every buyer that values S.  A record breaking that,
+    # committed when its phase starts, stops the descent: in commit_event,
+    # through solve_max_revenue with the replay state, and as exit 3 of
+    # ``fisheq solve``.
     phase = replay[0]
 
     def crafted(state):
@@ -759,7 +783,7 @@ def test_zero_price_guard_fires(market, buyers, message, replay, tmp_path, monke
             x=F(0),
             buyers=buyers,
             goods=tuple(sorted(state.S)),
-            scaled_buyers=(),
+            scaled_buyers=scaled_buyers,
         )
 
     state, _ = _fresh_state(market)
@@ -775,16 +799,33 @@ def test_zero_price_guard_fires(market, buyers, message, replay, tmp_path, monke
         return crafted(state) if len(state.phases) == phase else next_event(state)
 
     monkeypatch.setattr(fisheq.descend, "next_event", next_or_crafted)
-    with pytest.raises(InvariantError, match=message) as caught:
-        solve_max_revenue(market)
-    bug = caught.value
-    assert (bug.phase, bug.iteration, bug.S, bug.event) == replay
+    _assert_replayed(market, message, replay, tmp_path, capsys)
 
-    path = tmp_path / "market.json"
-    path.write_text(json.dumps(market_to_doc(market)))
-    assert main(["solve", str(path)]) == 3
-    out, err = capsys.readouterr()
-    _, iteration, S, event = replay
-    assert out == ""
-    assert err.startswith(f"internal invariant failure: {message}")
-    assert err.endswith(f"(phase {phase}, iteration {iteration}, S {list(S)}, event {event})\n")
+
+def _without_buyer_0_edges(state):
+    """The live network with buyer 0's equality edges removed."""
+    network = state.network
+    return network.edited(network.budgets, network.prices, [0], (), ())
+
+
+def test_outside_buyer_guard_fires(tmp_path, monkeypatch, capsys):
+    # Every live buyer has an equality edge.  Phase 1 starts with S = {0},
+    # and buyer 0's edge leaves S (to good 2); a network without it stops
+    # the event search before any event is pending.
+    market = generate_market(3, 3, 20, 0)
+    message = "buyer 0 outside B' values nothing outside S"
+    state, _ = _fresh_state(market)
+    start_phase(state)
+    assert state.S == {0} and state.network.buyer_goods[0] == (2,)
+    state.network = _without_buyer_0_edges(state)
+    with pytest.raises(InvariantError, match=message):
+        next_event(state)
+
+    search = fisheq.descend.next_event
+
+    def searched_without_buyer_0_edges(state):
+        state.network = _without_buyer_0_edges(state)
+        return search(state)
+
+    monkeypatch.setattr(fisheq.descend, "next_event", searched_without_buyer_0_edges)
+    _assert_replayed(market, message, (1, 0, (0,), None), tmp_path, capsys)

@@ -8,15 +8,20 @@ A linear market has unique equilibrium prices (Eisenberg and Gale, 1959),
 so its two endpoints meet.
 
 Every property draws from ``markets`` and from ``tied_markets``, whose
-few small values make the events of the descent land on one scale.
+few small values make the events of the descent land on one scale.  A
+seeded sweep under ``-m slow`` runs thousands of markets of the same
+shape, drawn by ``random_tied_market``, through both endpoints, ``verify``
+and the lattice.
 """
 
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fisheq import Market, join, meet, min_revenue, solve_max_revenue
+from fisheq import Market, join, meet, min_revenue, solve_max_revenue, verify
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -38,14 +43,19 @@ def markets(draw, max_buyers=4, max_goods=4, max_value=20):
     return Market(tuple(budgets), tuple(caps), tuple(map(tuple, rows)))
 
 
+TIED_KS = (1, 2, 3, 5)  # utilities from {0..k}
+TIED_BUDGETS = (F(1, 2), F(1), F(2), F(3))
+TIED_CAPS = (F(1, 2), F(1), F(3, 2), F(2), F(3))
+
+
 @st.composite
 def tied_markets(draw):
     """Markets whose events tie often: utilities from {0..k} for a small
     k, budgets from {1/2, 1, 2, 3}, and caps that are none (about 40%),
     one of a few small values, or a whole-number share of the row sum."""
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    k = draw(st.sampled_from([1, 2, 3, 5]))
-    budget = st.sampled_from([F(1, 2), F(1), F(2), F(3)])
+    k = draw(st.sampled_from(TIED_KS))
+    budget = st.sampled_from(TIED_BUDGETS)
     budgets = draw(st.lists(budget, min_size=n, max_size=n))
     rows = draw(
         st.lists(
@@ -58,9 +68,29 @@ def tied_markets(draw):
         if kind < 2:
             caps.append(None)
         elif kind < 4 or not any(row):
-            caps.append(draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(3)])))
+            caps.append(draw(st.sampled_from(TIED_CAPS)))
         else:
             caps.append(draw(st.integers(1, sum(row))))
+    return Market(tuple(budgets), tuple(caps), tuple(map(tuple, rows)))
+
+
+def random_tied_market(rng):
+    """A market of ``tied_markets``' distribution, drawn with ``rng``."""
+    n, m = rng.randint(1, 6), rng.randint(1, 6)
+    k = rng.choice(TIED_KS)
+    budgets = [rng.choice(TIED_BUDGETS) for _ in range(n)]
+    rows = [[0] * m]
+    while not any(map(any, rows)):
+        rows = [[rng.randint(0, k) for _ in range(m)] for _ in range(n)]
+    caps = []
+    for row in rows:
+        kind = rng.randint(0, 4)  # 0, 1: none; 2, 3: a fixed value; 4: a share
+        if kind < 2:
+            caps.append(None)
+        elif kind < 4 or not any(row):
+            caps.append(rng.choice(TIED_CAPS))
+        else:
+            caps.append(rng.randint(1, sum(row)))
     return Market(tuple(budgets), tuple(caps), tuple(map(tuple, rows)))
 
 
@@ -133,3 +163,33 @@ def test_linear_min_revenue_returns_the_solve_prices(market):
     linear = Market(market.budgets, (None,) * market.n, market.utilities)
     high = solve_max_revenue(linear).equilibrium
     assert min_revenue(linear, high).prices == high.prices
+
+
+def _check_endpoints(market):
+    """Both endpoints verify, the minimum lies below the maximum, meet and
+    join of the two give the two, and a linear market's endpoints meet."""
+    high = solve_max_revenue(market).equilibrium
+    assert verify(market, high).ok
+    low = min_revenue(market, high)
+    assert verify(market, low).ok
+    assert all(lo <= hi for lo, hi in zip(low.prices, high.prices))
+    for first, second in ((high, low), (low, high)):
+        assert meet(market, first, second).prices == low.prices
+        assert join(market, first, second).prices == high.prices
+    if all(cap is None for cap in market.caps):
+        assert low.prices == high.prices
+
+
+@pytest.mark.slow
+def test_tied_market_sweep():
+    # 3,000 seeded tie-heavy markets; every failure is counted, each named
+    # by its draw k (the k-th market drawn from Random(2027)).
+    rng = random.Random(2027)
+    failures = []
+    for k in range(3000):
+        market = random_tied_market(rng)
+        try:
+            _check_endpoints(market)
+        except Exception as bad:  # an assertion or an error of the solver
+            failures.append((k, type(bad).__name__, str(bad).partition("\n")[0]))
+    assert not failures, f"{len(failures)} of 3000 failed: {failures}"
