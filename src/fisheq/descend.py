@@ -159,17 +159,24 @@ def initialize(market):
     return state
 
 
-def _recompute_flow(state):
-    """Balanced flow on the live network; ``state.alloc`` follows it when
-    read."""
-    state.flow = balanced_flow(state.network)
+def _rebalance(state, around=None):
+    """Put the balanced flow of the live network in ``state.flow``;
+    ``state.alloc`` follows it when read.  Given the goods ``around`` (S
+    at a new-edge commit), only the region around them is water-filled
+    again and the rest of the current flow is kept (see
+    ``balanced_flow``).  S is closed under the current flow, and since
+    that flow only S's prices, B''s budgets and edges and the new edges
+    into S have changed, all inside the region.
+    """
+    last = None if around is None else state.flow
+    state.flow = balanced_flow(state.network, last, around)
 
 
 def start_phase(state):
     """Recompute the balanced flow; pick the next phase's good set.
 
     Returns False (phase not started) once the total surplus is zero."""
-    _recompute_flow(state)
+    _rebalance(state)
     # the surpluses as integers over one denominator order as the rationals
     r, denom = state.flow._surplus_ints, state.flow.denom
     norm2 = Fraction(sum(v * v for v in r), denom * denom)
@@ -275,14 +282,28 @@ def next_event(state):
         eq_buyers = tuple(sorted({h for h, _ in eq_pairs}))
         candidates.append((best_num, best_den, NEW_EDGE, eq_buyers))
 
-    num, den, witness = tight_set_scale(network, state.S, b_u, b_c)
-    if num:
-        candidates.append((num, den, TIGHT_SET, tuple(sorted(witness))))
-
     num, den, kind, affected = candidates[0]
     for candidate in candidates[1:]:
         if ratio_sign(candidate[0], candidate[1], num, den) >= 0:
             num, den, kind, affected = candidate
+
+    # On a balanced flow of the live network (after a phase start or a
+    # new-edge commit) S is closed, so B' spends all its money in S, and
+    # each good of S keeps a surplus of at least r, the least over S.  A
+    # buyer set T of B' then has U_T + V_T <= Q_T - r, so its scale
+    # U_T / (Q_T - V_T) is at most U / (U + r); the search runs only when
+    # that bound reaches the best scale so far (a tight set wins ties).
+    # The same flow gives Q >= U + V + r, so a skipped search could not
+    # have found S with negative surplus at scale 1.
+    flow, u, r = state.flow, 0, 0
+    if flow is not None and flow.network is network:
+        budgets, surpluses = flow._capacities[0], flow._surplus_ints
+        u = sum(budgets[i] for i in b_u)
+        r = min(surpluses[j] for j in state.S)
+    if not u + r or ratio_sign(u, u + r, num, den) >= 0:  # 0 / 0: no bound
+        t_num, t_den, witness = tight_set_scale(network, state.S, b_u, b_c)
+        if t_num and ratio_sign(t_num, t_den, num, den) >= 0:
+            num, den, kind, affected = t_num, t_den, TIGHT_SET, tuple(sorted(witness))
     x_star = Fraction(num, den)
     if num > den:
         raise InvariantError(f"event scale {format_rational(x_star)} above 1")
@@ -308,7 +329,7 @@ def commit_event(state, event):
     if event.kind == ZERO_PRICE:
         # Refresh the balanced flow first so the shares frozen for the
         # departing goods reflect the current prices exactly.
-        _recompute_flow(state)
+        _rebalance(state)
         for i in event.buyers:
             if not state.flow.buyer_out(i):
                 raise InvariantError(f"deleted buyer {i} held no allocation")
@@ -342,7 +363,7 @@ def commit_event(state, event):
         event.new_edges,
     )
     if event.kind == NEW_EDGE:
-        _recompute_flow(state)
+        _rebalance(state, state.S)
         state.S |= set(residual_reach(state.flow, state.S))
 
     for j, p in enumerate(prices):  # a dead good's price is 0

@@ -332,19 +332,27 @@ def residual_reach(flow, targets):
     either.  X is closed under both flows, and the smallest closed set
     around the targets is the same for both.
     """
+    return frozenset(_closure(flow.network, flow.rows, targets)[0])
+
+
+def _closure(network, rows, targets):
+    """The goods and the buyers of the smallest set around the goods
+    ``targets`` that holds, with each good, every buyer with an edge to it
+    in ``network``, and with each buyer, every good its row of ``rows``
+    pays."""
     seen_goods, seen_buyers = set(targets), set()
     stack = list(seen_goods)
     while stack:
         # predecessors of a good: buyers with an equality edge to it; of a
         # buyer: the goods it pays, the keys of its (zero-free) flow row
-        for i in flow.network.good_buyers[stack.pop()]:
+        for i in network.good_buyers[stack.pop()]:
             if i not in seen_buyers:
                 seen_buyers.add(i)
-                for j in flow.rows[i]:
+                for j in rows[i]:
                     if j not in seen_goods:
                         seen_goods.add(j)
                         stack.append(j)
-    return frozenset(seen_goods)
+    return seen_goods, seen_buyers
 
 
 def is_balanced(flow):
@@ -386,7 +394,7 @@ def is_balanced(flow):
     return True
 
 
-def balanced_flow(network):
+def balanced_flow(network, last=None, around=None):
     """Maximum flow minimizing the Euclidean norm of the surplus vector.
 
     Water-filling by min-cut refinement: try to leave every good of the
@@ -417,6 +425,20 @@ def balanced_flow(network):
     times m, and ``max_flow``'s is returned.  Otherwise no whole-network
     max-flow runs first: a network whose sources cannot saturate fails a
     block's level or split check, or the certificate.
+
+    Given ``last``, a balanced flow of an earlier network, and goods
+    ``around`` closed under it, only a region is water-filled again: the
+    smallest set of goods around ``around`` whose buyers (every buyer with
+    an edge to one of its goods in ``network``) pay nothing outside it in
+    ``last``.  The caller vouches that no capacity or edge outside the
+    region changed since ``last``, and that the region can absorb its
+    buyers' money.  Every other row of ``last`` is kept, rescaled exactly
+    to ``network``: a kept row is a leaf flow on capacities the two
+    networks share, so times D / D_last it is again an integer flow, and
+    the flow is over D times the lcm of the region's leaf sizes and
+    ``last``'s, not over the lcm of the two denominators, which would grow
+    event by event.  A region that holds every live good, or a stitched
+    flow the certificate rejects, gives the balanced flow from scratch.
     """
     scale, B, P = network._cleared
     n, m = network.n, network.m
@@ -472,13 +494,21 @@ def balanced_flow(network):
         refine(buyers - b1, goods - g1, money - money1, cost - cost1)
 
     if sum(P) == sum(B):
+        last = None  # nothing is kept: the whole network is one block
         result = max_flow(network)
         if not result.sources_saturated():
             raise InvariantError("source edges not saturable; solver invariant violated")
     else:
+        seen_buyer, seen_good = [False] * n, [False] * m
+        if last is not None:
+            region, inside = _closure(network, last.rows, around)
+            if len(region) + P.count(0) == m:  # the region holds every live good
+                last = None
+            else:  # only the region's components are refined
+                seen_buyer = [i not in inside for i in range(n)]
+                seen_good = [j not in region for j in range(m)]
         # each connected component is a root block
         buyer_goods, good_buyers = network.buyer_goods, network.good_buyers
-        seen_buyer, seen_good = [False] * n, [False] * m
         for start in range(n):
             if seen_buyer[start]:
                 continue
@@ -500,12 +530,25 @@ def balanced_flow(network):
             refine(buyers, goods, money, cost)
         L = math.lcm(*(k for k, _ in leaves))
         rows = [{} for _ in range(n)]
+        if last is not None:
+            L = math.lcm(L, last.denom // last.network._cleared[0])
+            g = math.gcd(scale * L, last.denom)
+            up, down = scale * L // g, last.denom // g
+            for i, row in enumerate(last.rows):
+                if row and i not in inside:
+                    kept = rows[i]
+                    for j, v in row.items():
+                        kept[j], rest = divmod(v * up, down)
+                        if rest:
+                            raise InvariantError("kept flow row does not rescale exactly")
         for k, block_rows in leaves:
             factor = L // k
             for i, row in block_rows:
                 rows[i] = {j: v * factor for j, v in row.items()}
         result = Flow(network, rows, scale * L)
     if not is_balanced(result):
+        if last is not None:
+            return balanced_flow(network)
         raise InvariantError("water filling produced an unbalanced flow")
     return result
 

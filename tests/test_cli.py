@@ -166,7 +166,7 @@ def test_solver_invariant_failure_prints_replay_state(ex1_path, monkeypatch, cap
     assert main(["solve", ex1_path]) == 3
     err = capsys.readouterr().err
     assert "tight-set recursion failed to shrink" in err
-    assert "(phase 1, iteration 0, S [1], event None)" in err
+    assert "(phase 1, iteration 1, S [0, 1], event None)" in err
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import fisheq.descend
+import fisheq.flow
 from fisheq import (
     EventRecord,
     InvariantError,
@@ -29,7 +30,7 @@ from fisheq.descend import (
     start_phase,
 )
 from fisheq.cli import generate_market, main
-from fisheq.flow import FlowNetwork, balanced_flow
+from fisheq.flow import FlowNetwork, balanced_flow, is_balanced, residual_reach
 from fisheq.market import buyer_pass, capped_utility, equality_graph
 from fisheq.serialize import market_to_doc, trace_to_ndjson
 from hypothesis import given, settings
@@ -474,22 +475,27 @@ def test_allocation_read_matches_the_eager_rule(market, every_commit, monkeypatc
     # every balanced flow).  every-commit drives the descent here and reads
     # it after every flow and every commit; solve-reads lets
     # solve_max_revenue make its one read and embed it back into the
-    # market's index space.  The market holds ints, and every trace record
-    # still holds Fraction prices, active budgets and surpluses.
+    # market's index space.  The rule sees every balanced flow: one per
+    # phase start (the last one finds no surplus), one per zero-price commit
+    # and one, kept outside the region around S, per new-edge commit.  The
+    # market holds ints, and every trace record still holds Fraction
+    # prices, active budgets and surpluses.
     stripped, kept_buyers, kept_goods = strip_trivial(normalize(market))
     reference = [[F(0)] * stripped.m for _ in range(stripped.n)]
-    recompute = fisheq.descend._recompute_flow
+    rebalance, kinds = fisheq.descend._rebalance, []
 
-    def replayed(state):
+    def replayed(state, *around):
         previous = state.flow
-        recompute(state)
+        rebalance(state, *around)
         reference_allocation(reference, state, previous)
+        kinds.append(NEW_EDGE if around else None)
         if every_commit:
             assert state.alloc == reference
 
-    monkeypatch.setattr(fisheq.descend, "_recompute_flow", replayed)
+    monkeypatch.setattr(fisheq.descend, "_rebalance", replayed)
     if every_commit:
         state, trace = initialize(stripped), []
+        phases = state.phases
         while start_phase(state):
             kind = None
             while kind not in PHASE_ENDS:
@@ -499,12 +505,15 @@ def test_allocation_read_matches_the_eager_rule(market, every_commit, monkeypatc
         assert state.alloc == reference
     else:
         result = solve_max_revenue(market)
-        trace = result.trace
+        trace, phases = result.trace, result.phases
         expected = [[F(0)] * market.m for _ in range(market.n)]
         for i_s, i in enumerate(kept_buyers):
             for j_s, j in enumerate(kept_goods):
                 expected[i][j] = reference[i_s][j_s]
         assert result.equilibrium.allocation == tuple(map(tuple, expected))
+    committed = [r.kind for r in trace if r.kind in (NEW_EDGE, ZERO_PRICE)]
+    assert len(kinds) == len(phases) + 1 + len(committed)
+    assert kinds.count(NEW_EDGE) == committed.count(NEW_EDGE)
     for record in trace:
         values = record.prices + record.active_budgets + record.surpluses
         assert all(type(v) is F for v in values)
@@ -553,6 +562,81 @@ def test_tied_market_events_match_the_fraction_search(market):
 def test_tied_candidates_match_the_fraction_search(market, x, kind):
     events = _events_match_the_fraction_search(market)
     assert any(e.kind == kind and e.x == x and e.buyers == (0, 1) for e in events)
+
+
+def _new_edge_flows(market, monkeypatch):
+    """Drive the market's descent by hand.  Returns, for each new-edge
+    commit, the flow it kept, the S it grew from and the balanced flow of
+    the same network from scratch, and every flow the certificate
+    rejected."""
+    certify, rejected, flows = fisheq.flow.is_balanced, [], []
+
+    def certified(flow):
+        if not certify(flow):
+            rejected.append(flow)
+            return False
+        return True
+
+    monkeypatch.setattr(fisheq.flow, "is_balanced", certified)
+    state, _ = _fresh_state(market)
+    while start_phase(state):
+        kind = None
+        while kind not in PHASE_ENDS:
+            S = frozenset(state.S)
+            kind = commit_event(state, next_event(state)).kind
+            if kind == NEW_EDGE:
+                flows.append((state.flow, S, balanced_flow(state.network)))
+    return flows, rejected
+
+
+def _assert_same_balanced_flow(kept, S, fresh):
+    assert is_balanced(kept)
+    assert kept.surpluses() == fresh.surpluses()
+    assert residual_reach(kept, S) == residual_reach(fresh, S)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(markets(max_buyers=6, max_goods=6) | tied_markets())
+def test_new_edge_commit_keeps_a_balanced_flow(market):
+    # A new-edge commit water-fills only the region around S and keeps the
+    # other rows of the last flow, rescaled.  The stitch itself must pass
+    # the certificate (no from-scratch rerun hides it), and give the
+    # surpluses and the S of a balanced flow from scratch.
+    with pytest.MonkeyPatch.context() as patch:
+        flows, rejected = _new_edge_flows(market, patch)
+    assert not rejected
+    for kept, S, fresh in flows:
+        _assert_same_balanced_flow(kept, S, fresh)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_rejected_stitch_is_recomputed_from_scratch(seed, monkeypatch):
+    # Cut the region down to S and its buyers before the commit: the buyers
+    # that gain an edge into S keep their rows outside it, the certificate
+    # rejects some of these stitches, and each rejected one gives the
+    # balanced flow from scratch.
+    closure, last = fisheq.flow._closure, []
+
+    def s_only(network, rows, targets):
+        if last and rows is last[-1].rows:
+            good_buyers = last[-1].network.good_buyers
+            return set(targets), {i for j in targets for i in good_buyers[j]}
+        return closure(network, rows, targets)
+
+    rebalance = fisheq.descend._rebalance
+
+    def rebalanced(state, *around):
+        if around:  # a new-edge commit: the region is read off this flow
+            last.append(state.flow)
+        rebalance(state, *around)
+
+    monkeypatch.setattr(fisheq.flow, "_closure", s_only)
+    monkeypatch.setattr(fisheq.descend, "_rebalance", rebalanced)
+    flows, rejected = _new_edge_flows(generate_market(8, 8, 100, seed), monkeypatch)
+    monkeypatch.undo()  # residual_reach below reads the real closure
+    assert rejected
+    for kept, S, fresh in flows:
+        _assert_same_balanced_flow(kept, S, fresh)
 
 
 # sha256 of (kind, x, buyers, goods, scaled_buyers) over the trace of the
@@ -649,12 +733,13 @@ def _fail_on_call(real, failing_call):
 
 
 def test_invariant_error_carries_replay_state(capped_market, monkeypatch):
-    # The second tight-set search runs in phase 1's second next_event, after
-    # the new-edge commit grew S from {1} to {0, 1}; no event is pending.
+    # The first tight-set search runs in phase 1's second next_event, after
+    # the new-edge commit grew S from {1} to {0, 1} (in the first, the flow's
+    # bound puts any tight set below the new edge); no event is pending.
     monkeypatch.setattr(
         fisheq.descend,
         "tight_set_scale",
-        _fail_on_call(fisheq.descend.tight_set_scale, 2),
+        _fail_on_call(fisheq.descend.tight_set_scale, 1),
     )
     with pytest.raises(InvariantError, match="injected failure") as caught:
         solve_max_revenue(capped_market)

@@ -323,9 +323,12 @@ def test_tight_set_scale_equals_the_reference_brute_force(n, m, max_value, seed)
     # Every tight-set search of a solve against the enumeration of every
     # buyer set: the same scale, in lowest terms, and a witness that
     # attains it (the full set when no buyer is uncapped).  Tight sets are
-    # not unique, so the witness may be any set attaining the scale.
-    calls = []
-    search = fisheq.descend.tight_set_scale
+    # not unique, so the witness may be any set attaining the scale.  An
+    # event chosen without a search must have every tight set strictly
+    # below its scale, by the same enumeration at the state it was chosen
+    # in.
+    calls, chosen = [], []
+    search, choose = fisheq.descend.tight_set_scale, fisheq.descend.next_event
 
     def checked(network, S, uncapped, capped):
         num, den, witness = search(network, S, uncapped, capped)
@@ -339,12 +342,26 @@ def test_tight_set_scale_equals_the_reference_brute_force(n, m, max_value, seed)
         calls.append(None)
         return num, den, witness
 
+    def checked_event(state):
+        calls.clear()
+        event = choose(state)
+        if not calls:
+            network = state.network
+            bprime = {i for j in state.S for i in network.good_buyers[j]}
+            uncapped = {i for i in bprime if not state.capped[i]}
+            x = reference_tight_set_scale(network, state.S, uncapped, bprime - uncapped)
+            assert x < event.x
+        chosen.append(event)
+        return event
+
     fisheq.descend.tight_set_scale = checked
+    fisheq.descend.next_event = checked_event
     try:
         trace = solve_max_revenue(generate_market(n, m, max_value, seed)).trace
     finally:
         fisheq.descend.tight_set_scale = search
-    assert len(calls) == len(trace)  # one search per committed event
+        fisheq.descend.next_event = choose
+    assert len(chosen) == len(trace)  # every committed event was checked
 
 
 def _random_saturable_network(rng, density=0.55):

@@ -5,16 +5,18 @@
 Run from the root of a source checkout; the package is imported from
 ``src/`` and the pools from ``perfbench/run.py`` (``WORKLOADS``), so every
 market is the one the benchmark solves.  Each market of a pool is solved
-for maximum revenue once, with ``fisheq.flow._saturate`` and
-``fisheq.flow._search`` wrapped from outside the package.  For each pool
-it prints:
+for maximum revenue once, with ``fisheq.flow._saturate``,
+``fisheq.flow._search`` and ``fisheq.descend.tight_set_scale`` wrapped from
+outside the package.  For each pool it prints:
 
 - ``_saturate`` calls by kind: a water-filling block the cut splits, a
   leaf or clamped block (its sources saturate), a tight-set test, and a
   whole-network ``max_flow``;
 - searches started (calls of ``_search``);
 - augmenting paths (goods a search returned, each one a push);
-- paths found by resumed searches (every path after a search's first).
+- paths found by resumed searches (every path after a search's first);
+- tight-set searches run (``next_event`` skips one its balanced flow rules
+  out) against the events committed.
 
 The counts are deterministic, so two checkouts compare on the same
 markets; the script measures the kernel of the checkout it lives in.
@@ -30,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import fisheq.descend  # noqa: E402
 import fisheq.flow  # noqa: E402
 from fisheq import solve_max_revenue  # noqa: E402
 from fisheq.cli import generate_market  # noqa: E402
@@ -43,6 +46,7 @@ def count(pool):
     """Kernel counts over one solve of every market of ``pool``."""
     counts = Counter()
     saturate, search = fisheq.flow._saturate, fisheq.flow._search
+    tight_set_scale = fisheq.descend.tight_set_scale
 
     def counted_saturate(network, seeds, budgets, prices):
         caller = sys._getframe(1).f_code.co_name
@@ -58,6 +62,10 @@ def count(pool):
         counts["searches"] += 1
         return resumed(search(*args))
 
+    def counted_tight_set_scale(*args):
+        counts["tight-set searches"] += 1
+        return tight_set_scale(*args)
+
     def resumed(ends):
         for k, end in enumerate(ends):
             counts["paths"] += 1
@@ -65,11 +73,13 @@ def count(pool):
             yield end
 
     fisheq.flow._saturate, fisheq.flow._search = counted_saturate, counted_search
+    fisheq.descend.tight_set_scale = counted_tight_set_scale
     try:
         for args in pool:
-            solve_max_revenue(generate_market(*args))
+            counts["events"] += len(solve_max_revenue(generate_market(*args)).trace)
     finally:
         fisheq.flow._saturate, fisheq.flow._search = saturate, search
+        fisheq.descend.tight_set_scale = tight_set_scale
     return counts
 
 
@@ -83,7 +93,9 @@ def main(argv=None):
         print(
             f"{name}: _saturate calls {sum(counts[k] for k in KINDS):,} ({calls}); "
             f"searches {counts['searches']:,}; paths {counts['paths']:,}; "
-            f"resumed paths {counts['resumed paths']:,}"
+            f"resumed paths {counts['resumed paths']:,}; "
+            f"tight-set searches {counts['tight-set searches']:,} "
+            f"for {counts['events']:,} events"
         )
     return 0
 
