@@ -115,18 +115,13 @@ class Flow:
     rescale to it exactly and every test is an integer comparison.  Source
     and sink edge flows are implied by conservation.
 
-    Built from nonnegative integer rows over ``denom``; zero entries are
-    dropped.  ``buyer_out`` and ``surpluses`` give the rationals back.
+    Built by ``_assemble``, which also sums each buyer's outflow and each
+    good's inflow.  ``buyer_out`` and ``surpluses`` give the rationals back.
     """
 
-    def __init__(self, network, rows, denom):
-        self.network, self.denom = network, denom
-        self.rows = [{j: v for j, v in row.items() if v} for row in rows]
-        self._out = [sum(row.values()) for row in self.rows]
-        self._into = into = [0] * network.m
-        for row in self.rows:
-            for j, v in row.items():
-                into[j] += v
+    def __init__(self, network, rows, denom, out, into):
+        self.network, self.rows, self.denom = network, rows, denom
+        self._out, self._into = out, into
 
     @cached_property
     def _capacities(self):
@@ -215,7 +210,7 @@ def _search(network, rich, prices, flow, fsink, from_good, from_buyer):
                     layer.append(i)
 
 
-_EMPTY_ROW = {}  # the flow row of every buyer outside a block; never written
+_EMPTY_ROW = {}  # the row of every buyer outside a block or paying nothing; never written
 
 
 def _saturate(network, seeds, budgets, prices):
@@ -307,11 +302,57 @@ def _saturate(network, seeds, budgets, prices):
             return flow, not rich, (from_good, from_buyer)
 
 
+def _cut(nodes, markers, capacities, values):
+    """Zero ``capacities`` over ``nodes`` and part them by a cut's
+    ``markers``: the source side (marker not None), the sum of its
+    ``values``, and the rest, both sides in the order of ``nodes``."""
+    inside, outside, total = [], [], 0
+    for v in nodes:
+        capacities[v] = 0
+        if markers[v] is None:
+            outside.append(v)
+        else:
+            inside.append(v)
+            total += values[v]
+    return inside, total, outside
+
+
+def _assemble(network, scale, leaves, last=None, inside=None):
+    """The Flow of the blocks ``leaves``, each ``(k, buyers, flow)`` with a
+    row ``flow[i]`` over ``scale`` * k per buyer, and, given ``last``, of
+    its rows of the buyers not in ``inside``, rescaled exactly.  It is over
+    ``scale`` * L, L the lcm of the sizes k and of ``last``'s own L (the
+    lcm of the two denominators would grow event by event).  Each row is
+    written once, without zeros, in the pass that sums each buyer's
+    outflow and each good's inflow."""
+    L, parts = math.lcm(*(k for k, _, _ in leaves)), []  # (up, down, buyers, rows)
+    if last is not None:
+        L = math.lcm(L, last.denom // last.network._cleared[0])
+        g = math.gcd(scale * L, last.denom)
+        kept = [i for i, row in enumerate(last.rows) if row and i not in inside]
+        parts.append((scale * L // g, last.denom // g, kept, last.rows))
+    parts += [(L // k, 1, buyers, flow) for k, buyers, flow in leaves]
+    rows, out, into = [_EMPTY_ROW] * network.n, [0] * network.n, [0] * network.m
+    for up, down, buyers, flow in parts:
+        for i in buyers:
+            row, total = {}, 0
+            for j, v in flow[i].items():
+                if v:
+                    v, rest = divmod(v * up, down)
+                    if rest:
+                        raise InvariantError("kept flow row does not rescale exactly")
+                    row[j] = v
+                    total += v
+                    into[j] += v
+            rows[i], out[i] = row, total
+    return Flow(network, rows, scale * L, out, into)
+
+
 def max_flow(network):
     """Deterministic exact maximum flow (shortest augmenting paths)."""
     scale, budgets, prices = network._cleared
     flow, _, _ = _saturate(network, range(network.n), budgets, prices)
-    return Flow(network, flow, scale)
+    return _assemble(network, scale, [(1, range(network.n), flow)])
 
 
 def residual_reach(flow, targets):
@@ -412,10 +453,9 @@ def balanced_flow(network, last=None, around=None):
     A block of k goods is the network with capacities outside it zeroed and
     all capacities times k (times D, see ``FlowNetwork._cleared``), so its
     water level is an integer; scaling every capacity by one constant
-    leaves the augmenting paths, and hence the edge flows, unchanged.  The
-    leaf blocks' integer flows, times L / k for L the lcm of the leaf
-    sizes, make one flow over D * L.  A one-good block is priced at
-    exactly its buyers' money, so its flow, the one-edge sweep's, is
+    leaves the augmenting paths, and hence the edge flows, unchanged;
+    ``_assemble`` joins the leaf blocks' flows.  A one-good block is priced
+    at exactly its buyers' money, so its flow, the one-edge sweep's, is
     written down without a max-flow: each buyer with money pays its whole
     budget to the good, and one without an edge to it leaves the min cut
     degenerate.
@@ -432,21 +472,19 @@ def balanced_flow(network, last=None, around=None):
     an edge to one of its goods in ``network``) pay nothing outside it in
     ``last``.  The caller vouches that no capacity or edge outside the
     region changed since ``last``, and that the region can absorb its
-    buyers' money.  Every other row of ``last`` is kept, rescaled exactly
-    to ``network``: a kept row is a leaf flow on capacities the two
-    networks share, so times D / D_last it is again an integer flow, and
-    the flow is over D times the lcm of the region's leaf sizes and
-    ``last``'s, not over the lcm of the two denominators, which would grow
-    event by event.  A region that holds every live good, or a stitched
-    flow the certificate rejects, gives the balanced flow from scratch.
+    buyers' money.  Every other row of ``last`` is kept: it is a leaf flow
+    on capacities the two networks share, so rescaled exactly to
+    ``network`` it is again an integer flow.  A region that holds every
+    live good, or a stitched flow the certificate rejects, gives the
+    balanced flow from scratch.
     """
     scale, B, P = network._cleared
     n, m = network.n, network.m
-    leaves = []  # (k, [(buyer, row), ...]) of each block whose flow is final
+    leaves = []  # (k, buyers, flow) of each block whose flow is final
     budgets, prices = [0] * n, [0] * m  # one block's capacities, zero outside it
 
     def refine(buyers, goods, money, cost):
-        # money and cost: the sums of the block's budgets and prices
+        # buyers ascending; money and cost sum the block's budgets and prices
         if not goods:
             if money:
                 raise InvariantError("money left with no goods to absorb it")
@@ -459,10 +497,9 @@ def balanced_flow(network, last=None, around=None):
             (j,) = goods
             if any(B[i] and j not in network.buyer_goods[i] for i in buyers):
                 raise InvariantError("degenerate min-cut split in water filling")
-            leaves.append((1, [(i, {j: B[i]}) for i in buyers if B[i]]))
+            leaves.append((1, buyers, {i: {j: B[i]} for i in buyers}))
             return
-        seeds = sorted(buyers)
-        for i in seeds:
+        for i in buyers:
             budgets[i] = B[i] * k
         clamped = []
         for j in goods:
@@ -471,27 +508,21 @@ def balanced_flow(network, last=None, around=None):
                 prices[j] = price
             elif price < 0:
                 clamped.append(j)
-        flow, saturated, (from_good, from_buyer) = _saturate(network, seeds, budgets, prices)
-        for i in seeds:
-            budgets[i] = 0
-        for j in goods:
-            prices[j] = 0
-        if saturated:
-            if not clamped:
-                leaves.append((k, [(i, flow[i]) for i in seeds]))
-                return
+        flow, saturated, (from_good, from_buyer) = _saturate(network, buyers, budgets, prices)
+        b1, money1, b2 = _cut(buyers, from_good, budgets, B)
+        g1, cost1, g2 = _cut(goods, from_buyer, prices, P)
+        if saturated and not clamped:
+            leaves.append((k, buyers, flow))
+        elif saturated:
             # Clamped goods sit below the block level: they end with zero
             # flow at their own surplus p_j; refine the rest.
-            cost -= sum(P[j] for j in clamped)
-            refine(buyers, goods.difference(clamped), money, cost)
-            return
-        b1 = {i for i in buyers if from_good[i] is not None}
-        g1 = {j for j in goods if from_buyer[j] is not None}
-        if not g1 or len(g1) == k:
+            rest = [j for j in goods if j not in clamped]
+            refine(buyers, rest, money, cost - sum(P[j] for j in clamped))
+        elif not g1 or not g2:
             raise InvariantError("degenerate min-cut split in water filling")
-        money1, cost1 = sum(B[i] for i in b1), sum(P[j] for j in g1)
-        refine(b1, g1, money1, cost1)
-        refine(buyers - b1, goods - g1, money - money1, cost - cost1)
+        else:
+            refine(b1, g1, money1, cost1)
+            refine(b2, g2, money - money1, cost - cost1)
 
     if sum(P) == sum(B):
         last = None  # nothing is kept: the whole network is one block
@@ -499,7 +530,7 @@ def balanced_flow(network, last=None, around=None):
         if not result.sources_saturated():
             raise InvariantError("source edges not saturable; solver invariant violated")
     else:
-        seen_buyer, seen_good = [False] * n, [False] * m
+        seen_buyer, seen_good, inside = [False] * n, [False] * m, None
         if last is not None:
             region, inside = _closure(network, last.rows, around)
             if len(region) + P.count(0) == m:  # the region holds every live good
@@ -513,39 +544,21 @@ def balanced_flow(network, last=None, around=None):
             if seen_buyer[start]:
                 continue
             seen_buyer[start] = True
-            buyers, goods, stack = {start}, set(), [start]
-            money, cost = B[start], 0
-            while stack:
-                for j in buyer_goods[stack.pop()]:
+            buyers, goods, money, cost = [start], [], B[start], 0
+            for buyer in buyers:  # breadth first: the list grows as it is read
+                for j in buyer_goods[buyer]:
                     if not seen_good[j]:
                         seen_good[j] = True
-                        goods.add(j)
+                        goods.append(j)
                         cost += P[j]
                         for i in good_buyers[j]:
                             if not seen_buyer[i]:
                                 seen_buyer[i] = True
-                                buyers.add(i)
+                                buyers.append(i)
                                 money += B[i]
-                                stack.append(i)
+            buyers.sort()
             refine(buyers, goods, money, cost)
-        L = math.lcm(*(k for k, _ in leaves))
-        rows = [{} for _ in range(n)]
-        if last is not None:
-            L = math.lcm(L, last.denom // last.network._cleared[0])
-            g = math.gcd(scale * L, last.denom)
-            up, down = scale * L // g, last.denom // g
-            for i, row in enumerate(last.rows):
-                if row and i not in inside:
-                    kept = rows[i]
-                    for j, v in row.items():
-                        kept[j], rest = divmod(v * up, down)
-                        if rest:
-                            raise InvariantError("kept flow row does not rescale exactly")
-        for k, block_rows in leaves:
-            factor = L // k
-            for i, row in block_rows:
-                rows[i] = {j: v * factor for j, v in row.items()}
-        result = Flow(network, rows, scale * L)
+        result = _assemble(network, scale, leaves, last, inside)
     if not is_balanced(result):
         if last is not None:
             return balanced_flow(network)
@@ -569,8 +582,7 @@ def tight_set_scale(network, S, uncapped, capped):
     coprime integers and den > 0; (0, 1, the full set) marks the
     all-capped (zero-price) case.
     """
-    S = set(S)
-    bu, bc = set(uncapped), set(capped)
+    S, bu, bc = list(S), list(uncapped), list(capped)
     _, B, P = network._cleared
     U = sum(B[i] for i in bu)
     V = sum(B[i] for i in bc)
@@ -578,7 +590,7 @@ def tight_set_scale(network, S, uncapped, capped):
     if U > 0 and Q < U + V:
         raise InvariantError("goods of S carry negative surplus at scale 1")
     if U == 0:
-        return 0, 1, frozenset(bu | bc)
+        return 0, 1, frozenset(bu + bc)
     budgets, prices = [0] * network.n, [0] * network.m  # zero outside a test
     while True:
         g = math.gcd(U, Q - V)
@@ -589,29 +601,15 @@ def tight_set_scale(network, S, uncapped, capped):
             budgets[i] = B[i] * a
         for j in S:
             prices[j] = P[j] * a
-        seeds = sorted(bu | bc)
+        seeds = sorted(bu + bc)
         _, saturated, (from_good, from_buyer) = _saturate(network, seeds, budgets, prices)
         if saturated:
-            return a, b, frozenset(bu | bc)
+            return a, b, frozenset(bu + bc)
         # shrink to the source side of the cut, zeroing the capacities
-        cut_bu, cut_bc, cut_S, U, V, Q = set(), set(), set(), 0, 0, 0
-        for i in bu:
-            budgets[i] = 0
-            if from_good[i] is not None:
-                cut_bu.add(i)
-                U += B[i]
-        for i in bc:
-            budgets[i] = 0
-            if from_good[i] is not None:
-                cut_bc.add(i)
-                V += B[i]
-        for j in S:
-            prices[j] = 0
-            if from_buyer[j] is not None:
-                cut_S.add(j)
-                Q += P[j]
-        if len(cut_bu) + len(cut_bc) >= len(seeds):
+        bu, U, _ = _cut(bu, from_good, budgets, B)
+        bc, V, _ = _cut(bc, from_good, budgets, B)
+        S, Q, _ = _cut(S, from_buyer, prices, P)
+        if len(bu) + len(bc) >= len(seeds):
             raise InvariantError("tight-set recursion failed to shrink")
-        bu, bc, S = cut_bu, cut_bc, cut_S
         if U == 0:
             raise InvariantError("tight-set recursion lost every uncapped buyer")

@@ -37,7 +37,7 @@ class PricePartition:
 
 def _touched(alloc, goods):
     return frozenset(
-        i for i, row in enumerate(alloc) if any(row[j] > 0 for j in goods)
+        i for i, row in enumerate(alloc) if any(row[j].numerator > 0 for j in goods)
     )
 
 

@@ -28,14 +28,14 @@ def _scalable_set(market, prices, alloc, edges, capped):
     S = {
         j
         for j in range(market.m)
-        if prices[j] > 0 and all(capped[i] for i in neighbors[j])
+        if prices[j].numerator > 0 and all(capped[i] for i in neighbors[j])
     }
     while True:
         bprime = {i for i, j in edges if j in S}
         bad = {
             i
             for i in bprime
-            if any(alloc[i][g] > 0 for g in range(market.m) if g not in S)
+            if any(alloc[i][g].numerator > 0 for g in range(market.m) if g not in S)
         }
         if not bad:
             return S, bprime

@@ -63,7 +63,7 @@ from fisheq import (
     verify,
 )
 from fisheq.descend import CAP, NEW_EDGE, TIGHT_SET, ZERO_PRICE
-from fisheq.flow import Flow, FlowNetwork, is_balanced, max_flow, tight_set_scale
+from fisheq.flow import FlowNetwork, _assemble, is_balanced, max_flow, tight_set_scale
 from fisheq.market import active_budget_at
 
 _ENUMERATION_LIMIT = 14
@@ -105,7 +105,7 @@ def flow_from_edges(network, flows):
     rows = [{} for _ in range(network.n)]
     for (i, j), v in cleared.items():
         rows[i][j] = v.numerator * (denom // v.denominator)
-    return Flow(network, rows, denom)
+    return _assemble(network, denom, [(1, range(network.n), rows)])
 
 
 def reference_cleared(network):
@@ -251,7 +251,7 @@ def reference_balanced_flow(network):
 
     scale, B, P = network._cleared
     n, m = network.n, network.m
-    leaves = []  # (k, flow, buyers) of each block whose flow is final
+    leaves = []  # (k, buyers, flow) of each block whose flow is final
 
     def refine(buyers, goods):
         if not goods:
@@ -275,7 +275,7 @@ def reference_balanced_flow(network):
         if all(fsrc[i] == budgets[i] for i in seeds):
             clamped = {j for j in goods if P[j] * k < level}
             if not clamped:
-                leaves.append((k, flow, seeds))
+                leaves.append((k, seeds, flow))
                 return
             # Clamped goods sit below the block level: they end with zero
             # flow at their own surplus p_j; refine the rest.
@@ -289,13 +289,7 @@ def reference_balanced_flow(network):
         refine(b2, g2)
 
     refine(set(range(n)), set(range(m)))
-    L = math.lcm(*(k for k, _, _ in leaves))
-    rows = [{} for _ in range(n)]
-    for k, flow, seeds in leaves:
-        factor = L // k
-        for i in seeds:
-            rows[i] = {j: v * factor for j, v in flow[i].items()}
-    result = Flow(network, rows, scale * L)
+    result = _assemble(network, scale, leaves)
     if not is_balanced(result):
         raise InvariantError("water filling produced an unbalanced flow")
     return result

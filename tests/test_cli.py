@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import fisheq.cli
 import fisheq.descend
-from fisheq import InvariantError, min_revenue, solve_max_revenue
+from fisheq import min_revenue, solve_max_revenue
 from fisheq.cli import generate_market, main
 from fisheq.serialize import (
     equilibrium_from_doc,
@@ -20,6 +20,7 @@ from fisheq.serialize import (
     market_to_doc,
 )
 from oracle import reference_verify
+from test_descend import _fail_on_call
 
 
 @pytest.fixture
@@ -159,13 +160,12 @@ def test_solver_internal_value_error_exits_3(ex1_path, monkeypatch, capsys):
 
 
 def test_solver_invariant_failure_prints_replay_state(ex1_path, monkeypatch, capsys):
-    def broken_search(*args):
-        raise InvariantError("tight-set recursion failed to shrink")
-
-    monkeypatch.setattr(fisheq.descend, "tight_set_scale", broken_search)
+    # The second event search fails: phase 1 has committed one new edge,
+    # which grew S from {1} to {0, 1}, and no event is pending.
+    monkeypatch.setattr(fisheq.descend, "next_event", _fail_on_call(fisheq.descend.next_event, 2))
     assert main(["solve", ex1_path]) == 3
     err = capsys.readouterr().err
-    assert "tight-set recursion failed to shrink" in err
+    assert "internal invariant failure: injected failure" in err
     assert "(phase 1, iteration 1, S [0, 1], event None)" in err
 
 

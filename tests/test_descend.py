@@ -609,6 +609,33 @@ def test_new_edge_commit_keeps_a_balanced_flow(market):
         _assert_same_balanced_flow(kept, S, fresh)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(markets(max_buyers=6, max_goods=6) | tied_markets())
+def test_every_flow_of_a_descent_carries_its_row_sums(market):
+    # Each row of a balanced flow is written once, with the sums: no row
+    # holds a 0, each buyer's outflow and each good's inflow are the sums
+    # of the rows, and the surpluses are those of the rows summed from
+    # scratch in Fractions.
+    flows, make = [], fisheq.descend.balanced_flow
+
+    def recorded(*args):
+        flows.append(make(*args))
+        return flows[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fisheq.descend, "balanced_flow", recorded)
+        solve_max_revenue(market)
+    assert flows
+    for flow in flows:
+        rows, network = flow.rows, flow.network
+        assert len(rows) == network.n
+        assert all(0 not in row.values() for row in rows)
+        assert flow._out == [sum(row.values()) for row in rows]
+        assert flow._into == [sum(row.get(j, 0) for row in rows) for j in range(network.m)]
+        paid = [sum(F(row.get(j, 0), flow.denom) for row in rows) for j in range(network.m)]
+        assert flow.surpluses() == tuple(p - f for p, f in zip(network.prices, paid))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_a_rejected_stitch_is_recomputed_from_scratch(seed, monkeypatch):
     # Cut the region down to S and its buyers before the commit: the buyers
@@ -733,14 +760,10 @@ def _fail_on_call(real, failing_call):
 
 
 def test_invariant_error_carries_replay_state(capped_market, monkeypatch):
-    # The first tight-set search runs in phase 1's second next_event, after
-    # the new-edge commit grew S from {1} to {0, 1} (in the first, the flow's
-    # bound puts any tight set below the new edge); no event is pending.
-    monkeypatch.setattr(
-        fisheq.descend,
-        "tight_set_scale",
-        _fail_on_call(fisheq.descend.tight_set_scale, 1),
-    )
+    # The second event search of phase 1 runs after the new-edge commit grew
+    # S from {1} to {0, 1}; no event is pending.  Failing the search itself
+    # pins the state whatever searches for tight sets run inside it.
+    monkeypatch.setattr(fisheq.descend, "next_event", _fail_on_call(fisheq.descend.next_event, 2))
     with pytest.raises(InvariantError, match="injected failure") as caught:
         solve_max_revenue(capped_market)
     bug = caught.value
@@ -914,3 +937,38 @@ def test_outside_buyer_guard_fires(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(fisheq.descend, "next_event", searched_without_buyer_0_edges)
     _assert_replayed(market, message, (1, 0, (0,), None), tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "from_good, from_buyer",
+    [
+        # no good on the source side of the block's cut
+        ([None, None], [None, None]),
+        # both goods on it
+        ([-1, -1], [0, 0]),
+        # buyer 1 and good 0 on it: a one-good block whose buyer has money
+        # and no edge to the good
+        ([None, -1], [1, None]),
+    ],
+    ids=["no-good-on-the-source-side", "every-good-on-it", "one-good-block-without-an-edge"],
+)
+def test_water_filling_guard_fires(from_good, from_buyer, tmp_path, monkeypatch, capsys):
+    # At the first prices buyer 0 ties goods 0 and 1 and buyer 1 values
+    # only good 1, so the first balanced flow water-fills one block of both
+    # goods.  A max-flow that reports the cut given here, and an unsaturated
+    # block, stops the water filling before phase 1 starts.
+    market = Market((1, 1), (None, None), ((1, 1), (0, 1)))
+    state, _ = _fresh_state(market)
+    assert state.network.buyer_goods == ((0, 1), (1,))
+    assert sum(state.network.prices) > sum(state.network.budgets)  # a surplus to balance
+    saturate = fisheq.flow._saturate
+
+    def reporting_the_cut(network, seeds, budgets, prices):
+        flow, _, _ = saturate(network, seeds, budgets, prices)
+        return flow, False, (from_good, from_buyer)
+
+    monkeypatch.setattr(fisheq.flow, "_saturate", reporting_the_cut)
+    message = "degenerate min-cut split in water filling"
+    with pytest.raises(InvariantError, match=message):
+        balanced_flow(state.network)
+    _assert_replayed(market, message, (0, 0, (), None), tmp_path, capsys)

@@ -8,10 +8,10 @@ A linear market has unique equilibrium prices (Eisenberg and Gale, 1959),
 so its two endpoints meet.
 
 Every property draws from ``markets`` and from ``tied_markets``, whose
-few small values make the events of the descent land on one scale.  A
-seeded sweep under ``-m slow`` runs thousands of markets of the same
+few small values make the events of the descent land on one scale.  Two
+seeded sweeps under ``-m slow`` run thousands of markets of the same
 shape, drawn by ``random_tied_market``, through both endpoints, ``verify``
-and the lattice.
+and the lattice: one with n and m in 1..6, one with n and m in 5..12.
 """
 
 import random
@@ -74,9 +74,10 @@ def tied_markets(draw):
     return Market(tuple(budgets), tuple(caps), tuple(map(tuple, rows)))
 
 
-def random_tied_market(rng):
-    """A market of ``tied_markets``' distribution, drawn with ``rng``."""
-    n, m = rng.randint(1, 6), rng.randint(1, 6)
+def random_tied_market(rng, sizes=(1, 6)):
+    """A market of ``tied_markets``' distribution, drawn with ``rng``, with
+    n and m drawn from the range ``sizes`` (ends included)."""
+    n, m = rng.randint(*sizes), rng.randint(*sizes)
     k = rng.choice(TIED_KS)
     budgets = [rng.choice(TIED_BUDGETS) for _ in range(n)]
     rows = [[0] * m]
@@ -180,16 +181,28 @@ def _check_endpoints(market):
         assert low.prices == high.prices
 
 
-@pytest.mark.slow
-def test_tied_market_sweep():
-    # 3,000 seeded tie-heavy markets; every failure is counted, each named
-    # by its draw k (the k-th market drawn from Random(2027)).
-    rng = random.Random(2027)
+def _sweep(seed, count, sizes=(1, 6)):
+    """``count`` tie-heavy markets drawn from ``Random(seed)`` through
+    ``_check_endpoints``; every failure is counted, each named by its draw
+    k (the k-th market drawn)."""
+    rng = random.Random(seed)
     failures = []
-    for k in range(3000):
-        market = random_tied_market(rng)
+    for k in range(count):
+        market = random_tied_market(rng, sizes)
         try:
             _check_endpoints(market)
         except Exception as bad:  # an assertion or an error of the solver
             failures.append((k, type(bad).__name__, str(bad).partition("\n")[0]))
-    assert not failures, f"{len(failures)} of 3000 failed: {failures}"
+    assert not failures, f"{len(failures)} of {count} failed: {failures}"
+
+
+@pytest.mark.slow
+def test_tied_market_sweep():
+    _sweep(2027, 3000)
+
+
+@pytest.mark.slow
+def test_larger_tied_market_sweep():
+    # n and m in 5..12: blocks of many goods, many splits per balanced flow
+    # and many new-edge regions, a gate for rewrites of the water filling
+    _sweep(2029, 3000, sizes=(5, 12))
