@@ -159,24 +159,11 @@ def initialize(market):
     return state
 
 
-def _rebalance(state, around=None):
-    """Put the balanced flow of the live network in ``state.flow``;
-    ``state.alloc`` follows it when read.  Given the goods ``around`` (S
-    at a new-edge commit), only the region around them is water-filled
-    again and the rest of the current flow is kept (see
-    ``balanced_flow``).  S is closed under the current flow, and since
-    that flow only S's prices, B''s budgets and edges and the new edges
-    into S have changed, all inside the region.
-    """
-    last = None if around is None else state.flow
-    state.flow = balanced_flow(state.network, last, around)
-
-
 def start_phase(state):
     """Recompute the balanced flow; pick the next phase's good set.
 
     Returns False (phase not started) once the total surplus is zero."""
-    _rebalance(state)
+    state.flow = balanced_flow(state.network)
     # the surpluses as integers over one denominator order as the rationals
     r, denom = state.flow._surplus_ints, state.flow.denom
     norm2 = Fraction(sum(v * v for v in r), denom * denom)
@@ -329,7 +316,7 @@ def commit_event(state, event):
     if event.kind == ZERO_PRICE:
         # Refresh the balanced flow first so the shares frozen for the
         # departing goods reflect the current prices exactly.
-        _rebalance(state)
+        state.flow = balanced_flow(state.network)
         for i in event.buyers:
             if not state.flow.buyer_out(i):
                 raise InvariantError(f"deleted buyer {i} held no allocation")
@@ -363,7 +350,8 @@ def commit_event(state, event):
         event.new_edges,
     )
     if event.kind == NEW_EDGE:
-        _rebalance(state, state.S)
+        # balanced_flow's region precondition: x < 1, as no buyer outside B' had an edge into S
+        state.flow = balanced_flow(state.network, state.flow, state.S)
         state.S |= set(residual_reach(state.flow, state.S))
 
     for j, p in enumerate(prices):  # a dead good's price is 0
@@ -410,6 +398,8 @@ def solve_max_revenue(market):
                 pending = event.kind
                 kind = commit_event(state, event).kind
                 pending = None
+        # Cannot fire: the loop ends when start_phase finds surpluses summing
+        # to 0, of a flow certified feasible, so each is at least 0, hence 0.
         if any(state.flow._surplus_ints):
             raise InvariantError("descent ended with nonzero surplus")
     except Exception as bug:

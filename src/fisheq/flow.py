@@ -466,17 +466,30 @@ def balanced_flow(network, last=None, around=None):
     max-flow runs first: a network whose sources cannot saturate fails a
     block's level or split check, or the certificate.
 
-    Given ``last``, a balanced flow of an earlier network, and goods
-    ``around`` closed under it, only a region is water-filled again: the
-    smallest set of goods around ``around`` whose buyers (every buyer with
-    an edge to one of its goods in ``network``) pay nothing outside it in
-    ``last``.  The caller vouches that no capacity or edge outside the
-    region changed since ``last``, and that the region can absorb its
-    buyers' money.  Every other row of ``last`` is kept: it is a leaf flow
-    on capacities the two networks share, so rescaled exactly to
-    ``network`` it is again an integer flow.  A region that holds every
-    live good, or a stitched flow the certificate rejects, gives the
-    balanced flow from scratch.
+    Given ``last``, a balanced flow of an earlier network, only a region R
+    is water-filled again: the smallest set of goods around S = ``around``
+    whose buyers (each buyer with an edge into R in ``network``) pay
+    nothing outside R in ``last``.  Its other rows, leaf flows on
+    capacities the networks share, are kept and rescaled exactly; an R
+    holding every live good is water-filled whole.  The precondition: S is
+    closed under ``last``; since then, with B' the buyers with an edge
+    into S, only S's prices and B''s budgets changed, B' lost every edge
+    leaving S, only buyers outside B' gained edges, into S, and B' can
+    spend all its money in S.  A new-edge commit meets it: only caps ran
+    since ``last``, and its scale is below 1 and at least every tight
+    set's.  R's buyers can then spend their money in R (B' in S, the rest
+    as in ``last``), and the stitch "new" is balanced (r a surplus):
+    - No surplus of R - S falls.  Else, for some v, the goods y of R - S
+      with r_new(y) <= v < r_last(y) form a set K; its prices are kept, so
+      a buyer i pays K more in new, some z outside K less.  An edge outside
+      S puts i outside B', with its budget and edges outside S kept, and z
+      in R - S.  y -> i -> z (new, i paying y in K) and z -> i -> y (last)
+      give r_new(z) <= v, so r_last(z) <= v < r_last(y) <= r_last(z).
+    - No buyer outside R's has an edge into R, so no residual path enters
+      R.  Within R the refinement is balanced; outside it the rows, arcs
+      and surpluses are last's.  A path leaves R only through a buyer i
+      outside B' to a good k outside R.  If i pays g' in new, it paid some
+      g of R - S in last, so r_new(g') >= r_new(g) >= r_last(g) >= r(k).
     """
     scale, B, P = network._cleared
     n, m = network.n, network.m
@@ -525,7 +538,6 @@ def balanced_flow(network, last=None, around=None):
             refine(b2, g2, money - money1, cost - cost1)
 
     if sum(P) == sum(B):
-        last = None  # nothing is kept: the whole network is one block
         result = max_flow(network)
         if not result.sources_saturated():
             raise InvariantError("source edges not saturable; solver invariant violated")
@@ -560,8 +572,6 @@ def balanced_flow(network, last=None, around=None):
             refine(buyers, goods, money, cost)
         result = _assemble(network, scale, leaves, last, inside)
     if not is_balanced(result):
-        if last is not None:
-            return balanced_flow(network)
         raise InvariantError("water filling produced an unbalanced flow")
     return result
 

@@ -662,19 +662,20 @@ def live_sets(state):
     return buyers, goods
 
 
-def reference_allocation(alloc, state, previous):
-    """Replay the eager allocation rule after a balanced flow: zero the
-    live-good entries that ``previous`` (the flow before ``state.flow``)
-    wrote, then write ``state.flow`` at the current prices.  ``alloc`` is
-    updated in place and returned."""
-    if previous is not None:
+def reference_allocation(alloc, state, flow):
+    """Replay the eager allocation rule for a balanced flow ``flow`` of
+    the live network, before the descent stores it: zero the live-good
+    entries that ``state.flow`` (the flow before it) wrote, then write
+    ``flow`` at the current prices.  ``alloc`` is updated in place and
+    returned."""
+    if state.flow is not None:
         zero, live = Fraction(0), live_sets(state)[1]
-        for row, goods in zip(alloc, previous.rows):
+        for row, goods in zip(alloc, state.flow.rows):
             for j in goods:
                 if j in live:
                     row[j] = zero
-    denom, prices = state.flow.denom, state.network.prices
-    for i, row in enumerate(state.flow.rows):
+    denom, prices = flow.denom, state.network.prices
+    for i, row in enumerate(flow.rows):
         for j, v in row.items():
             p = prices[j]
             alloc[i][j] = Fraction(v * p.denominator, denom * p.numerator)

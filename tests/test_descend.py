@@ -473,7 +473,7 @@ PINNED_MARKETS = [generate_market(n, m, u, k) for n, m, u, k, _ in PINNED_EQUILI
 def test_allocation_read_matches_the_eager_rule(market, every_commit, monkeypatch):
     # Built on read, the allocation must equal the eager rule (rewrite it at
     # every balanced flow).  every-commit drives the descent here and reads
-    # it after every flow and every commit; solve-reads lets
+    # it after every phase start and every commit; solve-reads lets
     # solve_max_revenue make its one read and embed it back into the
     # market's index space.  The rule sees every balanced flow: one per
     # phase start (the last one finds no surplus), one per zero-price commit
@@ -482,21 +482,25 @@ def test_allocation_read_matches_the_eager_rule(market, every_commit, monkeypatc
     # prices, active budgets and surpluses.
     stripped, kept_buyers, kept_goods = strip_trivial(normalize(market))
     reference = [[F(0)] * stripped.m for _ in range(stripped.n)]
-    rebalance, kinds = fisheq.descend._rebalance, []
+    balanced, states, kinds = fisheq.descend.balanced_flow, [], []
 
-    def replayed(state, *around):
-        previous = state.flow
-        rebalance(state, *around)
-        reference_allocation(reference, state, previous)
-        kinds.append(NEW_EDGE if around else None)
-        if every_commit:
-            assert state.alloc == reference
+    def initialized(*args):
+        states.append(initialize(*args))
+        return states[-1]
 
-    monkeypatch.setattr(fisheq.descend, "_rebalance", replayed)
+    def replayed(network, *kept):
+        flow = balanced(network, *kept)
+        reference_allocation(reference, states[-1], flow)
+        kinds.append(NEW_EDGE if kept else None)
+        return flow
+
+    monkeypatch.setattr(fisheq.descend, "initialize", initialized)
+    monkeypatch.setattr(fisheq.descend, "balanced_flow", replayed)
     if every_commit:
-        state, trace = initialize(stripped), []
+        state, trace = initialized(stripped), []
         phases = state.phases
         while start_phase(state):
+            assert state.alloc == reference
             kind = None
             while kind not in PHASE_ENDS:
                 trace.append(commit_event(state, next_event(state)))
@@ -564,21 +568,12 @@ def test_tied_candidates_match_the_fraction_search(market, x, kind):
     assert any(e.kind == kind and e.x == x and e.buyers == (0, 1) for e in events)
 
 
-def _new_edge_flows(market, monkeypatch):
+def _new_edge_flows(market):
     """Drive the market's descent by hand.  Returns, for each new-edge
     commit, the flow it kept, the S it grew from and the balanced flow of
-    the same network from scratch, and every flow the certificate
-    rejected."""
-    certify, rejected, flows = fisheq.flow.is_balanced, [], []
-
-    def certified(flow):
-        if not certify(flow):
-            rejected.append(flow)
-            return False
-        return True
-
-    monkeypatch.setattr(fisheq.flow, "is_balanced", certified)
+    the same network from scratch."""
     state, _ = _fresh_state(market)
+    flows = []
     while start_phase(state):
         kind = None
         while kind not in PHASE_ENDS:
@@ -586,7 +581,7 @@ def _new_edge_flows(market, monkeypatch):
             kind = commit_event(state, next_event(state)).kind
             if kind == NEW_EDGE:
                 flows.append((state.flow, S, balanced_flow(state.network)))
-    return flows, rejected
+    return flows
 
 
 def _assert_same_balanced_flow(kept, S, fresh):
@@ -599,13 +594,10 @@ def _assert_same_balanced_flow(kept, S, fresh):
 @given(markets(max_buyers=6, max_goods=6) | tied_markets())
 def test_new_edge_commit_keeps_a_balanced_flow(market):
     # A new-edge commit water-fills only the region around S and keeps the
-    # other rows of the last flow, rescaled.  The stitch itself must pass
-    # the certificate (no from-scratch rerun hides it), and give the
+    # other rows of the last flow, rescaled.  The stitch must pass the
+    # certificate (balanced_flow raises on one it rejects), and give the
     # surpluses and the S of a balanced flow from scratch.
-    with pytest.MonkeyPatch.context() as patch:
-        flows, rejected = _new_edge_flows(market, patch)
-    assert not rejected
-    for kept, S, fresh in flows:
+    for kept, S, fresh in _new_edge_flows(market):
         _assert_same_balanced_flow(kept, S, fresh)
 
 
@@ -634,36 +626,6 @@ def test_every_flow_of_a_descent_carries_its_row_sums(market):
         assert flow._into == [sum(row.get(j, 0) for row in rows) for j in range(network.m)]
         paid = [sum(F(row.get(j, 0), flow.denom) for row in rows) for j in range(network.m)]
         assert flow.surpluses() == tuple(p - f for p, f in zip(network.prices, paid))
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_a_rejected_stitch_is_recomputed_from_scratch(seed, monkeypatch):
-    # Cut the region down to S and its buyers before the commit: the buyers
-    # that gain an edge into S keep their rows outside it, the certificate
-    # rejects some of these stitches, and each rejected one gives the
-    # balanced flow from scratch.
-    closure, last = fisheq.flow._closure, []
-
-    def s_only(network, rows, targets):
-        if last and rows is last[-1].rows:
-            good_buyers = last[-1].network.good_buyers
-            return set(targets), {i for j in targets for i in good_buyers[j]}
-        return closure(network, rows, targets)
-
-    rebalance = fisheq.descend._rebalance
-
-    def rebalanced(state, *around):
-        if around:  # a new-edge commit: the region is read off this flow
-            last.append(state.flow)
-        rebalance(state, *around)
-
-    monkeypatch.setattr(fisheq.flow, "_closure", s_only)
-    monkeypatch.setattr(fisheq.descend, "_rebalance", rebalanced)
-    flows, rejected = _new_edge_flows(generate_market(8, 8, 100, seed), monkeypatch)
-    monkeypatch.undo()  # residual_reach below reads the real closure
-    assert rejected
-    for kept, S, fresh in flows:
-        _assert_same_balanced_flow(kept, S, fresh)
 
 
 # sha256 of (kind, x, buyers, goods, scaled_buyers) over the trace of the
@@ -972,3 +934,47 @@ def test_water_filling_guard_fires(from_good, from_buyer, tmp_path, monkeypatch,
     with pytest.raises(InvariantError, match=message):
         balanced_flow(state.network)
     _assert_replayed(market, message, (0, 0, (), None), tmp_path, capsys)
+
+
+STITCHES = [  # (seed of generate_market(8, 8, 100, seed), replay state)
+    (0, (1, 1, (2,), NEW_EDGE)),
+    (1, (1, 2, (2, 6), NEW_EDGE)),
+    (2, (1, 1, (1,), NEW_EDGE)),
+    (3, (1, 1, (1,), NEW_EDGE)),
+]
+
+
+@pytest.mark.parametrize("seed, replay", STITCHES, ids=[str(seed) for seed, _ in STITCHES])
+def test_unbalanced_stitch_guard_fires(seed, replay, tmp_path, monkeypatch, capsys):
+    # Cut the region down to S and its buyers before the commit: the buyers
+    # that gain an edge into S keep their rows outside it, and the
+    # certificate rejects the stitch.  The first new-edge commit that
+    # stitches such a flow stops the descent, with nothing recomputed.
+    closure, balanced, last = fisheq.flow._closure, fisheq.descend.balanced_flow, []
+
+    def s_only(network, rows, targets):
+        if last and rows is last[-1].rows:
+            good_buyers = last[-1].network.good_buyers
+            return set(targets), {i for j in targets for i in good_buyers[j]}
+        return closure(network, rows, targets)
+
+    def stitched(network, *kept):
+        last.extend(kept[:1])  # a new-edge commit: the region is read off this flow
+        return balanced(network, *kept)
+
+    monkeypatch.setattr(fisheq.flow, "_closure", s_only)
+    monkeypatch.setattr(fisheq.descend, "balanced_flow", stitched)
+    market = generate_market(8, 8, 100, seed)
+    _assert_replayed(market, "water filling produced an unbalanced flow", replay, tmp_path, capsys)
+
+
+def test_event_scale_guard_fires(tmp_path, monkeypatch, capsys):
+    # Phase 1 starts with S = {0}, and its first event search runs the
+    # tight-set search.  A tight set at scale 3/2 wins over every other
+    # candidate and stops the descent before any event is pending.
+    def above_one(network, S, uncapped, capped):
+        return 3, 2, frozenset(uncapped) | frozenset(capped)
+
+    monkeypatch.setattr(fisheq.descend, "tight_set_scale", above_one)
+    market = Market((1, 1), (None, None), ((1, 1), (0, 1)))
+    _assert_replayed(market, "event scale 3/2 above 1", (1, 0, (0,), None), tmp_path, capsys)
