@@ -320,17 +320,20 @@ def _cut(nodes, markers, capacities, values):
 def _assemble(network, scale, leaves, last=None, inside=None):
     """The Flow of the blocks ``leaves``, each ``(k, buyers, flow)`` with a
     row ``flow[i]`` over ``scale`` * k per buyer, and, given ``last``, of
-    its rows of the buyers not in ``inside``, rescaled exactly.  It is over
-    ``scale`` * L, L the lcm of the sizes k and of ``last``'s own L (the
-    lcm of the two denominators would grow event by event).  Each row is
-    written once, without zeros, in the pass that sums each buyer's
+    its rows of the buyers not in ``inside``, as the same rationals.  It is
+    over ``scale`` * L, L the lcm of the sizes k times the least factor
+    that holds every kept row: ``lack``, the part of ``last.denom`` that
+    ``scale`` * L lacks, over c, its gcd with every kept value.  Each row
+    is written once, without zeros, in the pass that sums each buyer's
     outflow and each good's inflow."""
     L, parts = math.lcm(*(k for k, _, _ in leaves)), []  # (up, down, buyers, rows)
     if last is not None:
-        L = math.lcm(L, last.denom // last.network._cleared[0])
-        g = math.gcd(scale * L, last.denom)
         kept = [i for i, row in enumerate(last.rows) if row and i not in inside]
-        parts.append((scale * L // g, last.denom // g, kept, last.rows))
+        g = math.gcd(scale * L, last.denom)
+        lack = last.denom // g
+        c = math.gcd(lack, *(v for i in kept for v in last.rows[i].values()))
+        parts.append((scale * L // g, c, kept, last.rows))
+        L *= lack // c
     parts += [(L // k, 1, buyers, flow) for k, buyers, flow in leaves]
     rows, out, into = [_EMPTY_ROW] * network.n, [0] * network.n, [0] * network.m
     for up, down, buyers, flow in parts:
@@ -338,9 +341,7 @@ def _assemble(network, scale, leaves, last=None, inside=None):
             row, total = {}, 0
             for j, v in flow[i].items():
                 if v:
-                    v, rest = divmod(v * up, down)
-                    if rest:
-                        raise InvariantError("kept flow row does not rescale exactly")
+                    v = v // down * up
                     row[j] = v
                     total += v
                     into[j] += v
@@ -469,9 +470,9 @@ def balanced_flow(network, last=None, around=None):
     Given ``last``, a balanced flow of an earlier network, only a region R
     is water-filled again: the smallest set of goods around S = ``around``
     whose buyers (each buyer with an edge into R in ``network``) pay
-    nothing outside R in ``last``.  Its other rows, leaf flows on
-    capacities the networks share, are kept and rescaled exactly; an R
-    holding every live good is water-filled whole.  The precondition: S is
+    nothing outside R in ``last``.  Its other rows are kept as the same
+    rationals (``_assemble`` widens the denominator to hold them; an R
+    holding every live good keeps none).  The precondition: S is
     closed under ``last``; since then, with B' the buyers with an edge
     into S, only S's prices and B''s budgets changed, B' lost every edge
     leaving S, only buyers outside B' gained edges, into S, and B' can
@@ -543,13 +544,10 @@ def balanced_flow(network, last=None, around=None):
             raise InvariantError("source edges not saturable; solver invariant violated")
     else:
         seen_buyer, seen_good, inside = [False] * n, [False] * m, None
-        if last is not None:
+        if last is not None:  # only the region's components are refined
             region, inside = _closure(network, last.rows, around)
-            if len(region) + P.count(0) == m:  # the region holds every live good
-                last = None
-            else:  # only the region's components are refined
-                seen_buyer = [i not in inside for i in range(n)]
-                seen_good = [j not in region for j in range(m)]
+            seen_buyer = [i not in inside for i in range(n)]
+            seen_good = [j not in region for j in range(m)]
         # each connected component is a root block
         buyer_goods, good_buyers = network.buyer_goods, network.good_buyers
         for start in range(n):

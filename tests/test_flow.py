@@ -493,19 +493,6 @@ def test_balanced_flow_self_certifies_on_random_networks():
         done += 1
 
 
-def test_kept_row_rescale_guard_fires():
-    # The last flow is over 3: buyer 1 pays 1/3 for good 1.  The new
-    # network's capacities are integers, so its denominator lacks the 3,
-    # and buyer 1's row, kept outside the region around good 0, is left
-    # with a remainder when rescaled to it.
-    edges = {(0, 0), (1, 1)}
-    last = balanced_flow(FlowNetwork.from_edges((F(1), F(1, 3)), (F(2), F(1, 3)), edges))
-    assert last.denom == 3 and last.rows[1] == {1: 1}
-    network = FlowNetwork.from_edges((1, 1), (2, 1), edges)
-    with pytest.raises(InvariantError, match="kept flow row does not rescale exactly"):
-        balanced_flow(network, last, {0})
-
-
 def test_surplus_vector_unique_vs_enumeration_oracle():
     rng = random.Random(78)
     done = 0

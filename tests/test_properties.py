@@ -49,13 +49,14 @@ TIED_CAPS = (F(1, 2), F(1), F(3, 2), F(2), F(3))
 
 
 @st.composite
-def tied_markets(draw):
+def tied_markets(draw, budget_values=TIED_BUDGETS, cap_values=TIED_CAPS):
     """Markets whose events tie often: utilities from {0..k} for a small
-    k, budgets from {1/2, 1, 2, 3}, and caps that are none (about 40%),
-    one of a few small values, or a whole-number share of the row sum."""
+    k, budgets from ``budget_values`` (by default {1/2, 1, 2, 3}), and caps
+    that are none (about 40%), one of ``cap_values``, or a whole-number
+    share of the row sum."""
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     k = draw(st.sampled_from(TIED_KS))
-    budget = st.sampled_from(TIED_BUDGETS)
+    budget = st.sampled_from(budget_values)
     budgets = draw(st.lists(budget, min_size=n, max_size=n))
     rows = draw(
         st.lists(
@@ -68,7 +69,7 @@ def tied_markets(draw):
         if kind < 2:
             caps.append(None)
         elif kind < 4 or not any(row):
-            caps.append(draw(st.sampled_from(TIED_CAPS)))
+            caps.append(draw(st.sampled_from(cap_values)))
         else:
             caps.append(draw(st.integers(1, sum(row))))
     return Market(tuple(budgets), tuple(caps), tuple(map(tuple, rows)))
