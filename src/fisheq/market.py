@@ -149,6 +149,31 @@ def strip_trivial(market):
     return reduced, buyers, goods
 
 
+def mul_pair(a, b, c, d):
+    """(a/b)(c/d) as an integer pair, for a/b and c/d in lowest terms with
+    b, d > 0: the cross-reduced product of ``Fraction``'s own multiply, so
+    the result is in lowest terms too."""
+    g, h = math.gcd(a, d), math.gcd(c, b)
+    return (a // g) * (c // h), (b // h) * (d // g)
+
+
+def add_pair(a, b, c, d):
+    """a/b + c/d as an integer pair over lcm(b, d), for b, d > 0.
+
+    Equal denominators add at once; else one gcd gives the lcm.  The sum is
+    not reduced, but a running sum's denominator never grows past the lcm
+    of its terms' denominators.
+    """
+    if b == d:
+        return a + c, b
+    g = math.gcd(b, d)
+    return a * (d // g) + c * (b // g), b // g * d
+
+
+def _fraction(num, den):
+    return Fraction(num, den) if num else _ZERO
+
+
 def buyer_pass(market, prices, buyer, bundle=None):
     """One pass over buyer i's utilities, the prices and a bundle.
 
@@ -162,38 +187,51 @@ def buyer_pass(market, prices, buyer, bundle=None):
       goods        -- the goods attaining alpha, ascending: at INF the valued
                       zero-priced goods, at 0 none.
 
-    Each ratio u_ij / p_j is an integer pair compared with ``ratio_sign``
-    against the running best: a larger one restarts the list of goods that
-    attain it, an equal one joins it.  The only Fraction built for the
-    ratios is finite_alpha.  A good with a negative price has a negative
+    The pass reads each entry's numerator and denominator once and works on
+    integers.  Each ratio u_ij / p_j is an integer pair compared with
+    ``ratio_sign`` against the running best: a larger one restarts the list
+    of goods that attain it, an equal one joins it.  free, spend and value
+    are integer pairs over the lcm of their terms' denominators
+    (``add_pair`` of ``mul_pair`` products).  A Fraction is built only for
+    each returned value, once.  A good with a negative price has a negative
     ratio and never attains the maximum; it is skipped.
     """
     num, den = 0, 1  # the largest u_ij / p_j over priced goods so far
     best, zero_priced = [], []  # the goods attaining it; valued free goods
-    free = spend = value = _ZERO
-    shares = repeat(None) if bundle is None else bundle
+    free_num = spend_num = value_num = 0
+    free_den = spend_den = value_den = 1
+    shares = repeat(0) if bundle is None else bundle
     for j, (u, p, x) in enumerate(zip(market.utilities[buyer], prices, shares)):
-        if x:
-            if spend is _ZERO:  # the first held good: nothing to add to yet
-                spend, value = p * x, u * x
-            else:
-                spend, value = spend + p * x, value + u * x
-        u_num = u.numerator
+        u_num, u_den = u.numerator, u.denominator
+        p_num, p_den = p.numerator, p.denominator
+        x_num = x.numerator
+        if x_num:
+            x_den = x.denominator
+            if p_num:
+                spend_num, spend_den = add_pair(
+                    spend_num, spend_den, *mul_pair(p_num, p_den, x_num, x_den)
+                )
+            if u_num:
+                value_num, value_den = add_pair(
+                    value_num, value_den, *mul_pair(u_num, u_den, x_num, x_den)
+                )
         if not u_num:
             continue
-        p_num = p.numerator
         if p_num > 0:
-            n_j, d_j = u_num * p.denominator, u.denominator * p_num
+            n_j, d_j = u_num * p_den, u_den * p_num
             sign = ratio_sign(n_j, d_j, num, den)
             if sign > 0:
                 num, den, best = n_j, d_j, [j]
             elif not sign:
                 best.append(j)
         elif not p_num:
-            free += u
+            free_num, free_den = add_pair(free_num, free_den, u_num, u_den)
             zero_priced.append(j)
     finite_alpha = Fraction(num, den)
-    if free:
+    free = _fraction(free_num, free_den)
+    spend = _fraction(spend_num, spend_den)
+    value = _fraction(value_num, value_den)
+    if free_num:
         return INF, finite_alpha, free, spend, value, zero_priced
     return finite_alpha, finite_alpha, free, spend, value, best
 
@@ -202,30 +240,41 @@ def active_budget_at(market, buyer, alpha):
     """min(M_i, c_i / alpha) and whether the cap binds, at bang-per-buck
     ratio ``alpha``.
 
-    The cap counts as binding on equality (c_i/alpha == M_i).  Total on
-    every input: a buyer that values nothing (alpha = 0) gets (0, False),
-    an uncapped buyer gets (M_i, False) even at alpha = INF, and a capped
-    buyer at alpha = INF gets (0, True).  M_i is returned as the market
-    holds it, an int on a normalized market.
+    The cap counts as binding on equality (c_i/alpha == M_i), decided by
+    ``ratio_sign`` on integers; c_i / alpha is divided out only when it is
+    returned.  Total on every input: a buyer that values nothing
+    (alpha = 0) gets (0, False), an uncapped buyer gets (M_i, False) even at
+    alpha = INF, and a capped buyer at alpha = INF gets (0, True).  M_i is
+    returned as the market holds it, an int on a normalized market.
     """
     if alpha == 0:
-        return Fraction(0), False
+        return _ZERO, False
     money = market.budgets[buyer]
     cap = market.caps[buyer]
     if cap is None:
         return money, False
     if alpha is INF:
-        return Fraction(0), True
-    needed = cap / alpha
-    if needed <= money:
-        return needed, True
+        return _ZERO, True
+    num, den = cap.numerator * alpha.denominator, cap.denominator * alpha.numerator
+    if ratio_sign(num, den, money.numerator, money.denominator) <= 0:
+        return cap / alpha, True
     return money, False
 
 
+def over_cap(cap, num, den):
+    """Whether the linear value num/den (den > 0) exceeds the cap ``cap``;
+    never for an unbounded cap (``None``)."""
+    return cap is not None and ratio_sign(num, den, cap.numerator, cap.denominator) > 0
+
+
 def capped_utility(market, buyer, value):
-    """min(c_i, value): the utility a buyer gets from linear value ``value``."""
+    """min(c_i, value): the utility a buyer gets from linear value ``value``.
+
+    Returns ``value`` itself unless it exceeds the cap (``over_cap``), and
+    then the cap as the market holds it.
+    """
     cap = market.caps[buyer]
-    return value if cap is None or value <= cap else cap
+    return cap if over_cap(cap, value.numerator, value.denominator) else value
 
 
 def equality_graph(market, prices):

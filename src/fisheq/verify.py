@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import INF, as_fraction, format_rational
-from .market import active_budget_at, buyer_pass, capped_utility
+from .exact import INF, as_fraction, format_rational, ratio_sign
+from .market import active_budget_at, add_pair, buyer_pass, capped_utility, mul_pair, over_cap
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,18 @@ class Equilibrium:
 
     @property
     def revenue(self):
-        """Money actually paid by the buyers."""
-        return sum(
-            (p * x for row in self.allocation for p, x in zip(self.prices, row) if x),
-            Fraction(0),
-        )
+        """Money actually paid by the buyers: sum p_j x_ij as an integer
+        pair (``add_pair`` of ``mul_pair`` products), one Fraction at the
+        end."""
+        num, den = 0, 1
+        for row in self.allocation:
+            for p, x in zip(self.prices, row):
+                x_num = x.numerator
+                if x_num:
+                    num, den = add_pair(
+                        num, den, *mul_pair(p.numerator, p.denominator, x_num, x.denominator)
+                    )
+        return Fraction(num, den)
 
 
 def _check_dimensions(market, prices, allocation):
@@ -129,6 +136,12 @@ def verify(market, equilibrium):
     best affordable utility needs no second walk.  The active budget depends
     on the prices only through alpha, so it follows from that alpha alone.
 
+    The checks run on integers: sums (spend, value, free value, each good's
+    sold total) are integer pairs over the lcm of their terms'
+    denominators, and comparisons are ``ratio_sign`` on those pairs.  A
+    Fraction is made only for a value the pass returns or a violation the
+    report names, so the report's strings are those of Fraction arithmetic.
+
     Only the prices and the allocation are read; the record's active
     budgets, capped flags and utilities are not checked.
     """
@@ -165,7 +178,14 @@ def verify_allocation(market, prices, allocation):
 def _walk(market, prices, alloc):
     """The report of ``verify`` on Fraction prices and allocation of the
     market's dimensions, and each buyer's (alpha, active budget, capped
-    flag, utility, goods attaining alpha) from its pass."""
+    flag, utility, goods attaining alpha) from its pass.
+
+    Every check is decided on integers: each good's sold total is an
+    integer pair over the lcm of its shares' denominators (``add_pair``),
+    and every comparison is ``ratio_sign``, or a comparison of numerators
+    and denominators where both sides are in lowest terms.  A Fraction is
+    built only for a returned value or a reported violation.
+    """
     report = VerificationReport()
     fields = []
 
@@ -176,18 +196,24 @@ def _walk(market, prices, alloc):
     for j, p in enumerate(prices):
         if p.numerator < 0:
             flag("price", j, p, Fraction(0))
-    sold = [Fraction(0)] * market.m
+    sold = [(0, 1)] * market.m
+    held = []  # per buyer, the goods it holds a nonzero share of
     for i, row in enumerate(alloc):
+        goods = []
         for j, x in enumerate(row):
-            if x:
-                if x.numerator < 0 or x.numerator > x.denominator:
+            x_num = x.numerator
+            if x_num:
+                x_den = x.denominator
+                if x_num < 0 or x_num > x_den:
                     flag("allocation-range", (i, j), x, "[0,1]")
-                sold[j] += x
-    for j, (p, total) in enumerate(zip(prices, sold)):
-        if total.numerator > total.denominator:
-            flag("overallocation", j, total, Fraction(1))
-        if p.numerator > 0 and total != 1:
-            flag("walras", j, p * (1 - total), Fraction(0))
+                sold[j] = add_pair(*sold[j], x_num, x_den)
+                goods.append(j)
+        held.append(goods)
+    for j, (p, (num, den)) in enumerate(zip(prices, sold)):
+        if num > den:
+            flag("overallocation", j, Fraction(num, den), Fraction(1))
+        if p.numerator > 0 and num != den:
+            flag("walras", j, p * (1 - Fraction(num, den)), Fraction(0))
 
     for i, bundle in enumerate(alloc):
         money = market.budgets[i]
@@ -196,24 +222,35 @@ def _walk(market, prices, alloc):
         utility = capped_utility(market, i, raw)
         required, is_capped = active_budget_at(market, i, alpha)
         fields.append((alpha, required, is_capped, utility, goods))
+        money_num, money_den = money.numerator, money.denominator
+        spend_num, spend_den = spend.numerator, spend.denominator
+        utility_num, utility_den = utility.numerator, utility.denominator
 
-        if spend > money:
+        if ratio_sign(spend_num, spend_den, money_num, money_den) > 0:
             flag("budget", i, spend, money)
-        if cap is not None and raw > cap:
+        if utility is not raw:  # capped_utility returns the cap only above it
             flag("modest", i, raw, cap)
 
         # Best utility any affordable bundle can reach: take every valued
         # zero-priced good for free, then spend the budget at ratio alpha.
-        optimal = capped_utility(market, i, free + finite_alpha * money)
-        if utility != optimal:
-            flag("demand", i, utility, optimal)
+        num, den = add_pair(
+            free.numerator,
+            free.denominator,
+            finite_alpha.numerator * money_num,
+            finite_alpha.denominator * money_den,
+        )
+        if over_cap(cap, num, den):
+            if utility_num != cap.numerator or utility_den != cap.denominator:
+                flag("demand", i, utility, cap)
+        elif ratio_sign(utility_num, utility_den, num, den):
+            flag("demand", i, utility, Fraction(num, den))
 
         # MBB support and thrifty spending: money may sit on the goods that
         # attain alpha.  A buyer that values nothing (alpha = 0) attains it
         # on no good, and may hold only priced goods it does not value.
         row = market.utilities[i]
-        for j, x in enumerate(bundle):
-            if not x or j in goods:
+        for j in held[i]:
+            if j in goods:
                 continue
             u, p = row[j], prices[j]
             if alpha is INF:
@@ -222,18 +259,22 @@ def _walk(market, prices, alloc):
                 flag("mbb", (i, j), u / p if p else u, alpha)
 
         # A buyer that values nothing (alpha = 0) has required = 0.
-        if spend != required:
+        if spend_num != required.numerator or spend_den != required.denominator:
             flag("spending", i, spend, required)
         if alpha == 0:
             continue
 
         # KKT multiplier gamma_i = M_i/u_i - 1/alpha_i; with u_i, alpha_i > 0
         # it has the sign of M_i alpha_i - u_i.
-        if utility > 0:
-            bought = INF if alpha is INF else money * alpha
-            if bought < utility:
+        if utility_num > 0:
+            sign = 1 if alpha is INF else ratio_sign(
+                money_num * alpha.numerator, money_den * alpha.denominator, utility_num, utility_den
+            )
+            if sign < 0:
                 flag("kkt-gamma", i, money / utility - 1 / alpha, Fraction(0))
-            elif bought > utility and (cap is None or utility != cap):
+            elif sign > 0 and (
+                cap is None or utility_num != cap.numerator or utility_den != cap.denominator
+            ):
                 flag("kkt-slack", i, utility, cap if cap is not None else "inf")
 
     return report, fields

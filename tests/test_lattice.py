@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fisheq.lattice
 from fisheq import (
+    InvariantError,
     Market,
     equilibrium_from_allocation,
     join,
@@ -17,7 +20,7 @@ from fisheq import (
 )
 from oracle import reference_join, reference_meet, reference_min_revenue, reference_partition
 from test_properties import SETTINGS, markets
-from test_verify import _mutants
+from test_verify import INJECTED, _mutants, failing_on_call
 
 
 def _twin_eq(market, price):
@@ -224,6 +227,17 @@ def test_each_distinct_point_is_checked_once(
     bottom = meet(SPLIT_TWIN_MARKET, a, b)
     assert bottom.prices == b.prices and bottom.allocation == a.allocation
     assert len(buyer_passes) == 3 * SPLIT_TWIN_MARKET.n
+
+
+def test_spliced_equilibrium_guard_fires(split_market, monkeypatch):
+    # Neither input is the splice, so its check is the third, after the
+    # two inputs' (a failure there names the input instead).
+    a, b = _split_eq(split_market, 5, 0), _split_eq(split_market, 0, 5)
+    failing = failing_on_call(fisheq.lattice.verify_allocation, 3)
+    monkeypatch.setattr(fisheq.lattice, "verify_allocation", failing)
+    message = f"spliced equilibrium fails to verify: [{INJECTED[0]!r}"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        meet(split_market, a, b)
 
 
 def test_bad_input_is_named_in_every_position(capped_market):

@@ -1,16 +1,23 @@
+import json
+import re
 import sys
 from fractions import Fraction as F
 
 import pytest
 
 import fisheq.market
+import fisheq.minrev
 from fisheq import (
+    InvariantError,
     Market,
     equilibrium_from_allocation,
     min_revenue,
     solve_max_revenue,
     verify,
 )
+from fisheq.cli import main
+from fisheq.serialize import market_to_doc
+from test_verify import INJECTED, failing_on_call
 
 
 def test_overlap_market_drops_to_zero_one(overlap_market):
@@ -58,6 +65,25 @@ def test_one_pass_per_scaling_loop(buyer_passes, overlap_market):
     buyer_passes.clear()
     assert min_revenue(overlap_market, top).prices == (F(0), F(1))
     assert len(buyer_passes) == 2 * overlap_market.n
+
+
+def test_left_the_equilibrium_set_guard_fires(overlap_market, tmp_path, monkeypatch, capsys):
+    # The second check is the boundary equilibrium of the first scaling
+    # loop (the first is the input's).
+    real = fisheq.minrev.verify_allocation
+    message = re.escape(f"postprocessing left the equilibrium set: [{INJECTED[0]!r}")
+    top = solve_max_revenue(overlap_market).equilibrium
+    monkeypatch.setattr(fisheq.minrev, "verify_allocation", failing_on_call(real, 2))
+    with pytest.raises(InvariantError, match=message):
+        min_revenue(overlap_market, top)
+
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(market_to_doc(overlap_market)))
+    monkeypatch.setattr(fisheq.minrev, "verify_allocation", failing_on_call(real, 2))
+    assert main(["solve", str(path), "--objective", "min-revenue"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.match(f"internal invariant failure: {message}", err)
 
 
 def test_no_equality_graph_call(monkeypatch, overlap_market):
