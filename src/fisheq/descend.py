@@ -18,7 +18,6 @@ where its ratio there reaches its own; x = 0 removes S and B'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,6 +30,7 @@ from .market import (
     normalize,
     strip_trivial,
 )
+from .record import FrozenRecord, Record
 from .verify import equilibrium_from_allocation
 
 CAP = "cap"
@@ -40,8 +40,7 @@ ZERO_PRICE = "zero-price"
 PHASE_ENDS = (TIGHT_SET, ZERO_PRICE)  # the kinds whose commit ends a phase
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(FrozenRecord):
     """One event, and once committed, the state it left.
 
     ``surpluses`` are those of the latest balanced flow at the commit.  The
@@ -49,44 +48,55 @@ class EventRecord:
     builds the Fractions on first read, one per distinct value.
     """
 
-    kind: str
-    x: Fraction
-    buyers: tuple  # affected buyers (newly capped / new-edge owners / witness)
-    goods: tuple  # S at the moment of the event
-    scaled_buyers: tuple  # capped members of B' whose budgets scaled
-    phase: int = 0
-    iteration: int = 0
-    prices: tuple = ()  # committed prices (solver index space)
-    active_budgets: tuple = ()
-    surplus_ints: tuple = ()  # the surpluses, as integers over surplus_denom
-    surplus_denom: int = 1
-    new_edges: tuple = ()  # (buyer, good) pairs that are equality edges from x on
+    def __init__(
+        self,
+        kind,
+        x,
+        buyers,  # affected buyers (newly capped / new-edge owners / witness)
+        goods,  # S at the moment of the event
+        scaled_buyers,  # capped members of B' whose budgets scaled
+        phase=0,
+        iteration=0,
+        prices=(),  # committed prices (solver index space)
+        active_budgets=(),
+        surplus_ints=(),  # the surpluses, as integers over surplus_denom
+        surplus_denom=1,
+        new_edges=(),  # (buyer, good) pairs that are equality edges from x on
+    ):
+        self.__dict__.update(
+            kind=kind,
+            x=x,
+            buyers=buyers,
+            goods=goods,
+            scaled_buyers=scaled_buyers,
+            phase=phase,
+            iteration=iteration,
+            prices=prices,
+            active_budgets=active_budgets,
+            surplus_ints=surplus_ints,
+            surplus_denom=surplus_denom,
+            new_edges=new_edges,
+        )
 
     @cached_property
     def surpluses(self):
         return shared_fractions(self.surplus_ints, self.surplus_denom)
 
 
-@dataclass
-class PhaseStats:
-    phase: int
-    live_buyers: int
-    live_goods: int
-    norm2_start: Fraction
-    norm2_end: Fraction = None
-    iterations: int = 0
+class PhaseStats(Record):
+    def __init__(self, phase, live_buyers, live_goods, norm2_start, norm2_end=None, iterations=0):
+        self.phase, self.live_buyers, self.live_goods = phase, live_buyers, live_goods
+        self.norm2_start, self.norm2_end, self.iterations = norm2_start, norm2_end, iterations
 
 
-@dataclass
-class SolveResult:
+class SolveResult(Record):
     """A solve's equilibrium in the input's units, its committed-event
     trace and per-phase statistics (solver index space), and the surpluses
     of its final balanced flow, all zero."""
 
-    equilibrium: object
-    trace: list
-    phases: list
-    final_surpluses: tuple
+    def __init__(self, equilibrium, trace, phases, final_surpluses):
+        self.equilibrium, self.trace = equilibrium, trace
+        self.phases, self.final_surpluses = phases, final_surpluses
 
 
 class SolverState:
@@ -358,14 +368,19 @@ def commit_event(state, event):
         if abs(p.numerator) > state.price_bound or p.denominator > state.price_bound:
             raise InvariantError(f"price bit-length bound violated at good {j}")
 
-    record = replace(
-        event,
+    record = EventRecord(
+        event.kind,
+        event.x,
+        event.buyers,
+        event.goods,
+        event.scaled_buyers,
         phase=len(state.phases),
         iteration=state.iteration,
         prices=prices,
         active_budgets=budgets,
         surplus_ints=state.flow._surplus_ints,
         surplus_denom=state.flow.denom,
+        new_edges=event.new_edges,
     )
     state.trace.append(record)
     if event.kind in PHASE_ENDS:

@@ -95,7 +95,7 @@ def ratio_sign(a, b, c, d):
     return (ad > cb) - (ad < cb)
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def as_fraction(value):
@@ -121,18 +121,23 @@ def parse_rational(text):
     """Parse a 'p' or 'p/q' string, of any length, into a Fraction.
 
     Floating-point notation is rejected on purpose: exactness is the whole
-    point of the string format.
+    point of the string format.  A plain nonnegative integer, the common
+    entry, skips the regex: ``str.isdecimal`` accepts exactly the digits
+    that ``\\d`` matches.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    stripped = text.strip() if isinstance(text, str) else ""
+    if stripped.isdecimal():
+        return Fraction(_to_int(stripped))
+    match = _RATIONAL_RE.fullmatch(stripped)
+    if match is None:
         raise FormatError(f"not an exact rational: {text!r}")
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        den = _to_int(den)
-        if den == 0:
-            raise FormatError(f"zero denominator: {text!r}")
-        return Fraction(_to_int(num), den)
-    return Fraction(_to_int(text))
+    num, den = match.groups()
+    if den is None:
+        return Fraction(_to_int(num))
+    den = _to_int(den)
+    if den == 0:
+        raise FormatError(f"zero denominator: {stripped!r}")
+    return Fraction(_to_int(num), den)
 
 
 def format_rational(value):

@@ -13,25 +13,24 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvariantError
 from .exact import as_fraction
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
+class FlowNetwork(FrozenRecord):
     """Capacities ``budgets`` (source -> buyer) and ``prices`` (good ->
     sink), tuples of Fractions, and the equality edges as adjacency rows
     only, each an ascending tuple: ``buyer_goods[i]``, ``good_buyers[j]``.
     ``from_edges`` builds and checks one; ``edited`` derives the next."""
 
-    budgets: tuple
-    prices: tuple
-    buyer_goods: tuple
-    good_buyers: tuple
+    def __init__(self, budgets, prices, buyer_goods, good_buyers):
+        self.__dict__.update(
+            budgets=budgets, prices=prices, buyer_goods=buyer_goods, good_buyers=good_buyers
+        )
 
     @classmethod
     def from_edges(cls, budgets, prices, edges):

@@ -19,20 +19,24 @@ not read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvariantError
+from .record import FrozenRecord
 from .verify import verify_allocation
 
 
-@dataclass(frozen=True)
-class PricePartition:
-    equal: tuple  # S0: p == p'
-    below: tuple  # S1: p <  p'
-    above: tuple  # S2: p >  p'
-    buyers_equal: frozenset
-    buyers_below: frozenset
-    buyers_above: frozenset
+class PricePartition(FrozenRecord):
+    """The goods priced equal (S0: p == p'), below (S1: p < p') and above
+    (S2: p > p'), and the buyers holding goods of each."""
+
+    def __init__(self, equal, below, above, buyers_equal, buyers_below, buyers_above):
+        self.__dict__.update(
+            equal=equal,
+            below=below,
+            above=above,
+            buyers_equal=buyers_equal,
+            buyers_below=buyers_below,
+            buyers_above=buyers_above,
+        )
 
 
 def _touched(alloc, goods):

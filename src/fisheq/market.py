@@ -11,12 +11,12 @@ of Python ints, the market the descent runs on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 
 from .errors import InvalidMarketError
-from .exact import INF, as_fraction, ratio_sign
+from .exact import INF, ratio_sign
+from .record import FrozenRecord
 
 
 _ZERO = Fraction(0)
@@ -25,48 +25,40 @@ _ZERO = Fraction(0)
 def _exact(value, what):
     """``value`` as a Fraction; a float (already rounded) or a bool is not
     an exact rational entry."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (float, bool)):
         raise InvalidMarketError(f"{what} must be an exact rational, not {value!r}")
-    return as_fraction(value)
+    return Fraction(value)
 
 
-def _as_fraction_grid(utilities):
-    return tuple(tuple(_exact(u, "utility") for u in row) for row in utilities)
-
-
-@dataclass(frozen=True)
-class Market:
+class Market(FrozenRecord):
     """Immutable market instance (raw rational entries)."""
 
-    budgets: tuple
-    caps: tuple
-    utilities: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "budgets", tuple(_exact(b, "budget") for b in self.budgets))
-        object.__setattr__(
-            self, "caps", tuple(None if c is None else _exact(c, "cap") for c in self.caps)
-        )
-        object.__setattr__(self, "utilities", _as_fraction_grid(self.utilities))
-        n = len(self.budgets)
+    def __init__(self, budgets, caps, utilities):
+        budgets = tuple(_exact(b, "budget") for b in budgets)
+        caps = tuple(None if c is None else _exact(c, "cap") for c in caps)
+        utilities = tuple(tuple(_exact(u, "utility") for u in row) for row in utilities)
+        self.__dict__.update(budgets=budgets, caps=caps, utilities=utilities)
+        n = len(budgets)
         if n == 0:
             raise InvalidMarketError("market needs at least one buyer")
-        if len(self.caps) != n or len(self.utilities) != n:
+        if len(caps) != n or len(utilities) != n:
             raise InvalidMarketError("budgets, caps and utility rows must align")
-        m = len(self.utilities[0])
+        m = len(utilities[0])
         if m == 0:
             raise InvalidMarketError("market needs at least one good")
-        if any(len(row) != m for row in self.utilities):
+        if any(len(row) != m for row in utilities):
             raise InvalidMarketError("ragged utility matrix")
-        for i, b in enumerate(self.budgets):
-            if b <= 0:
+        for i, b in enumerate(budgets):
+            if b.numerator <= 0:
                 raise InvalidMarketError(f"buyer {i}: budget must be positive")
-        for i, c in enumerate(self.caps):
-            if c is not None and c <= 0:
+        for i, c in enumerate(caps):
+            if c is not None and c.numerator <= 0:
                 raise InvalidMarketError(f"buyer {i}: cap must be positive")
-        for row in self.utilities:
+        for row in utilities:
             for u in row:
-                if u < 0:
+                if u.numerator < 0:
                     raise InvalidMarketError("utilities must be nonnegative")
 
     @property
@@ -78,7 +70,6 @@ class Market:
         return len(self.utilities[0])
 
 
-@dataclass(frozen=True)
 class NormalizedMarket(Market):
     """The market the descent runs on: every budget, cap and utility is a
     Python int, and ``budget_scale`` maps prices back to the original units.
@@ -89,11 +80,12 @@ class NormalizedMarket(Market):
     changes no equilibrium at all).
     """
 
-    budget_scale: int = 1
-
-    def __post_init__(self):
+    def __init__(self, budgets, caps, utilities, budget_scale=1):
         """No checks: ``normalize`` builds the entries from a validated
         ``Market``."""
+        self.__dict__.update(
+            budgets=budgets, caps=caps, utilities=utilities, budget_scale=budget_scale
+        )
 
     @property
     def U(self):

@@ -48,7 +48,7 @@ def market_from_doc(doc):
             cap = entry["cap"]
             caps.append(None if cap == "inf" else parse_rational(cap))
             row = _json_list(entry["utilities"], "buyer utilities")
-            utilities.append(tuple(parse_rational(u) for u in row))
+            utilities.append(tuple(map(parse_rational, row)))
         except KeyError as missing:
             raise FormatError(f"buyer entry missing {missing}") from None
     lengths = {len(row) for row in utilities}

@@ -8,31 +8,22 @@ report full of violations, never an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import INF, as_fraction, format_rational, ratio_sign
 from .market import active_budget_at, add_pair, buyer_pass, capped_utility, mul_pair, over_cap
+from .record import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class Equilibrium:
-    prices: tuple
-    allocation: tuple
-    active_budgets: tuple
-    capped: tuple
-    utilities: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "prices", tuple(map(as_fraction, self.prices)))
-        object.__setattr__(
-            self, "allocation", tuple(tuple(map(as_fraction, row)) for row in self.allocation)
+class Equilibrium(FrozenRecord):
+    def __init__(self, prices, allocation, active_budgets, capped, utilities):
+        self.__dict__.update(
+            prices=tuple(map(as_fraction, prices)),
+            allocation=tuple(tuple(map(as_fraction, row)) for row in allocation),
+            active_budgets=tuple(map(as_fraction, active_budgets)),
+            capped=tuple(bool(c) for c in capped),
+            utilities=tuple(map(as_fraction, utilities)),
         )
-        object.__setattr__(
-            self, "active_budgets", tuple(map(as_fraction, self.active_budgets))
-        )
-        object.__setattr__(self, "capped", tuple(bool(c) for c in self.capped))
-        object.__setattr__(self, "utilities", tuple(map(as_fraction, self.utilities)))
 
     @property
     def revenue(self):
@@ -80,13 +71,13 @@ def equilibrium_from_allocation(market, prices, allocation):
     )
 
 
-@dataclass
-class VerificationReport:
-    is_equilibrium: bool = True
-    is_modest: bool = True
-    is_mbb: bool = True
-    kkt_ok: bool = True
-    violations: list = field(default_factory=list)
+class VerificationReport(Record):
+    def __init__(
+        self, is_equilibrium=True, is_modest=True, is_mbb=True, kkt_ok=True, violations=None
+    ):
+        self.is_equilibrium, self.is_modest = is_equilibrium, is_modest
+        self.is_mbb, self.kkt_ok = is_mbb, kkt_ok
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self):

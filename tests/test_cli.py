@@ -3,7 +3,6 @@ import errno
 import json
 import os
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +20,7 @@ from fisheq.serialize import (
 )
 from oracle import reference_verify
 from test_descend import _fail_on_call
+from test_records import replaced
 
 
 @pytest.fixture
@@ -143,7 +143,7 @@ def test_min_revenue_rejecting_solver_output_exits_3(ex1_path, monkeypatch, caps
         result = solve_max_revenue(market)
         prices = list(result.equilibrium.prices)
         prices[0] *= 2
-        return replace(result, equilibrium=replace(result.equilibrium, prices=prices))
+        return replaced(result, equilibrium=replaced(result.equilibrium, prices=prices))
 
     monkeypatch.setattr(fisheq.cli, "solve_max_revenue", broken_solve)
     assert main(["solve", ex1_path, "--objective", "min-revenue"]) == 3

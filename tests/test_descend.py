@@ -1030,6 +1030,46 @@ def test_water_filling_guard_fires(from_good, from_buyer, tmp_path, monkeypatch,
     _assert_replayed(market, message, (0, 0, (), None), tmp_path, capsys)
 
 
+@pytest.mark.parametrize(
+    "side, message",
+    [
+        # every buyer on the source side of the cut: the seeds do not shrink
+        (-1, "tight-set recursion failed to shrink"),
+        # no buyer on it: the seeds shrink to none, so no uncapped buyer is left
+        (None, "tight-set recursion lost every uncapped buyer"),
+    ],
+    ids=["cut-keeps-every-seed", "cut-drops-every-uncapped-buyer"],
+)
+def test_tight_set_recursion_guard_fires(side, message, tmp_path, monkeypatch, capsys):
+    # Phase 1 starts with S = {0}, and its first event search runs the
+    # tight-set search from the uncapped buyer 0.  A test max-flow there that
+    # reports the seeds unsaturated, with the cut given here, stops the
+    # search before any event is pending.
+    market = Market((1, 1), (None, None), ((1, 1), (0, 1)))
+    saturate, search, flows = fisheq.flow._saturate, fisheq.descend.tight_set_scale, []
+
+    def reporting_the_cut(network, seeds, budgets, prices):
+        flows.append(seeds)
+        assert len(flows) == 1, "the search went on past the cut"  # unguarded, it loops
+        flow, _, (_, from_buyer) = saturate(network, seeds, budgets, prices)
+        return flow, False, ([side] * network.n, from_buyer)
+
+    def searched_with_the_cut(network, S, uncapped, capped):
+        assert uncapped
+        flows.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(fisheq.flow, "_saturate", reporting_the_cut)
+            return search(network, S, uncapped, capped)
+
+    monkeypatch.setattr(fisheq.descend, "tight_set_scale", searched_with_the_cut)
+    state, _ = _fresh_state(market)
+    start_phase(state)
+    assert state.S == {0}
+    with pytest.raises(InvariantError, match=message):
+        next_event(state)
+    _assert_replayed(market, message, (1, 0, (0,), None), tmp_path, capsys)
+
+
 STITCHES = [  # (seed of generate_market(8, 8, 100, seed), replay state)
     (0, (1, 1, (2,), NEW_EDGE)),
     (1, (1, 2, (2, 6), NEW_EDGE)),

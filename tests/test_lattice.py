@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +19,7 @@ from fisheq import (
 )
 from oracle import reference_join, reference_meet, reference_min_revenue, reference_partition
 from test_properties import SETTINGS, markets
+from test_records import replaced
 from test_verify import INJECTED, _mutants, failing_on_call
 
 
@@ -263,10 +263,10 @@ def _with_wrong_fields(market, eq):
     budgets are wrong; verification reads none of them."""
     flipped = tuple(not c for c in eq.capped)
     return [
-        replace(eq, utilities=tuple(u + 1 for u in eq.utilities)),
-        replace(eq, capped=flipped),
-        replace(eq, capped=(False,) * market.n),
-        replace(eq, active_budgets=tuple(b + 1 for b in eq.active_budgets)),
+        replaced(eq, utilities=tuple(u + 1 for u in eq.utilities)),
+        replaced(eq, capped=flipped),
+        replaced(eq, capped=(False,) * market.n),
+        replaced(eq, active_budgets=tuple(b + 1 for b in eq.active_budgets)),
     ]
 
 

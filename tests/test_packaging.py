@@ -20,6 +20,17 @@ def test_import_does_not_load_numpy():
     )
 
 
+def test_import_does_not_load_dataclasses_or_inspect():
+    # Start-up pays for every module a fresh interpreter loads; the value
+    # classes are plain classes, so neither module is needed.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    check = "assert not {'dataclasses', 'inspect'} & set(sys.modules), sorted(sys.modules)"
+    for module in ("fisheq", "fisheq.cli"):
+        subprocess.run(
+            [sys.executable, "-c", f"import {module}, sys; {check}"], env=env, check=True
+        )
+
+
 PUBLIC = [
     "INF",
     "Equilibrium",

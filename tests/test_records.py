@@ -19,6 +19,13 @@ from fisheq.flow import FlowNetwork
 from fisheq.market import NormalizedMarket
 
 
+def replaced(record, **changes):
+    """``record`` rebuilt through its class's constructor, with ``changes``
+    in place of some of its fields."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
+
+
 def market():
     return Market((1, F(1, 2)), (None, 2), ((1, 0), (F(1, 3), 1)))
 
