@@ -7,12 +7,12 @@ Run from the root of a source checkout.  The package is imported from
 ``src/``, and each pool is written as ``perfbench/run.py`` writes it
 (``write_pool``), but into a temporary directory.  Every number is the
 median, over ``--starts`` fresh interpreters (default 10), of wall-clock
-time on this machine:
+time:
 
     bare start   ``python -c pass``, from launch to exit;
     imports      the set-up's imports (json, fisheq, fisheq.serialize)
-                 under ``-X importtime``: their total, and each module's
-                 own time, largest first;
+                 under ``-X importtime``: their total, and the 12
+                 modules with the largest own times;
     pool         per workload, in one start: the set-up's imports, the
                  ``json.load`` of the pool and ``market_from_doc`` of
                  every document, each timed inside the process.
@@ -41,10 +41,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from run import WORKLOADS, write_pool  # noqa: E402
 
 IMPORTS = "import json, fisheq, fisheq.serialize"
-SETUP = """\
+TOP = 12  # modules listed by their own import time
+SETUP = f"""\
 import sys, time
 began = time.perf_counter()
-import json, fisheq, fisheq.serialize
+{IMPORTS}
 imported = time.perf_counter()
 with open(sys.argv[1], encoding="utf-8") as handle:
     docs = json.load(handle)
@@ -94,7 +95,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--starts", type=int, default=10)
     parser.add_argument("--workload", choices=sorted(WORKLOADS), action="append")
-    parser.add_argument("--top", type=int, default=12, help="modules listed by own time")
     args = parser.parse_args(argv)
     if args.starts < 1:
         parser.error("--starts must be at least 1")
@@ -114,7 +114,7 @@ def main(argv=None):
     mine = sum(seconds for name, seconds in own.items() if name.split(".")[0] == "fisheq")
     print(f"imports            {_ms(statistics.median(totals))}  ({len(own)} modules, "
           f"fisheq's own {_ms(mine).strip()})")
-    for name in sorted(own, key=own.get, reverse=True)[: args.top]:
+    for name in sorted(own, key=own.get, reverse=True)[:TOP]:
         print(f"  {name:<28} {_ms(own[name])}")
 
     with tempfile.TemporaryDirectory() as scratch:
