@@ -413,8 +413,8 @@ def solve_max_revenue(market):
                 pending = event.kind
                 kind = commit_event(state, event).kind
                 pending = None
-        # Cannot fire: the loop ends when start_phase finds surpluses summing
-        # to 0, of a flow certified feasible, so each is at least 0, hence 0.
+        # Fires only if start_phase is wrong: it ends the loop when surpluses
+        # of a flow certified feasible, each at least 0, sum to 0.
         if any(state.flow._surplus_ints):
             raise InvariantError("descent ended with nonzero surplus")
     except Exception as bug:

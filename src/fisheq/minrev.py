@@ -1,11 +1,25 @@
 """Postprocessing any modest MBB equilibrium down to minimum revenue.
 
-Repeatedly picks the positively-priced goods with no equality edge to any
-uncapped buyer and scales their prices (and the active budgets of the
-attached, all-capped buyers) down until either the prices hit zero or a new
-equality edge appears from outside.  Allocation fractions never change, so
-utilities are untouched; the loop stops when no such good set remains, at
-which point the prices are pointwise minimal.
+With the allocation fixed, utilities are too, and every equilibrium price
+vector q meets two bounds.  A good held by an uncapped buyer i is fixed:
+v_i stays below the cap, so i spends M_i at ratio v_i / M_i and each good k
+it holds keeps q_k = u_ik M_i / v_i.  A buyer h holding good k keeps k among
+its bang-per-buck goods: q_j >= q_k u_hj / u_hk for every good j it values.
+Conversely q <= p meeting them is an equilibrium: each buyer's held goods
+share one ratio and attain it, an uncapped buyer's ratio is unchanged, a
+capped one's rises so it stays capped and spends its cap over it, and each
+priced good was sold out at p.  So the least solution of the bounds is the
+pointwise-smallest equilibrium with this allocation.
+
+A verified buyer holds only goods on its equality edges, or zero-priced
+goods it does not value, which bound nothing.  A bound from a fixed good
+through a holder h to a good j on h's edges is tight at p, so it pins j at
+p_j, and pinned goods pin others the same way.  Unless that pins every
+priced good, Bellman-Ford rounds (Bellman, "On a routing problem", 1958)
+relax the unpinned goods up from 0 along the bounds, difference constraints
+on log q.  p meets every bound, so no cycle of bounds has a product above 1,
+the least solution is reached along paths through distinct unpinned goods,
+and m rounds, the last changing nothing, suffice.
 """
 
 from __future__ import annotations
@@ -13,95 +27,54 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantError
-from .exact import INF, ratio_sign
 from .verify import verify_allocation
-
-
-def _scalable_set(market, prices, alloc, edges, capped):
-    """Positively priced goods whose equality neighbors are all capped,
-    closed under removing goods whose attached buyers hold allocation
-    outside the set (scaling such a set would strand those holdings on
-    edges that stop being bang-per-buck optimal)."""
-    neighbors = [set() for _ in range(market.m)]
-    for i, j in edges:
-        neighbors[j].add(i)
-    S = {
-        j
-        for j in range(market.m)
-        if prices[j].numerator > 0 and all(capped[i] for i in neighbors[j])
-    }
-    while True:
-        bprime = {i for i, j in edges if j in S}
-        bad = {
-            i
-            for i in bprime
-            if any(alloc[i][g].numerator > 0 for g in range(market.m) if g not in S)
-        }
-        if not bad:
-            return S, bprime
-        S -= {j for j in S if neighbors[j] & bad}
 
 
 def min_revenue(market, equilibrium):
     """Transform a verified modest MBB equilibrium into the one with
     pointwise-smallest prices (same utilities, same allocation fractions).
-    Each loop reads the ratios and the equality edges off the pass that
-    verified the equilibrium at its prices."""
-    report, checked, (alphas, edges) = verify_allocation(
+    One pass verifies the input, and one more the result if prices fall."""
+    report, checked, (_, edges) = verify_allocation(
         market, equilibrium.prices, equilibrium.allocation
     )
     if not report.ok:
         raise ValueError(f"input is not a modest MBB equilibrium: {report.violations}")
-    prices = list(checked.prices)
-    alloc = checked.allocation
+    prices, alloc, m = checked.prices, checked.allocation, market.m
+    tied, holders = [[] for _ in range(market.n)], [[] for _ in range(m)]
+    for i, j in edges:
+        tied[i].append(j)
+        if alloc[i][j].numerator:
+            holders[j].append(i)
+    # pinned: an uncapped buyer's equality goods, and a pinned good's holders'
+    stack, pinned = [i for i, capped in enumerate(checked.capped) if not capped], set()
+    while stack:
+        for j in tied[stack.pop()]:
+            if j not in pinned:
+                pinned.add(j)
+                stack += holders[j]
+    if all(j in pinned or not p.numerator for j, p in enumerate(prices)):
+        return checked
 
-    guard = 64 + 4 * market.m * (market.n + 1) ** 2
-    loops = 0
-    while True:
-        loops += 1
-        if loops > guard:
-            raise InvariantError("minimum-revenue loop guard exceeded")
-        # ``checked``, ``alphas`` and ``edges`` are those of the current prices
-        S, bprime = _scalable_set(market, prices, alloc, edges, checked.capped)
-        if not S:
+    # q_j >= q_k a / b with a / b = u_hj / u_hk, on unreduced integer pairs
+    bounds = [
+        (k, j, u[j].numerator * u[k].denominator, u[j].denominator * u[k].numerator)
+        for k in range(m)
+        for u in (market.utilities[h] for h in holders[k])
+        for j in range(m)
+        if u[j] and j not in pinned
+    ]
+    low = [(p.numerator, p.denominator) if j in pinned else (0, 1) for j, p in enumerate(prices)]
+    for _ in range(m):
+        rose = False
+        for k, j, a, b in bounds:
+            num, den = low[k][0] * a, low[k][1] * b
+            if num * low[j][1] > low[j][0] * den:
+                low[j], rose = (num, den), True
+        if not rose:
             break
-        if any(not checked.capped[i] for i in bprime):
-            raise InvariantError("uncapped buyer attached to a scalable set")
-
-        # Scale down until a new equality edge appears, or all the way to 0:
-        # x* is the largest u_hj / (alpha_h p_j), an integer pair found with
-        # ``ratio_sign`` against the running best.
-        best_num, best_den = 0, 1
-        for h in range(market.n):
-            alpha = alphas[h]
-            if h in bprime or alpha == 0 or alpha is INF:
-                continue
-            a_num, a_den = alpha.numerator, alpha.denominator
-            for j in S:
-                u = market.utilities[h][j]
-                if not u:
-                    continue
-                p = prices[j]
-                num = u.numerator * a_den * p.denominator
-                den = u.denominator * a_num * p.numerator
-                if ratio_sign(num, den, best_num, best_den) > 0:
-                    best_num, best_den = num, den
-        x_star = Fraction(best_num, best_den)
-        if x_star >= 1:
-            raise InvariantError("scaling candidate not below 1")
-        for j in S:
-            prices[j] *= x_star
-
-        # One pass checks the boundary equilibrium, rebuilds its record and
-        # gives the next loop its ratios and edges.
-        report, checked, (alphas, edges) = verify_allocation(market, prices, alloc)
-        if not report.ok:
-            raise InvariantError(
-                f"postprocessing left the equilibrium set: {report.violations}"
-            )
-    # Nothing is left to scale.  ``checked`` is the equilibrium at the final
-    # prices with the input's allocation.  The pass that verified it (the
-    # input's check if nothing scaled, else the last loop's) also rebuilt its
-    # active budgets, capped flags and utilities, so none of them comes from
-    # the input's stored fields, which verification does not read.
+    else:
+        raise InvariantError(f"price bounds still rising after {m} rounds")
+    report, checked, _ = verify_allocation(market, [Fraction(*q) for q in low], alloc)
+    if not report.ok:
+        raise InvariantError(f"postprocessing left the equilibrium set: {report.violations}")
     return checked

@@ -21,7 +21,10 @@ records must equal theirs.  ``reference_partition``, ``reference_meet``,
 minimum-revenue postprocessor as they were before each distinct (prices,
 allocation) was checked once per call: they verify every input, every
 splice and every boundary equilibrium with ``verify`` and rebuild records
-separately.  ``reference_allocation`` is the descent's
+separately.  ``reference_min_revenue`` is also the postprocessor's old
+algorithm, which scales sets of goods down one at a time, so it checks
+the Bellman-Ford relaxation that replaced it independently.
+``reference_allocation`` is the descent's
 allocation as it was written at every balanced flow, before it was built
 from the flow when read, and ``reference_next_event`` is the event search
 on Fractions, before its candidates became integer pairs.  ``live_sets``

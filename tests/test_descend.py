@@ -1112,3 +1112,17 @@ def test_event_scale_guard_fires(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(fisheq.descend, "tight_set_scale", above_one)
     market = Market((1, 1), (None, None), ((1, 1), (0, 1)))
     _assert_replayed(market, "event scale 3/2 above 1", (1, 0, (0,), None), tmp_path, capsys)
+
+
+def test_nonzero_surplus_guard_fires(tmp_path, monkeypatch, capsys):
+    # A start_phase that stops after its first balanced flow, whose
+    # surpluses are not all zero, ends the descent before any phase.
+    market = Market((1, 1), (None, None), ((1, 1), (0, 1)))
+
+    def stopping(state):
+        state.flow = fisheq.descend.balanced_flow(state.network)
+        assert any(state.flow._surplus_ints)
+        return False
+
+    monkeypatch.setattr(fisheq.descend, "start_phase", stopping)
+    _assert_replayed(market, "descent ended with nonzero surplus", (0, 0, (), None), tmp_path, capsys)

@@ -9,6 +9,7 @@ import fisheq.lattice
 from fisheq import (
     InvariantError,
     Market,
+    VerificationReport,
     equilibrium_from_allocation,
     join,
     meet,
@@ -290,3 +291,48 @@ def test_results_rebuild_their_fields_from_prices_and_allocation(
             assert result == equilibrium_from_allocation(
                 market, result.prices, result.allocation
             )
+
+
+def _passing(market, prices, allocation):
+    """A ``verify_allocation`` that passes any input: the record is rebuilt
+    from it and the report is empty."""
+    return VerificationReport(), equilibrium_from_allocation(market, prices, allocation), None
+
+
+# At prices (1, 1) and (1, 2) buyer 0 is capped (cap 1, budget 2) and buyer 1
+# is uncapped.
+PAIR_MARKET = Market((F(2), F(2)), (F(1), None), ((F(1), F(1)), (F(1), F(1))))
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        # equal prices; the second moves buyer 1's good to buyer 0
+        (
+            ((1, 1), ((1, 0), (0, 1))),
+            ((1, 1), ((1, 1), (0, 0))),
+            "buyer sets for equal-priced goods differ: [0, 1] vs [0]",
+        ),
+        # good 0 equal, good 1 below; buyer 0 holds some of each
+        (
+            ((1, 1), ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))),
+            ((1, 2), ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))),
+            "buyer groups of the price partition overlap",
+        ),
+        # good 1 below, held by the uncapped buyer 1 alone
+        (
+            ((1, 1), ((1, 0), (0, 1))),
+            ((1, 2), ((1, 0), (0, 1))),
+            "buyer 1 moves prices while uncapped",
+        ),
+    ],
+    ids=["sets-differ", "groups-overlap", "uncapped-buyer-moves"],
+)
+def test_partition_guard_fires(first, second, message, monkeypatch):
+    # Inputs the check passes whatever they are: each breaks one rule of
+    # the partition, and partition, meet and join all stop there.
+    monkeypatch.setattr(fisheq.lattice, "verify_allocation", _passing)
+    first, second = (equilibrium_from_allocation(PAIR_MARKET, *point) for point in (first, second))
+    for call in (partition, meet, join):
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            call(PAIR_MARKET, first, second)
