@@ -31,7 +31,7 @@ from .market import (
     strip_trivial,
 )
 from .record import FrozenRecord, Record
-from .verify import equilibrium_from_allocation
+from .verify import verify_allocation
 
 CAP = "cap"
 NEW_EDGE = "new-edge"
@@ -90,9 +90,10 @@ class PhaseStats(Record):
 
 
 class SolveResult(Record):
-    """A solve's equilibrium in the input's units, its committed-event
-    trace and per-phase statistics (solver index space), and the surpluses
-    of its final balanced flow, all zero."""
+    """A solve's equilibrium in the input's units, verified and built by
+    one ``verify_allocation`` pass, its committed-event trace and per-phase
+    statistics (solver index space), and the surpluses of its final
+    balanced flow, all zero."""
 
     def __init__(self, equilibrium, trace, phases, final_surpluses):
         self.equilibrium, self.trace = equilibrium, trace
@@ -394,7 +395,12 @@ def solve_max_revenue(market):
     together with the committed-event trace and per-phase statistics.
     Whatever the descent raises keeps its type and carries the state to
     replay it from: ``phase``, ``iteration``, ``S`` and ``event`` (see
-    ``InvariantError``)."""
+    ``InvariantError``).
+
+    The returned record is built by one ``verify_allocation`` pass over
+    the final prices and allocation, so it is certified: a report with any
+    violation raises InvariantError naming the violations (``fisheq
+    solve`` exits 3), and no unchecked record reaches the caller."""
     normalized = normalize(market)
     stripped, kept_buyers, kept_goods = strip_trivial(normalized)
     state = initialize(stripped)
@@ -432,7 +438,9 @@ def solve_max_revenue(market):
         prices[j] = state.network.prices[j_s] / scale
         for i_s, i in enumerate(kept_buyers):
             alloc[i][j] = solved[i_s][j_s]
-    equilibrium = equilibrium_from_allocation(market, tuple(prices), tuple(map(tuple, alloc)))
+    report, equilibrium, _ = verify_allocation(market, prices, alloc)
+    if not report.ok:
+        raise InvariantError(f"solver output fails to verify: {report.violations}")
     return SolveResult(
         equilibrium=equilibrium,
         trace=state.trace,

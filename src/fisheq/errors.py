@@ -3,7 +3,8 @@
 
 class InvalidMarketError(ValueError):
     """Market data violates a precondition (nonpositive budget, negative
-    utility, nothing left after preprocessing, ...)."""
+    utility, nothing left after preprocessing, ...), or an entry that must
+    be an exact rational is a float or a bool."""
 
 
 class FormatError(ValueError):

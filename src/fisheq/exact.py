@@ -19,7 +19,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import FormatError, InvalidMarketError
 
 
 class _Infinity:
@@ -98,9 +98,15 @@ def ratio_sign(a, b, c, d):
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
-def as_fraction(value):
-    """``value`` itself if it is a Fraction, else ``Fraction(value)``."""
-    return value if type(value) is Fraction else Fraction(value)
+def as_fraction(value, what="entry"):
+    """``value`` itself if it is a Fraction, else ``Fraction(value)``.  A
+    float (already rounded) or a bool is not an exact rational entry:
+    InvalidMarketError, naming the entry as ``what``."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (float, bool)):
+        raise InvalidMarketError(f"{what} must be an exact rational, not {value!r}")
+    return Fraction(value)
 
 
 def _to_int(digits):

@@ -34,9 +34,9 @@ class FlowNetwork(FrozenRecord):
 
     @classmethod
     def from_edges(cls, budgets, prices, edges):
-        """The network with the (buyer, good) pairs ``edges``; Fractions are
-        kept, other capacities go through ``Fraction``.  ValueError on a
-        negative capacity or an edge out of range."""
+        """The network with the (buyer, good) pairs ``edges``; capacities go
+        through ``as_fraction``.  ValueError on a float or bool capacity, a
+        negative one or an edge out of range."""
         budgets, prices = tuple(map(as_fraction, budgets)), tuple(map(as_fraction, prices))
         if any(c.numerator < 0 for c in budgets + prices):
             raise ValueError("capacities must be nonnegative")

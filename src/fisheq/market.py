@@ -15,30 +15,20 @@ from fractions import Fraction
 from itertools import chain, repeat
 
 from .errors import InvalidMarketError
-from .exact import INF, ratio_sign
+from .exact import INF, as_fraction, ratio_sign
 from .record import FrozenRecord
 
 
 _ZERO = Fraction(0)
 
 
-def _exact(value, what):
-    """``value`` as a Fraction; a float (already rounded) or a bool is not
-    an exact rational entry."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, (float, bool)):
-        raise InvalidMarketError(f"{what} must be an exact rational, not {value!r}")
-    return Fraction(value)
-
-
 class Market(FrozenRecord):
     """Immutable market instance (raw rational entries)."""
 
     def __init__(self, budgets, caps, utilities):
-        budgets = tuple(_exact(b, "budget") for b in budgets)
-        caps = tuple(None if c is None else _exact(c, "cap") for c in caps)
-        utilities = tuple(tuple(_exact(u, "utility") for u in row) for row in utilities)
+        budgets = tuple(as_fraction(b, "budget") for b in budgets)
+        caps = tuple(None if c is None else as_fraction(c, "cap") for c in caps)
+        utilities = tuple(tuple(as_fraction(u, "utility") for u in row) for row in utilities)
         self.__dict__.update(budgets=budgets, caps=caps, utilities=utilities)
         n = len(budgets)
         if n == 0:

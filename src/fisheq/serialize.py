@@ -11,7 +11,7 @@ import json
 from .errors import FormatError
 from .exact import format_rational, parse_rational
 from .market import Market
-from .verify import equilibrium_from_allocation
+from .verify import verify_allocation
 
 
 def _json_list(value, name):
@@ -81,7 +81,7 @@ def equilibrium_from_doc(doc, market):
         for row in _json_list(doc["allocation"], "allocation")
     )
     try:
-        equilibrium = equilibrium_from_allocation(market, prices, allocation)
+        _, equilibrium, _ = verify_allocation(market, prices, allocation)
     except ValueError as bad:
         raise FormatError(str(bad)) from None
     if "utilities" in doc:

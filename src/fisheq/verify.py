@@ -49,26 +49,10 @@ def _check_dimensions(market, prices, allocation):
 
 
 def equilibrium_from_allocation(market, prices, allocation):
-    """Build a full Equilibrium record from prices and allocation, deriving
-    utilities, active budgets and capped flags from the market, with one
-    ``buyer_pass`` per buyer."""
-    prices = tuple(map(as_fraction, prices))
-    allocation = tuple(tuple(map(as_fraction, row)) for row in allocation)
-    _check_dimensions(market, prices, allocation)
-    budgets, capped, utilities = [], [], []
-    for i, bundle in enumerate(allocation):
-        alpha, _, _, _, value, _ = buyer_pass(market, prices, i, bundle)
-        money, is_capped = active_budget_at(market, i, alpha)
-        budgets.append(money)
-        capped.append(is_capped)
-        utilities.append(capped_utility(market, i, value))
-    return Equilibrium(
-        prices=prices,
-        allocation=allocation,
-        active_budgets=tuple(budgets),
-        capped=tuple(capped),
-        utilities=tuple(utilities),
-    )
+    """The Equilibrium record ``verify_allocation`` builds from prices and
+    allocation (utilities, active budgets and capped flags derived from
+    the market), without its report."""
+    return verify_allocation(market, prices, allocation)[1]
 
 
 class VerificationReport(Record):
@@ -141,14 +125,15 @@ def verify(market, equilibrium):
 
 
 def verify_allocation(market, prices, allocation):
-    """Verify (prices, allocation) and rebuild its record, in the same one
-    ``buyer_pass`` per buyer.
+    """Verify (prices, allocation) and build its record, in the same one
+    ``buyer_pass`` per buyer.  This is the only code that builds an
+    ``Equilibrium`` from prices and an allocation.
 
     Returns (report, equilibrium, graph): the report ``verify`` gives for
-    any record with these prices and allocation, the record
-    ``equilibrium_from_allocation`` builds from them, and the (alphas,
-    edges) pair ``equality_graph`` gives at ``prices``, read off the same
-    passes.
+    any record with these prices and allocation, the record with the
+    active budgets, capped flags and utilities each pass derives, and the
+    (alphas, edges) pair ``equality_graph`` gives at ``prices``, read off
+    the same passes.
     """
     prices = tuple(map(as_fraction, prices))
     allocation = tuple(tuple(map(as_fraction, row)) for row in allocation)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -46,6 +47,7 @@ from oracle import (
 )
 from test_acceptance import corpus_markets
 from test_properties import markets, tied_markets
+from test_verify import INJECTED, failing_on_call
 
 
 def _fresh_state(market):
@@ -1126,3 +1128,70 @@ def test_nonzero_surplus_guard_fires(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(fisheq.descend, "start_phase", stopping)
     _assert_replayed(market, "descent ended with nonzero surplus", (0, 0, (), None), tmp_path, capsys)
+
+
+@pytest.mark.parametrize("corrupt", ["injected-report", "moved-sliver"])
+def test_unverified_solve_guard_fires(corrupt, capped_market, tmp_path, monkeypatch, capsys):
+    # The solve's record comes from one verify_allocation pass; a failed
+    # report stops it, with the report's first violation in the message,
+    # raised to a library caller and as exit 3 of ``fisheq solve``.  Moving
+    # a sliver of good 0 to buyer 0 lifts its value 1 to 3/2, above its cap.
+    real, real_alloc = fisheq.descend.verify_allocation, fisheq.descend.SolverState.alloc
+
+    def moved(state):
+        alloc = real_alloc.fget(state)
+        alloc[0][0] += F(1, 10)
+        alloc[1][0] -= F(1, 10)
+        return alloc
+
+    def corrupt_next_solve():
+        if corrupt == "injected-report":
+            monkeypatch.setattr(fisheq.descend, "verify_allocation", failing_on_call(real, 1))
+        else:
+            monkeypatch.setattr(fisheq.descend.SolverState, "alloc", property(moved))
+
+    first = INJECTED[0] if corrupt == "injected-report" else ("modest", 0, "3/2", "1")
+    message = f"solver output fails to verify: [{first!r}"
+    corrupt_next_solve()
+    with pytest.raises(InvariantError, match=re.escape(message)) as caught:
+        solve_max_revenue(capped_market)
+    # the descent is over, so there is no state to replay
+    assert caught.value.phase is None
+
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(market_to_doc(capped_market)))
+    corrupt_next_solve()
+    assert main(["solve", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"internal invariant failure: {message}")
+    assert err.endswith("]\n")
+
+
+@pytest.mark.parametrize(
+    "market",
+    [
+        generate_market(5, 4, 20, 3),
+        # buyer 2 values nothing and nobody values good 2: both are stripped
+        Market((1, 1, 2), (None, None, 3), ((1, 1, 0), (0, 1, 0), (0, 0, 0))),
+    ],
+    ids=["generated", "stripped"],
+)
+def test_one_verified_walk_per_solve(market, buyer_passes, monkeypatch):
+    # After the descent's own passes (one per buyer of the stripped market,
+    # in initialize) the solve makes one verify_allocation call, one pass
+    # per buyer of the input market, and builds its record from it.
+    stripped, _, _ = strip_trivial(normalize(market))
+    calls = []
+    real = fisheq.descend.verify_allocation
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(fisheq.descend, "verify_allocation", counted)
+    buyer_passes.clear()
+    result = solve_max_revenue(market)
+    assert calls == [market]
+    assert buyer_passes == list(range(stripped.n)) + list(range(market.n))
+    assert verify(market, result.equilibrium).ok

@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fisheq import INF, FormatError, format_rational, parse_rational
+from fisheq import (
+    INF,
+    Equilibrium,
+    FormatError,
+    InvalidMarketError,
+    Market,
+    format_rational,
+    parse_rational,
+    verify_allocation,
+)
 from fisheq.exact import ratio_sign
+from fisheq.flow import FlowNetwork
 
 
 def test_parse_integer_and_fraction():
@@ -127,3 +137,23 @@ def test_ratio_sign_is_the_sign_of_the_cross_products(pair, dx, dy):
     assert ratio_sign(a, b, c, d) == expected
     assert ratio_sign(_Skewed(a, dx), b, _Skewed(c, dy), d) == expected
     assert ratio_sign(_Skewed(c, dy), d, _Skewed(a, dx), b) == -expected
+
+
+_ONE_BY_ONE = Market((1,), (None,), ((1,),))
+
+
+# One rule for every exact entry: a float is already rounded and a bool is
+# not a quantity, wherever a price, a share or a capacity is taken in.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: verify_allocation(_ONE_BY_ONE, [1.0], [[1.0]]),
+        lambda: verify_allocation(_ONE_BY_ONE, [1], [[True]]),
+        lambda: Equilibrium((1,), ((True,),), (1,), (False,), (1,)),
+        lambda: FlowNetwork.from_edges((1,), (0.5,), {(0, 0)}),
+    ],
+    ids=["float-price", "bool-share", "bool-share-record", "float-capacity"],
+)
+def test_float_or_bool_entry_rejected(build):
+    with pytest.raises(InvalidMarketError, match="must be an exact rational, not (1.0|True|0.5)"):
+        build()
