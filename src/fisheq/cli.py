@@ -25,13 +25,12 @@ from .exact import _to_int
 from .market import Market
 from .minrev import min_revenue
 from .serialize import (
-    equilibrium_from_doc,
+    _checked_from_doc,
     equilibrium_to_doc,
     market_from_doc,
     market_to_doc,
     trace_to_ndjson,
 )
-from .verify import verify
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -124,8 +123,8 @@ def _cmd_solve(args):
 
 def _cmd_verify(args):
     market = market_from_doc(_load_json(args.instance))
-    equilibrium = equilibrium_from_doc(_load_json(args.equilibrium), market)
-    report = verify(market, equilibrium)
+    # The walk that reads the document is the check: no second one.
+    report, _ = _checked_from_doc(_load_json(args.equilibrium), market)
     _print_json(
         {
             "is_equilibrium": report.is_equilibrium,

@@ -5,23 +5,26 @@ min; the constructive join/meet splice together the price and allocation of
 the two inputs along the partition of goods into equal-, below- and
 above-priced sets.
 
-Each distinct (prices, allocation) is checked once per call, by one
-``verify_allocation`` pass over the buyers, which gives its report and
-rebuilds its active budgets, capped flags and utilities.  The first input
-is always checked.  The second is checked only when its prices or its
-allocation differ from the first's: verification reads nothing else, so
-equal values get an identical report.  The splice is checked only when it
-differs from both inputs; one equal to an input is that input's checked
-record.  The result and the capped flags the partition tests are always
-the rebuilt ones, never an input's stored fields, which verification does
-not read.
+Each distinct (prices, allocation) is checked at most once per call.  An
+input that a passed ``verify_allocation`` walk on this very market object
+built (a solve's, ``min_revenue``'s, a splice's) keeps that walk's verdict
+and is not walked again (``verify._verified``); any other input is checked
+by one ``verify_allocation`` pass over the buyers, which gives its report
+and rebuilds its active budgets, capped flags and utilities.  The first
+input is always checked so.  The second is checked only when its prices
+or its allocation differ from the first's: verification reads nothing
+else, so equal values get an identical report.  The splice is walked only
+when it differs from both inputs; one equal to an input is that input's
+checked record.  The result and the capped flags the partition tests are
+always those of a walk on the market, never fields a caller stored, which
+verification does not read.
 """
 
 from __future__ import annotations
 
 from .errors import InvariantError
 from .record import FrozenRecord
-from .verify import verify_allocation
+from .verify import _verified, verify_allocation
 
 
 class PricePartition(FrozenRecord):
@@ -39,17 +42,21 @@ class PricePartition(FrozenRecord):
         )
 
 
-def _touched(alloc, goods):
-    return frozenset(
-        i for i, row in enumerate(alloc) if any(row[j].numerator > 0 for j in goods)
-    )
+def _touched(alloc, group):
+    """Per group of goods (``group[j]`` is good j's: 0 equal, 1 below, 2
+    above), the buyers holding a positive share of one of its goods."""
+    held = (set(), set(), set())
+    for i, row in enumerate(alloc):
+        for j, x in enumerate(row):
+            if x.numerator > 0:
+                held[group[j]].add(i)
+    return tuple(map(frozenset, held))
 
 
 def _checked(market, equilibrium, name):
-    """The input's record rebuilt by the pass that verified it."""
-    report, checked, _ = verify_allocation(
-        market, equilibrium.prices, equilibrium.allocation
-    )
+    """The input's record as the walk that verified it on ``market`` built
+    it."""
+    report, checked, _ = _verified(market, equilibrium)
     if not report.ok:
         raise ValueError(
             f"{name} is not a modest MBB equilibrium: {report.violations}"
@@ -65,40 +72,27 @@ def _split(market, first, second):
         second = first
     else:
         second = _checked(market, second, "second equilibrium")
-    equal, below, above = [], [], []
-    for j in range(market.m):
-        if first.prices[j] == second.prices[j]:
-            equal.append(j)
-        elif first.prices[j] < second.prices[j]:
-            below.append(j)
-        else:
-            above.append(j)
-    groups = {}
-    for name, goods in (("equal", equal), ("below", below), ("above", above)):
-        mine = _touched(first.allocation, goods)
-        theirs = _touched(second.allocation, goods)
-        if mine != theirs:
+    if second is first:
+        group = (0,) * market.m
+    else:
+        group = [
+            0 if p == q else 1 if p < q else 2 for p, q in zip(first.prices, second.prices)
+        ]
+    goods = tuple(tuple(j for j, g in enumerate(group) if g == k) for k in range(3))
+    mine = _touched(first.allocation, group)
+    theirs = mine if second is first else _touched(second.allocation, group)
+    for name, a, b in zip(("equal", "below", "above"), mine, theirs):
+        if a != b:
             raise InvariantError(
-                f"buyer sets for {name}-priced goods differ: {sorted(mine)} vs {sorted(theirs)}"
+                f"buyer sets for {name}-priced goods differ: {sorted(a)} vs {sorted(b)}"
             )
-        groups[name] = mine
-    if (
-        groups["equal"] & groups["below"]
-        or groups["equal"] & groups["above"]
-        or groups["below"] & groups["above"]
-    ):
+    equal, below, above = mine
+    if equal & below or equal & above or below & above:
         raise InvariantError("buyer groups of the price partition overlap")
-    for i in groups["below"] | groups["above"]:
+    for i in below | above:
         if not (first.capped[i] and second.capped[i]):
             raise InvariantError(f"buyer {i} moves prices while uncapped")
-    split = PricePartition(
-        equal=tuple(equal),
-        below=tuple(below),
-        above=tuple(above),
-        buyers_equal=groups["equal"],
-        buyers_below=groups["below"],
-        buyers_above=groups["above"],
-    )
+    split = PricePartition(*goods, *mine)
     return split, first, second
 
 
@@ -113,6 +107,10 @@ def partition(market, first, second):
 def _splice(market, first, second, take_second):
     """Second's prices and allocation on the goods in ``take_second``,
     first's elsewhere; ``first`` and ``second`` are checked records."""
+    if not take_second:
+        return first
+    if len(take_second) == market.m:
+        return second
     sides = [second if j in take_second else first for j in range(market.m)]
     prices = tuple(side.prices[j] for j, side in enumerate(sides))
     alloc = tuple(

@@ -27,16 +27,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantError
-from .verify import verify_allocation
+from .verify import _verified, verify_allocation
 
 
 def min_revenue(market, equilibrium):
     """Transform a verified modest MBB equilibrium into the one with
     pointwise-smallest prices (same utilities, same allocation fractions).
-    One pass verifies the input, and one more the result if prices fall."""
-    report, checked, (_, edges) = verify_allocation(
-        market, equilibrium.prices, equilibrium.allocation
-    )
+    The input is walked once unless a passed walk on this very market built
+    it (a solve's, ``min_revenue``'s, ``meet``'s, ``join``'s record): then
+    its verdict and graph are read.  The result is walked once if prices
+    fall; otherwise it is the checked input."""
+    report, checked, (_, edges) = _verified(market, equilibrium)
     if not report.ok:
         raise ValueError(f"input is not a modest MBB equilibrium: {report.violations}")
     prices, alloc, m = checked.prices, checked.allocation, market.m

@@ -11,7 +11,7 @@ import json
 from .errors import FormatError
 from .exact import format_rational, parse_rational
 from .market import Market
-from .verify import verify_allocation
+from .verify import _check_dimensions, verify_allocation
 
 
 def _json_list(value, name):
@@ -73,6 +73,17 @@ def equilibrium_to_doc(equilibrium):
 
 
 def equilibrium_from_doc(doc, market):
+    """The record of an equilibrium document, built by one
+    ``verify_allocation`` walk on ``market``; a malformed document, one of
+    the wrong dimensions or one whose stated fields disagree with its
+    prices and allocation raises ``FormatError``.  The record need not be
+    an equilibrium."""
+    return _checked_from_doc(doc, market)[1]
+
+
+def _checked_from_doc(doc, market):
+    """(report, equilibrium): ``equilibrium_from_doc``'s record and the
+    report of the walk that built it, the one ``verify`` gives."""
     if not isinstance(doc, dict) or "prices" not in doc or "allocation" not in doc:
         raise FormatError("equilibrium document needs 'prices' and 'allocation'")
     prices = tuple(parse_rational(p) for p in _json_list(doc["prices"], "prices"))
@@ -81,9 +92,10 @@ def equilibrium_from_doc(doc, market):
         for row in _json_list(doc["allocation"], "allocation")
     )
     try:
-        _, equilibrium, _ = verify_allocation(market, prices, allocation)
+        _check_dimensions(market, prices, allocation)
     except ValueError as bad:
         raise FormatError(str(bad)) from None
+    report, equilibrium, _ = verify_allocation(market, prices, allocation)
     if "utilities" in doc:
         stated = tuple(parse_rational(u) for u in _json_list(doc["utilities"], "utilities"))
         if stated != equilibrium.utilities:
@@ -96,7 +108,7 @@ def equilibrium_from_doc(doc, market):
             raise FormatError("stated capped flags disagree with the allocation")
     if "revenue" in doc and parse_rational(doc["revenue"]) != equilibrium.revenue:
         raise FormatError("stated revenue disagrees with the allocation")
-    return equilibrium
+    return report, equilibrium
 
 
 def record_to_doc(record):

@@ -134,6 +134,13 @@ def verify_allocation(market, prices, allocation):
     active budgets, capped flags and utilities each pass derives, and the
     (alphas, edges) pair ``equality_graph`` gives at ``prices``, read off
     the same passes.
+
+    When the report is ok the record keeps the verdict: a private entry
+    of its ``__dict__`` holds this ``market`` object and the graph.  The
+    record and the market are frozen, so the verdict stays true, and
+    ``min_revenue`` and the lattice take it (``_verified``) instead of
+    walking the record again on that same market.  ``==``, ``hash`` and
+    ``repr`` read only the fields, and ``verify`` never reads the verdict.
     """
     prices = tuple(map(as_fraction, prices))
     allocation = tuple(tuple(map(as_fraction, row)) for row in allocation)
@@ -147,8 +154,22 @@ def verify_allocation(market, prices, allocation):
         capped=capped,
         utilities=utilities,
     )
-    edges = frozenset((i, j) for i, row in enumerate(goods) for j in row)
-    return report, equilibrium, (alphas, edges)
+    graph = (alphas, frozenset((i, j) for i, row in enumerate(goods) for j in row))
+    if report.ok:
+        equilibrium.__dict__["_verdict"] = (market, graph)
+    return report, equilibrium, graph
+
+
+def _verified(market, equilibrium):
+    """``verify_allocation`` of the record's prices and allocation, or, for
+    a record whose passed walk was on this very ``market`` object (``is``,
+    never ``==``), that walk's verdict: an ok report, the record itself and
+    the walk's graph.  Any other record, or the same one with an equal but
+    distinct market, is walked again."""
+    verdict = getattr(equilibrium, "_verdict", None)
+    if verdict is not None and verdict[0] is market:
+        return VerificationReport(), equilibrium, verdict[1]
+    return verify_allocation(market, equilibrium.prices, equilibrium.allocation)
 
 
 def _walk(market, prices, alloc):

@@ -71,3 +71,22 @@ def buyer_passes(monkeypatch):
         if name.split(".")[0] == "fisheq" and getattr(module, "buyer_pass", None) is original:
             monkeypatch.setattr(module, "buyer_pass", counted)
     return calls
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """A list that gets the market of each ``fisheq.verify._walk`` call: one
+    per check of a (prices, allocation), by ``verify`` or
+    ``verify_allocation``."""
+    import sys
+
+    module = sys.modules["fisheq.verify"]  # ``fisheq.verify`` is the function
+    calls = []
+    original = module._walk
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(module, "_walk", counted)
+    return calls

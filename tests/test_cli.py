@@ -23,6 +23,10 @@ from test_descend import _fail_on_call
 from test_records import replaced
 
 
+# The module; ``fisheq.verify`` is the function the package exports.
+VERIFY = sys.modules["fisheq.verify"]
+
+
 @pytest.fixture
 def ex1_path(tmp_path, capped_market):
     path = tmp_path / "ex1.json"
@@ -185,16 +189,17 @@ def test_any_error_after_the_input_is_read_exits_3(
     name, error, ex1_path, ex1_eq_path, monkeypatch, capsys
 ):
     # Only a ValueError used to reach exit 3; these escaped main as exit 1,
-    # the failed-verification code, with a traceback.
+    # the failed-verification code, with a traceback.  ``fisheq verify``
+    # checks the file with the walk that reads it, so its case breaks that.
     def broken(*args):
         raise error(7)
 
-    monkeypatch.setattr(fisheq.cli, name, broken)
-    argv = {
-        "solve_max_revenue": ["solve", ex1_path],
-        "min_revenue": ["solve", ex1_path, "--objective", "min-revenue"],
-        "verify": ["verify", ex1_path, "--equilibrium", ex1_eq_path],
+    module, attribute, argv = {
+        "solve_max_revenue": (fisheq.cli, name, ["solve", ex1_path]),
+        "min_revenue": (fisheq.cli, name, ["solve", ex1_path, "--objective", "min-revenue"]),
+        "verify": (VERIFY, "_walk", ["verify", ex1_path, "--equilibrium", ex1_eq_path]),
     }[name]
+    monkeypatch.setattr(module, attribute, broken)
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -287,17 +292,42 @@ def test_verify_dimension_mismatch_exits_2(ex1_path, tmp_path, capsys):
     assert main(["verify", ex1_path, "--equilibrium", str(eq_path)]) == 2
 
 
+@pytest.mark.parametrize("passing", [True, False], ids=["passing", "failing"])
+def test_verify_walks_once(passing, ex1_path, tmp_path, capped_market, walks, capsys):
+    # The walk that reads the file gives the report: no second check.
+    eq = solve_max_revenue(capped_market).equilibrium
+    doc = equilibrium_to_doc(eq)
+    if not passing:
+        doc = {"prices": ["3", "1"], "allocation": doc["allocation"]}
+    eq_path = tmp_path / "eq.json"
+    eq_path.write_text(json.dumps(doc))
+    walks.clear()
+    assert main(["verify", ex1_path, "--equilibrium", str(eq_path)]) == (0 if passing else 1)
+    assert len(walks) == 1
+    parsed = equilibrium_from_doc(doc, capped_market)
+    report = reference_verify(capped_market, parsed)
+    expected = {
+        "is_equilibrium": report.is_equilibrium,
+        "is_modest": report.is_modest,
+        "is_mbb": report.is_mbb,
+        "kkt_ok": report.kkt_ok,
+        "violations": [list(v) for v in report.violations],
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    assert report.ok == passing
+
+
 def test_verifier_value_error_exits_3(ex1_path, tmp_path, monkeypatch, capsys):
-    # The equilibrium file is well formed, so a ValueError out of verify is
-    # the verifier's own fault, not bad input.
+    # The equilibrium file is well formed, so a ValueError out of the walk
+    # that verifies it is the verifier's own fault, not bad input.
     assert main(["solve", ex1_path]) == 0
     eq_path = tmp_path / "eq.json"
     eq_path.write_text(capsys.readouterr().out)
 
-    def broken_verify(market, equilibrium):
+    def broken_walk(market, prices, allocation):
         raise ValueError("allocation and prices dimensionally inconsistent with market")
 
-    monkeypatch.setattr(fisheq.cli, "verify", broken_verify)
+    monkeypatch.setattr(VERIFY, "_walk", broken_walk)
     assert main(["verify", ex1_path, "--equilibrium", str(eq_path)]) == 3
     assert "internal invariant failure" in capsys.readouterr().err
 

@@ -199,13 +199,22 @@ def test_matches_reference_on_non_comparable_pairs(points):
     _assert_matches_reference(SPLIT_TWIN_MARKET, [_split_twin_eq(*point) for point in points])
 
 
-def test_each_distinct_point_is_checked_once(
-    buyer_passes, capped_market, overlap_market, split_market
-):
+def _walked(walks, market, call, *args):
+    """``call(market, *args)`` and the number of walks it made."""
+    walks.clear()
+    return call(market, *args), len(walks)
+
+
+def test_each_distinct_point_is_checked_once(walks, capped_market, overlap_market, split_market):
+    # Inputs a passed walk on the market built keep its verdict and are
+    # not walked again; copies built without a walk (``replaced``) are,
+    # once per distinct (prices, allocation).  The splice is walked only
+    # when it is new.
     eq = solve_max_revenue(capped_market).equilibrium
-    buyer_passes.clear()
-    assert meet(capped_market, eq, eq) == eq
-    assert len(buyer_passes) == capped_market.n
+    assert _walked(walks, capped_market, meet, eq, eq) == (eq, 0)
+    copy = replaced(eq)
+    assert _walked(walks, capped_market, meet, copy, copy) == (eq, 1)
+    assert _walked(walks, capped_market, meet, copy, replaced(eq)) == (eq, 1)
 
     # the endpoints differ in price; meet splices to the second, join to
     # the first
@@ -213,32 +222,35 @@ def test_each_distinct_point_is_checked_once(
     low = min_revenue(overlap_market, top)
     assert top.prices != low.prices
     for call, expected in ((meet, low), (join, top)):
-        buyer_passes.clear()
-        assert call(overlap_market, top, low) == expected
-        assert len(buyer_passes) == 2 * overlap_market.n
+        assert _walked(walks, overlap_market, call, top, low) == (expected, 0)
+        pair = (replaced(top), replaced(low))
+        assert _walked(walks, overlap_market, call, *pair) == (expected, 2)
 
     a, b = _split_eq(split_market, 5, 0), _split_eq(split_market, 0, 5)
-    buyer_passes.clear()
-    assert meet(split_market, a, b).prices == (F(0), F(0))
-    assert len(buyer_passes) == 3 * split_market.n
+    for pair, count in (((a, b), 1), ((replaced(a), replaced(b)), 3)):
+        bottom, walked = _walked(walks, split_market, meet, *pair)
+        assert (bottom.prices, walked) == ((F(0), F(0)), count)
 
     # a new splice with the second's prices but not its allocation
     a, b = _split_twin_eq(5, 2, False), _split_twin_eq(2, 2, True)
-    buyer_passes.clear()
-    bottom = meet(SPLIT_TWIN_MARKET, a, b)
-    assert bottom.prices == b.prices and bottom.allocation == a.allocation
-    assert len(buyer_passes) == 3 * SPLIT_TWIN_MARKET.n
+    for pair, count in (((a, b), 1), ((replaced(a), replaced(b)), 3)):
+        bottom, walked = _walked(walks, SPLIT_TWIN_MARKET, meet, *pair)
+        assert bottom.prices == b.prices and bottom.allocation == a.allocation
+        assert walked == count
 
 
 def test_spliced_equilibrium_guard_fires(split_market, monkeypatch):
-    # Neither input is the splice, so its check is the third, after the
-    # two inputs' (a failure there names the input instead).
+    # Neither input is the splice.  The inputs' checks go through
+    # ``fisheq.verify._verified`` (their verdicts, or walks there for the
+    # copies without one), so the first call of the lattice's own
+    # ``verify_allocation`` is the splice's.
     a, b = _split_eq(split_market, 5, 0), _split_eq(split_market, 0, 5)
-    failing = failing_on_call(fisheq.lattice.verify_allocation, 3)
-    monkeypatch.setattr(fisheq.lattice, "verify_allocation", failing)
     message = f"spliced equilibrium fails to verify: [{INJECTED[0]!r}"
-    with pytest.raises(InvariantError, match=re.escape(message)):
-        meet(split_market, a, b)
+    real = fisheq.lattice.verify_allocation
+    for pair in ((a, b), (replaced(a), replaced(b))):
+        monkeypatch.setattr(fisheq.lattice, "verify_allocation", failing_on_call(real, 1))
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            meet(split_market, *pair)
 
 
 def test_bad_input_is_named_in_every_position(capped_market):
@@ -293,10 +305,11 @@ def test_results_rebuild_their_fields_from_prices_and_allocation(
             )
 
 
-def _passing(market, prices, allocation):
-    """A ``verify_allocation`` that passes any input: the record is rebuilt
-    from it and the report is empty."""
-    return VerificationReport(), equilibrium_from_allocation(market, prices, allocation), None
+def _passing(market, equilibrium):
+    """A ``fisheq.verify._verified`` that passes any input: the record is
+    rebuilt from it and the report is empty."""
+    rebuilt = equilibrium_from_allocation(market, equilibrium.prices, equilibrium.allocation)
+    return VerificationReport(), rebuilt, None
 
 
 # At prices (1, 1) and (1, 2) buyer 0 is capped (cap 1, budget 2) and buyer 1
@@ -331,7 +344,7 @@ PAIR_MARKET = Market((F(2), F(2)), (F(1), None), ((F(1), F(1)), (F(1), F(1))))
 def test_partition_guard_fires(first, second, message, monkeypatch):
     # Inputs the check passes whatever they are: each breaks one rule of
     # the partition, and partition, meet and join all stop there.
-    monkeypatch.setattr(fisheq.lattice, "verify_allocation", _passing)
+    monkeypatch.setattr(fisheq.lattice, "_verified", _passing)
     first, second = (equilibrium_from_allocation(PAIR_MARKET, *point) for point in (first, second))
     for call in (partition, meet, join):
         with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):

@@ -22,6 +22,7 @@ from fisheq.serialize import market_to_doc
 from oracle import reference_min_revenue
 from test_acceptance import corpus_markets
 from test_properties import random_tied_market
+from test_records import replaced
 from test_verify import INJECTED, failing_on_call
 
 
@@ -58,32 +59,41 @@ def test_idempotent(overlap_market, twin_market, capped_market):
 
 
 def test_one_pass_when_nothing_scales(buyer_passes, linear_market):
+    # The solve's record keeps its walk's verdict on this market, so it is
+    # returned with no pass; a copy built without a walk takes one.
     top = solve_max_revenue(linear_market).equilibrium
-    buyer_passes.clear()
-    assert min_revenue(linear_market, top) == top
-    assert len(buyer_passes) == linear_market.n
+    for record, passes in ((top, 0), (replaced(top), linear_market.n)):
+        buyer_passes.clear()
+        assert min_revenue(linear_market, record) == top
+        assert len(buyer_passes) == passes
+    assert min_revenue(linear_market, top) is top
 
 
 def test_one_pass_per_scaling_loop(buyer_passes, overlap_market):
-    # one pass checks the input, one the result: good 0 falls to zero
+    # one pass checks the result (good 0 falls to zero), and one more the
+    # input unless the solve's verdict covers it
     top = solve_max_revenue(overlap_market).equilibrium
-    buyer_passes.clear()
-    assert min_revenue(overlap_market, top).prices == (F(0), F(1))
-    assert len(buyer_passes) == 2 * overlap_market.n
+    for record, passes in ((top, 1), (replaced(top), 2)):
+        buyer_passes.clear()
+        assert min_revenue(overlap_market, record).prices == (F(0), F(1))
+        assert len(buyer_passes) == passes * overlap_market.n
 
 
 def test_left_the_equilibrium_set_guard_fires(overlap_market, tmp_path, monkeypatch, capsys):
-    # The second check is the result's (the first is the input's).
+    # The input's check goes through ``fisheq.verify._verified`` (the
+    # solve's verdict, or a walk there for a copy without one), so the
+    # first call of minrev's own ``verify_allocation`` is the result's.
     real = fisheq.minrev.verify_allocation
     message = re.escape(f"postprocessing left the equilibrium set: [{INJECTED[0]!r}")
     top = solve_max_revenue(overlap_market).equilibrium
-    monkeypatch.setattr(fisheq.minrev, "verify_allocation", failing_on_call(real, 2))
-    with pytest.raises(InvariantError, match=message):
-        min_revenue(overlap_market, top)
+    for record in (top, replaced(top)):
+        monkeypatch.setattr(fisheq.minrev, "verify_allocation", failing_on_call(real, 1))
+        with pytest.raises(InvariantError, match=message):
+            min_revenue(overlap_market, record)
 
     path = tmp_path / "market.json"
     path.write_text(json.dumps(market_to_doc(overlap_market)))
-    monkeypatch.setattr(fisheq.minrev, "verify_allocation", failing_on_call(real, 2))
+    monkeypatch.setattr(fisheq.minrev, "verify_allocation", failing_on_call(real, 1))
     assert main(["solve", str(path), "--objective", "min-revenue"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -162,15 +172,17 @@ def test_extremality_against_numeric_oracle_prices():
 
 def test_two_passes_however_many_sets_fall(buyer_passes):
     # Goods 1 and 2 fall to different prices, in one relaxation: one pass
-    # checks the input and one the result.
+    # checks the result, and one more the input unless the solve's verdict
+    # covers it.
     market = Market((1, 2, 2), (None, 1, 1), ((1, 1, 0), (0, 1, 1), (0, 1, 0)))
     top = solve_max_revenue(market).equilibrium
     assert top.prices == (F(1), F(2), F(2))
-    buyer_passes.clear()
-    low = min_revenue(market, top)
-    assert low.prices == (F(1), F(1), F(0))
-    assert len(buyer_passes) == 2 * market.n
-    assert low == reference_min_revenue(market, top)
+    for record, passes in ((top, 1), (replaced(top), 2)):
+        buyer_passes.clear()
+        low = min_revenue(market, record)
+        assert low.prices == (F(1), F(1), F(0))
+        assert len(buyer_passes) == passes * market.n
+        assert low == reference_min_revenue(market, top)
 
 
 # The corpus markets (``test_acceptance.corpus_markets``) whose prices fall.
@@ -213,35 +225,27 @@ CYCLE_MARKET = Market((1, 1, 1), (None, 1, 1), ((2, 1, 0), (0, 1, 2), (0, 2, 1))
 CYCLE_EDGES = frozenset({(0, 0), (1, 1), (2, 2)})
 
 
-def _crafted_first(real):
-    """``real``, a ``verify_allocation``, except that its first call passes
-    ``CYCLE_MARKET`` at prices (1, 1, 1) with ``CYCLE_EDGES``, whatever it
-    is given."""
-    calls = []
-
-    def wrapped(market, prices, allocation):
-        calls.append(None)
-        if len(calls) > 1:
-            return real(market, prices, allocation)
-        alloc = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        checked = equilibrium_from_allocation(CYCLE_MARKET, (1, 1, 1), alloc)
-        assert checked.capped == (False, True, True)
-        return VerificationReport(), checked, (None, CYCLE_EDGES)
-
-    return wrapped
+def _crafted_input(market, equilibrium):
+    """A ``fisheq.verify._verified`` that passes ``CYCLE_MARKET`` at prices
+    (1, 1, 1) with ``CYCLE_EDGES``, whatever it is given."""
+    alloc = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    checked = equilibrium_from_allocation(CYCLE_MARKET, (1, 1, 1), alloc)
+    assert checked.capped == (False, True, True)
+    return VerificationReport(), checked, (None, CYCLE_EDGES)
 
 
 def test_rounds_guard_fires(tmp_path, monkeypatch, capsys):
-    real = fisheq.minrev.verify_allocation
+    # The input's check is the one ``min_revenue`` makes through
+    # ``_verified``, for a solve's record and for a copy without a verdict.
     message = "price bounds still rising after 3 rounds"
-    monkeypatch.setattr(fisheq.minrev, "verify_allocation", _crafted_first(real))
+    monkeypatch.setattr(fisheq.minrev, "_verified", _crafted_input)
     top = solve_max_revenue(CYCLE_MARKET).equilibrium
-    with pytest.raises(InvariantError, match=f"^{message}$"):
-        min_revenue(CYCLE_MARKET, top)
+    for record in (top, replaced(top)):
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            min_revenue(CYCLE_MARKET, record)
 
     path = tmp_path / "market.json"
     path.write_text(json.dumps(market_to_doc(CYCLE_MARKET)))
-    monkeypatch.setattr(fisheq.minrev, "verify_allocation", _crafted_first(real))
     assert main(["solve", str(path), "--objective", "min-revenue"]) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import islice
@@ -7,16 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisheq import (
+    Equilibrium,
     Market,
     VerificationReport,
     equilibrium_from_allocation,
+    join,
+    meet,
     min_revenue,
+    partition,
     solve_max_revenue,
     verify,
+    verify_allocation,
 )
 from fisheq.cli import generate_market
+from fisheq.serialize import equilibrium_from_doc, equilibrium_to_doc
 from oracle import reference_equilibrium_from_allocation, reference_verify
 from test_acceptance import corpus_markets
+from test_properties import SETTINGS, tied_markets
+from test_records import replaced
 
 
 def _flags(report):
@@ -216,3 +226,124 @@ def test_matches_reference_on_mutated_bigint_endpoints():
                 checked += 1
                 flagged += not report.ok
     assert 0 < flagged < checked
+
+
+# A passed walk leaves its verdict on the record it built, for the market
+# object it walked; ``min_revenue`` and the lattice take it instead of
+# walking again.  Any other use walks.
+
+_CONSUMERS = (
+    (min_revenue, 1),
+    (meet, 2),
+    (join, 2),
+    (partition, 2),
+)
+
+
+def _consume(call, arity, market, record):
+    return call(market, *(record,) * arity)
+
+
+def test_an_equal_but_distinct_market_is_walked(capped_market, walks):
+    top = solve_max_revenue(capped_market).equilibrium
+    twin = replaced(capped_market)
+    assert twin == capped_market and twin is not capped_market
+    for call, arity in _CONSUMERS:
+        walks.clear()
+        same = _consume(call, arity, capped_market, top)
+        assert walks == []
+        assert _consume(call, arity, twin, top) == same
+        assert len(walks) == 1 and walks[0] is twin
+
+
+def test_a_verdict_for_another_market_does_not_pass(capped_market, linear_market, walks):
+    # The capped market's top is no equilibrium of the linear one: the
+    # stamped record raises what a copy without a verdict raises.
+    top = solve_max_revenue(capped_market).equilibrium
+    assert not verify(linear_market, top).ok
+    for call, arity in _CONSUMERS:
+        messages = []
+        for record in (top, replaced(top)):
+            walks.clear()
+            with pytest.raises(ValueError, match="^(input|first equilibrium) is not") as raised:
+                _consume(call, arity, linear_market, record)
+            assert len(walks) == 1 and walks[0] is linear_market
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+
+def test_a_failed_walk_leaves_no_verdict(capped_market, walks):
+    report, bogus, _ = verify_allocation(
+        capped_market, (F(3), F(1)), ((F(1), F(0)), (F(0), F(1)))
+    )
+    assert not report.ok
+    assert set(vars(bogus)) == set(Equilibrium._fields)
+    for call, arity in _CONSUMERS:
+        walks.clear()
+        with pytest.raises(ValueError, match="^(input|first equilibrium) is not"):
+            _consume(call, arity, capped_market, bogus)
+        assert len(walks) == 1
+
+
+def test_verify_and_a_parsed_document_always_walk(capped_market, walks):
+    top = solve_max_revenue(capped_market).equilibrium
+    walks.clear()
+    assert verify(capped_market, top).ok
+    assert len(walks) == 1
+    assert equilibrium_from_doc(equilibrium_to_doc(top), capped_market) == top
+    assert len(walks) == 2
+    # ``verify`` reads the fields, never the verdict: a forged price on a
+    # copy that keeps the verdict is still caught.
+    forged = copy.copy(top)
+    forged.__dict__["prices"] = (F(3), F(1))
+    walks.clear()
+    assert not verify(capped_market, forged).ok
+    assert len(walks) == 1
+
+
+def test_the_verdict_leaves_equality_hash_and_repr_alone(capped_market, walks):
+    top = solve_max_revenue(capped_market).equilibrium
+    bare = replaced(top)
+    assert top == bare and hash(top) == hash(bare) and repr(top) == repr(bare)
+    assert set(vars(top)) > set(vars(bare)) == set(Equilibrium._fields)
+
+    # a shallow copy keeps the verdict, and its market
+    walks.clear()
+    assert min_revenue(capped_market, copy.copy(top)) == top
+    assert walks == []
+
+    # a pickle round trip keeps it too, for the market pickled with it
+    market, back = pickle.loads(pickle.dumps((capped_market, top)))
+    assert (market, back) == (capped_market, top) and market is not capped_market
+    assert min_revenue(market, back) == top
+    assert walks == []
+    assert min_revenue(capped_market, back) == top
+    assert len(walks) == 1
+
+
+def _assert_verdicts_change_nothing(market):
+    """``min_revenue``, ``meet`` and ``join`` give the same record, field
+    for field, on the endpoints (which carry verdicts) and on copies built
+    without one."""
+    high = solve_max_revenue(market).equilibrium
+    low = min_revenue(market, high)
+    bare = {id(high): replaced(high), id(low): replaced(low)}
+    for record in (high, low):
+        result, again = min_revenue(market, record), min_revenue(market, bare[id(record)])
+        assert result == again and repr(result) == repr(again)
+        for other in (high, low):
+            for call in (meet, join):
+                result = call(market, record, other)
+                again = call(market, bare[id(record)], bare[id(other)])
+                assert result == again and repr(result) == repr(again)
+
+
+@SETTINGS
+@given(tied_markets())
+def test_verdicts_change_no_result_on_tied_markets(market):
+    _assert_verdicts_change_nothing(market)
+
+
+def test_verdicts_change_no_result_on_the_corpus():
+    for market in corpus_markets():
+        _assert_verdicts_change_nothing(market)
