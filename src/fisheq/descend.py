@@ -31,7 +31,7 @@ from .market import (
     strip_trivial,
 )
 from .record import FrozenRecord, Record
-from .verify import verify_allocation
+from .verify import _certified
 
 CAP = "cap"
 NEW_EDGE = "new-edge"
@@ -438,11 +438,8 @@ def solve_max_revenue(market):
         prices[j] = state.network.prices[j_s] / scale
         for i_s, i in enumerate(kept_buyers):
             alloc[i][j] = solved[i_s][j_s]
-    report, equilibrium, _ = verify_allocation(market, prices, alloc)
-    if not report.ok:
-        raise InvariantError(f"solver output fails to verify: {report.violations}")
     return SolveResult(
-        equilibrium=equilibrium,
+        equilibrium=_certified(market, prices, alloc, "solver output fails to verify"),
         trace=state.trace,
         phases=state.phases,
         final_surpluses=state.flow.surpluses(),

@@ -23,24 +23,17 @@ from .errors import FormatError, InvalidMarketError
 
 
 class _Infinity:
-    """Singleton sentinel, strictly above every Fraction."""
+    """The sentinel ``INF``, strictly above every Fraction and equal only
+    to itself.  ``copy``, ``deepcopy`` and pickle return ``INF`` itself:
+    ``__reduce__`` names the module global."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "INF"
 
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("fisheq.INF")
+    def __reduce__(self):
+        return "INF"
 
     def __gt__(self, other):
         return other is not self

@@ -5,26 +5,19 @@ min; the constructive join/meet splice together the price and allocation of
 the two inputs along the partition of goods into equal-, below- and
 above-priced sets.
 
-Each distinct (prices, allocation) is checked at most once per call.  An
-input that a passed ``verify_allocation`` walk on this very market object
-built (a solve's, ``min_revenue``'s, a splice's) keeps that walk's verdict
-and is not walked again (``verify._verified``); any other input is checked
-by one ``verify_allocation`` pass over the buyers, which gives its report
-and rebuilds its active budgets, capped flags and utilities.  The first
-input is always checked so.  The second is checked only when its prices
-or its allocation differ from the first's: verification reads nothing
-else, so equal values get an identical report.  The splice is walked only
-when it differs from both inputs; one equal to an input is that input's
-checked record.  The result and the capped flags the partition tests are
-always those of a walk on the market, never fields a caller stored, which
-verification does not read.
+Each distinct (prices, allocation) is checked at most once per call.  The
+first input is admitted by ``verify._admitted``.  The second is admitted
+only when its prices or its allocation differ from the first's: admission
+reads nothing else, so equal values get an identical verdict.  The splice
+is certified by one walk only when it differs from both inputs; one equal
+to an input is that input's admitted record.
 """
 
 from __future__ import annotations
 
 from .errors import InvariantError
 from .record import FrozenRecord
-from .verify import _verified, verify_allocation
+from .verify import _admitted, _certified
 
 
 class PricePartition(FrozenRecord):
@@ -53,25 +46,14 @@ def _touched(alloc, group):
     return tuple(map(frozenset, held))
 
 
-def _checked(market, equilibrium, name):
-    """The input's record as the walk that verified it on ``market`` built
-    it."""
-    report, checked, _ = _verified(market, equilibrium)
-    if not report.ok:
-        raise ValueError(
-            f"{name} is not a modest MBB equilibrium: {report.violations}"
-        )
-    return checked
-
-
 def _split(market, first, second):
-    """The partition of ``partition`` together with both inputs' checked
+    """The partition of ``partition`` together with both inputs' admitted
     records."""
-    first = _checked(market, first, "first equilibrium")
+    first = _admitted(market, first, "first equilibrium")[0]
     if second.prices == first.prices and second.allocation == first.allocation:
         second = first
     else:
-        second = _checked(market, second, "second equilibrium")
+        second = _admitted(market, second, "second equilibrium")[0]
     if second is first:
         group = (0,) * market.m
     else:
@@ -106,7 +88,7 @@ def partition(market, first, second):
 
 def _splice(market, first, second, take_second):
     """Second's prices and allocation on the goods in ``take_second``,
-    first's elsewhere; ``first`` and ``second`` are checked records."""
+    first's elsewhere; ``first`` and ``second`` are admitted records."""
     if not take_second:
         return first
     if len(take_second) == market.m:
@@ -120,10 +102,7 @@ def _splice(market, first, second, take_second):
     for checked in (first, second):
         if prices == checked.prices and alloc == checked.allocation:
             return checked
-    report, result, _ = verify_allocation(market, prices, alloc)
-    if not report.ok:
-        raise InvariantError(f"spliced equilibrium fails to verify: {report.violations}")
-    return result
+    return _certified(market, prices, alloc, "spliced equilibrium fails to verify")
 
 
 def join(market, first, second):

@@ -27,19 +27,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantError
-from .verify import _verified, verify_allocation
+from .verify import _admitted, _certified
 
 
 def min_revenue(market, equilibrium):
     """Transform a verified modest MBB equilibrium into the one with
     pointwise-smallest prices (same utilities, same allocation fractions).
-    The input is walked once unless a passed walk on this very market built
-    it (a solve's, ``min_revenue``'s, ``meet``'s, ``join``'s record): then
-    its verdict and graph are read.  The result is walked once if prices
-    fall; otherwise it is the checked input."""
-    report, checked, (_, edges) = _verified(market, equilibrium)
-    if not report.ok:
-        raise ValueError(f"input is not a modest MBB equilibrium: {report.violations}")
+    The input is admitted by ``verify._admitted``, which also gives its
+    equality edges.  The result is certified by one walk if prices fall;
+    otherwise it is the admitted input."""
+    checked, edges = _admitted(market, equilibrium, "input")
     prices, alloc, m = checked.prices, checked.allocation, market.m
     tied, holders = [[] for _ in range(market.n)], [[] for _ in range(m)]
     for i, j in edges:
@@ -75,7 +72,6 @@ def min_revenue(market, equilibrium):
             break
     else:
         raise InvariantError(f"price bounds still rising after {m} rounds")
-    report, checked, _ = verify_allocation(market, [Fraction(*q) for q in low], alloc)
-    if not report.ok:
-        raise InvariantError(f"postprocessing left the equilibrium set: {report.violations}")
-    return checked
+    return _certified(
+        market, [Fraction(*q) for q in low], alloc, "postprocessing left the equilibrium set"
+    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvariantError
 from .exact import INF, as_fraction, format_rational, ratio_sign
 from .market import active_budget_at, add_pair, buyer_pass, capped_utility, mul_pair, over_cap
 from .record import FrozenRecord, Record
@@ -136,11 +137,11 @@ def verify_allocation(market, prices, allocation):
     the same passes.
 
     When the report is ok the record keeps the verdict: a private entry
-    of its ``__dict__`` holds this ``market`` object and the graph.  The
-    record and the market are frozen, so the verdict stays true, and
-    ``min_revenue`` and the lattice take it (``_verified``) instead of
-    walking the record again on that same market.  ``==``, ``hash`` and
-    ``repr`` read only the fields, and ``verify`` never reads the verdict.
+    of its ``__dict__`` holds this ``market`` object and the graph's
+    edges.  The record and the market are frozen, so the verdict stays
+    true, and ``_admitted`` takes it instead of walking the record again
+    on that same market.  ``==``, ``hash`` and ``repr`` read only the
+    fields, and ``verify`` never reads the verdict.
     """
     prices = tuple(map(as_fraction, prices))
     allocation = tuple(tuple(map(as_fraction, row)) for row in allocation)
@@ -154,22 +155,44 @@ def verify_allocation(market, prices, allocation):
         capped=capped,
         utilities=utilities,
     )
-    graph = (alphas, frozenset((i, j) for i, row in enumerate(goods) for j in row))
+    edges = frozenset((i, j) for i, row in enumerate(goods) for j in row)
     if report.ok:
-        equilibrium.__dict__["_verdict"] = (market, graph)
-    return report, equilibrium, graph
+        equilibrium.__dict__["_verdict"] = (market, edges)
+    return report, equilibrium, (alphas, edges)
 
 
-def _verified(market, equilibrium):
-    """``verify_allocation`` of the record's prices and allocation, or, for
-    a record whose passed walk was on this very ``market`` object (``is``,
-    never ``==``), that walk's verdict: an ok report, the record itself and
-    the walk's graph.  Any other record, or the same one with an equal but
-    distinct market, is walked again."""
+def _admitted(market, equilibrium, name):
+    """(record, edges) of an equilibrium a postprocessor takes in: the
+    record as a passed walk on ``market`` built it, and the equality edges
+    that walk read.  This is the one admission rule of ``min_revenue``,
+    ``meet``, ``join`` and ``partition``.
+
+    A record whose verdict names this very ``market`` object (``is``, never
+    ``==``) is taken as it is, with no walk.  Any other record, or the same
+    one with an equal but distinct market, gets one ``verify_allocation``
+    walk of its prices and allocation; a failed walk raises ValueError
+    naming the input as ``name``.  Only the prices and the allocation are
+    read: the result's active budgets, capped flags and utilities are the
+    walk's, never fields a caller stored."""
     verdict = getattr(equilibrium, "_verdict", None)
     if verdict is not None and verdict[0] is market:
-        return VerificationReport(), equilibrium, verdict[1]
-    return verify_allocation(market, equilibrium.prices, equilibrium.allocation)
+        return equilibrium, verdict[1]
+    report, checked, (_, edges) = verify_allocation(
+        market, equilibrium.prices, equilibrium.allocation
+    )
+    if not report.ok:
+        raise ValueError(f"{name} is not a modest MBB equilibrium: {report.violations}")
+    return checked, edges
+
+
+def _certified(market, prices, allocation, failure):
+    """The record of one ``verify_allocation`` walk of an equilibrium the
+    package built; a failed walk is a bug, so it raises InvariantError
+    beginning with ``failure`` and naming the violations."""
+    report, checked, _ = verify_allocation(market, prices, allocation)
+    if not report.ok:
+        raise InvariantError(f"{failure}: {report.violations}")
+    return checked
 
 
 def _walk(market, prices, alloc):

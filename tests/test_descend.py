@@ -47,7 +47,7 @@ from oracle import (
 )
 from test_acceptance import corpus_markets
 from test_properties import markets, tied_markets
-from test_verify import INJECTED, failing_on_call
+from test_verify import INJECTED, VERIFY, failing_on_call
 
 
 def _fresh_state(market):
@@ -1136,7 +1136,8 @@ def test_unverified_solve_guard_fires(corrupt, capped_market, tmp_path, monkeypa
     # report stops it, with the report's first violation in the message,
     # raised to a library caller and as exit 3 of ``fisheq solve``.  Moving
     # a sliver of good 0 to buyer 0 lifts its value 1 to 3/2, above its cap.
-    real, real_alloc = fisheq.descend.verify_allocation, fisheq.descend.SolverState.alloc
+    # The certificate's walk is the first ``verify_allocation`` call.
+    real, real_alloc = VERIFY.verify_allocation, fisheq.descend.SolverState.alloc
 
     def moved(state):
         alloc = real_alloc.fget(state)
@@ -1146,7 +1147,7 @@ def test_unverified_solve_guard_fires(corrupt, capped_market, tmp_path, monkeypa
 
     def corrupt_next_solve():
         if corrupt == "injected-report":
-            monkeypatch.setattr(fisheq.descend, "verify_allocation", failing_on_call(real, 1))
+            monkeypatch.setattr(VERIFY, "verify_allocation", failing_on_call(real, 1))
         else:
             monkeypatch.setattr(fisheq.descend.SolverState, "alloc", property(moved))
 
@@ -1183,13 +1184,13 @@ def test_one_verified_walk_per_solve(market, buyer_passes, monkeypatch):
     # per buyer of the input market, and builds its record from it.
     stripped, _, _ = strip_trivial(normalize(market))
     calls = []
-    real = fisheq.descend.verify_allocation
+    real = VERIFY.verify_allocation
 
     def counted(*args):
         calls.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(fisheq.descend, "verify_allocation", counted)
+    monkeypatch.setattr(VERIFY, "verify_allocation", counted)
     buyer_passes.clear()
     result = solve_max_revenue(market)
     assert calls == [market]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -54,6 +56,23 @@ def test_infinity_orders_above_everything():
     assert INF >= INF and INF <= INF
     assert not (INF > INF)
     assert INF == INF and INF != F(1)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy]
+    + [
+        lambda value, protocol=protocol: pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ],
+    ids=["copy", "deepcopy"] + [f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+)
+def test_infinity_survives_copy_and_pickle(clone):
+    # ``alpha is INF`` tests identity, so a copy must be INF itself, alone
+    # or inside a container.
+    assert clone(INF) is INF
+    cloned = clone((F(1), INF))
+    assert cloned[0] == F(1) and cloned[1] is INF
 
 
 def test_round_trip_past_the_int_str_digit_limit():

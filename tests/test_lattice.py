@@ -9,7 +9,6 @@ import fisheq.lattice
 from fisheq import (
     InvariantError,
     Market,
-    VerificationReport,
     equilibrium_from_allocation,
     join,
     meet,
@@ -21,7 +20,7 @@ from fisheq import (
 from oracle import reference_join, reference_meet, reference_min_revenue, reference_partition
 from test_properties import SETTINGS, markets
 from test_records import replaced
-from test_verify import INJECTED, _mutants, failing_on_call
+from test_verify import INJECTED, VERIFY, _mutants, failing_on_call
 
 
 def _twin_eq(market, price):
@@ -240,15 +239,14 @@ def test_each_distinct_point_is_checked_once(walks, capped_market, overlap_marke
 
 
 def test_spliced_equilibrium_guard_fires(split_market, monkeypatch):
-    # Neither input is the splice.  The inputs' checks go through
-    # ``fisheq.verify._verified`` (their verdicts, or walks there for the
-    # copies without one), so the first call of the lattice's own
-    # ``verify_allocation`` is the splice's.
+    # Neither input is the splice.  Their verdicts admit the stamped
+    # inputs, so the splice's certificate is the first ``verify_allocation``
+    # call; admission walks each copy without one first, so it is the third.
     a, b = _split_eq(split_market, 5, 0), _split_eq(split_market, 0, 5)
     message = f"spliced equilibrium fails to verify: [{INJECTED[0]!r}"
-    real = fisheq.lattice.verify_allocation
-    for pair in ((a, b), (replaced(a), replaced(b))):
-        monkeypatch.setattr(fisheq.lattice, "verify_allocation", failing_on_call(real, 1))
+    real = VERIFY.verify_allocation
+    for pair, call in (((a, b), 1), ((replaced(a), replaced(b)), 3)):
+        monkeypatch.setattr(VERIFY, "verify_allocation", failing_on_call(real, call))
         with pytest.raises(InvariantError, match=re.escape(message)):
             meet(split_market, *pair)
 
@@ -305,11 +303,11 @@ def test_results_rebuild_their_fields_from_prices_and_allocation(
             )
 
 
-def _passing(market, equilibrium):
-    """A ``fisheq.verify._verified`` that passes any input: the record is
-    rebuilt from it and the report is empty."""
+def _passing(market, equilibrium, name):
+    """A ``fisheq.verify._admitted`` that admits any input: the record is
+    rebuilt from it, with no edges."""
     rebuilt = equilibrium_from_allocation(market, equilibrium.prices, equilibrium.allocation)
-    return VerificationReport(), rebuilt, None
+    return rebuilt, None
 
 
 # At prices (1, 1) and (1, 2) buyer 0 is capped (cap 1, budget 2) and buyer 1
@@ -344,7 +342,7 @@ PAIR_MARKET = Market((F(2), F(2)), (F(1), None), ((F(1), F(1)), (F(1), F(1))))
 def test_partition_guard_fires(first, second, message, monkeypatch):
     # Inputs the check passes whatever they are: each breaks one rule of
     # the partition, and partition, meet and join all stop there.
-    monkeypatch.setattr(fisheq.lattice, "_verified", _passing)
+    monkeypatch.setattr(fisheq.lattice, "_admitted", _passing)
     first, second = (equilibrium_from_allocation(PAIR_MARKET, *point) for point in (first, second))
     for call in (partition, meet, join):
         with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):

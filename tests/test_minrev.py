@@ -11,7 +11,6 @@ import fisheq.minrev
 from fisheq import (
     InvariantError,
     Market,
-    VerificationReport,
     equilibrium_from_allocation,
     min_revenue,
     solve_max_revenue,
@@ -23,7 +22,7 @@ from oracle import reference_min_revenue
 from test_acceptance import corpus_markets
 from test_properties import random_tied_market
 from test_records import replaced
-from test_verify import INJECTED, failing_on_call
+from test_verify import INJECTED, VERIFY, failing_on_call
 
 
 def test_overlap_market_drops_to_zero_one(overlap_market):
@@ -80,20 +79,21 @@ def test_one_pass_per_scaling_loop(buyer_passes, overlap_market):
 
 
 def test_left_the_equilibrium_set_guard_fires(overlap_market, tmp_path, monkeypatch, capsys):
-    # The input's check goes through ``fisheq.verify._verified`` (the
-    # solve's verdict, or a walk there for a copy without one), so the
-    # first call of minrev's own ``verify_allocation`` is the result's.
-    real = fisheq.minrev.verify_allocation
+    # The result's certificate is the first ``verify_allocation`` call for
+    # the solve's record, whose verdict admits it, and the second for a
+    # copy without one, which admission walks first.  Through the CLI the
+    # solve's own certificate comes first.
+    real = VERIFY.verify_allocation
     message = re.escape(f"postprocessing left the equilibrium set: [{INJECTED[0]!r}")
     top = solve_max_revenue(overlap_market).equilibrium
-    for record in (top, replaced(top)):
-        monkeypatch.setattr(fisheq.minrev, "verify_allocation", failing_on_call(real, 1))
+    for record, call in ((top, 1), (replaced(top), 2)):
+        monkeypatch.setattr(VERIFY, "verify_allocation", failing_on_call(real, call))
         with pytest.raises(InvariantError, match=message):
             min_revenue(overlap_market, record)
 
     path = tmp_path / "market.json"
     path.write_text(json.dumps(market_to_doc(overlap_market)))
-    monkeypatch.setattr(fisheq.minrev, "verify_allocation", failing_on_call(real, 1))
+    monkeypatch.setattr(VERIFY, "verify_allocation", failing_on_call(real, 2))
     assert main(["solve", str(path), "--objective", "min-revenue"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -225,20 +225,20 @@ CYCLE_MARKET = Market((1, 1, 1), (None, 1, 1), ((2, 1, 0), (0, 1, 2), (0, 2, 1))
 CYCLE_EDGES = frozenset({(0, 0), (1, 1), (2, 2)})
 
 
-def _crafted_input(market, equilibrium):
-    """A ``fisheq.verify._verified`` that passes ``CYCLE_MARKET`` at prices
+def _crafted_input(market, equilibrium, name):
+    """A ``fisheq.verify._admitted`` that admits ``CYCLE_MARKET`` at prices
     (1, 1, 1) with ``CYCLE_EDGES``, whatever it is given."""
     alloc = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     checked = equilibrium_from_allocation(CYCLE_MARKET, (1, 1, 1), alloc)
     assert checked.capped == (False, True, True)
-    return VerificationReport(), checked, (None, CYCLE_EDGES)
+    return checked, CYCLE_EDGES
 
 
 def test_rounds_guard_fires(tmp_path, monkeypatch, capsys):
-    # The input's check is the one ``min_revenue`` makes through
-    # ``_verified``, for a solve's record and for a copy without a verdict.
+    # The input's admission is the one ``min_revenue`` makes through
+    # ``_admitted``, for a solve's record and for a copy without a verdict.
     message = "price bounds still rising after 3 rounds"
-    monkeypatch.setattr(fisheq.minrev, "_verified", _crafted_input)
+    monkeypatch.setattr(fisheq.minrev, "_admitted", _crafted_input)
     top = solve_max_revenue(CYCLE_MARKET).equilibrium
     for record in (top, replaced(top)):
         with pytest.raises(InvariantError, match=f"^{message}$"):

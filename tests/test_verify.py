@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction as F
 from itertools import islice
 
@@ -113,6 +114,9 @@ def test_zero_price_equilibrium_with_free_goods(overlap_market):
 
 # What ``failing_on_call`` reports; callers match its first violation.
 INJECTED = [("walras", 0, "1/2", "0"), ("demand", 1, "2", "3")]
+# The module whose ``verify_allocation`` the admission and certificate
+# helpers call (the package attribute ``fisheq.verify`` is the function).
+VERIFY = sys.modules["fisheq.verify"]
 
 
 def failing_on_call(real, failing_call):
